@@ -1,4 +1,4 @@
-"""Sweep-fabric load test: cache replay, sharded equivalence, kill-resume.
+"""Result-store load test: warm-cache replay and kill-resume.
 
 Two entry points:
 
@@ -6,25 +6,16 @@ Two entry points:
   of warm-cache replay latency on a fig2-style sweep.
 
 * ``python benchmarks/bench_engine_fabric.py --out BENCH_engine_fabric.json``
-  — the CI perf-smoke.  Three hard gates:
+  — the CI perf-smoke.  Two hard gates:
 
   1. **warm_cache** — a repeated fig. 2 sweep served from the
      content-addressed result store must be at least ``--min-speedup``
      (default 10×) faster than the cold run that populated it, with
      byte-identical results.
-  2. **sharded_equiv** — the same sweep pushed through
-     :class:`~repro.engine.executors.ShardedExecutor` with two worker
-     processes (filesystem claim queue, spawn context) must match the
-     serial run bit-for-bit.
-  3. **kill_resume** — a sweep SIGKILLed mid-flight and re-run against
+  2. **kill_resume** — a sweep SIGKILLed mid-flight and re-run against
      the same store must complete while replaying every already-finished
      trial (store hits == entries present at kill time; zero
      recomputation).
-
-  The record also carries a service load test: p50/p95 submit-to-finish
-  job latency over a burst of jobs against the asyncio front-end
-  (:mod:`repro.engine.service`), read from the
-  ``repro_service_job_seconds`` histogram the service exports.
 
 Exits non-zero if any gate fails.
 """
@@ -49,7 +40,6 @@ if _BENCH_DIR not in sys.path:
     sys.path.insert(0, _BENCH_DIR)
 
 from repro.engine import core  # noqa: E402
-from repro.engine.executors import ShardedExecutor  # noqa: E402
 from repro.engine.spec import make_specs  # noqa: E402
 from repro.engine.store import ResultStore, set_default_store  # noqa: E402
 
@@ -90,7 +80,7 @@ def _canonical_self():
 
     Cache keys and cross-process pickles embed the trial function's
     module path; running as a script would otherwise key everything
-    under ``__main__`` and never match the worker/subprocess side.
+    under ``__main__`` and never match the kill-resume subprocess.
     """
     import bench_engine_fabric
 
@@ -134,33 +124,6 @@ def gate_warm_cache(min_speedup: float) -> Dict:
         "bit_identical": identical,
         "store_hits": store.hits,
         "passed": bool(identical and speedup >= min_speedup),
-    }
-
-
-def gate_sharded_equiv() -> Dict:
-    mod = _canonical_self()
-    from repro.experiments import fig2
-    from repro.experiments.common import ExperimentConfig
-
-    config_params = [
-        {"config": ExperimentConfig(), "snr_db": float(snr),
-         "realizations": FIG2_REALIZATIONS}
-        for snr in range(5, 26)
-    ]
-    serial = core.run_trials(make_specs(config_params, seed=0), fig2._trial)
-    t0 = time.perf_counter()
-    sharded = core.run_trials(
-        make_specs(config_params, seed=0), fig2._trial,
-        mod.ShardedExecutor(2, lease_s=30.0, timeout_s=600.0))
-    sharded_s = time.perf_counter() - t0
-    identical = pickle.dumps(sharded) == pickle.dumps(serial)
-    return {
-        "name": "sharded_equiv",
-        "metric": "fig2 trial sweep, ShardedExecutor(2 workers) vs serial",
-        "n_trials": len(config_params),
-        "sharded_s": sharded_s,
-        "bit_identical": identical,
-        "passed": bool(identical),
     }
 
 
@@ -208,66 +171,12 @@ def gate_kill_resume() -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# Service load test (recorded, not gated)
-# ---------------------------------------------------------------------------
-
-def service_load_test(n_jobs: int = 32, max_workers: int = 4) -> Dict:
-    from repro.engine.service import start_in_thread
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    handle = start_in_thread(max_workers=max_workers, registry=registry)
-    try:
-        import urllib.request
-
-        t0 = time.perf_counter()
-        job_ids = []
-        for i in range(n_jobs):
-            req = urllib.request.Request(
-                handle.url + "/jobs",
-                data=json.dumps({"kind": "noop",
-                                 "params": {"n": 8, "seed": i}}).encode(),
-                method="POST", headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                job_ids.append(json.loads(resp.read())["job_id"])
-        deadline = time.monotonic() + 120.0
-        pending = set(job_ids)
-        while pending and time.monotonic() < deadline:
-            done = set()
-            for jid in pending:
-                with urllib.request.urlopen(handle.url + f"/jobs/{jid}",
-                                            timeout=30) as resp:
-                    if json.loads(resp.read())["state"] in ("done", "failed"):
-                        done.add(jid)
-            pending -= done
-            if pending:
-                time.sleep(0.01)
-        wall_s = time.perf_counter() - t0
-    finally:
-        handle.stop()
-
-    series = registry.snapshot()["repro_service_job_seconds"]["series"]
-    noop = next(e for e in series if e["labels"].get("kind") == "noop")
-    return {
-        "n_jobs": n_jobs,
-        "max_workers": max_workers,
-        "completed": int(noop["count"]),
-        "wall_s": wall_s,
-        "jobs_per_sec": n_jobs / wall_s,
-        "p50_latency_s": noop["p50"],
-        "p95_latency_s": noop["p95"],
-        "mean_latency_s": noop["sum"] / noop["count"],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 def run(out_path: str, min_speedup: float) -> int:
     gates = []
-    for fn in (lambda: gate_warm_cache(min_speedup), gate_sharded_equiv,
-               gate_kill_resume):
+    for fn in (lambda: gate_warm_cache(min_speedup), gate_kill_resume):
         gate = fn()
         gates.append(gate)
         status = "ok  " if gate["passed"] else "FAIL"
@@ -279,17 +188,11 @@ def run(out_path: str, min_speedup: float) -> int:
                       f"{gate['recomputed']} recomputed")
         print(f"{status} {gate['name']:<15s} {detail}")
 
-    service = service_load_test()
-    print(f"service: {service['n_jobs']} jobs in {service['wall_s']:.2f}s — "
-          f"p50 {service['p50_latency_s'] * 1e3:.1f} ms, "
-          f"p95 {service['p95_latency_s'] * 1e3:.1f} ms")
-
     record = {
         "bench": "engine_fabric",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "gates": gates,
-        "service": service,
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -4,7 +4,8 @@ A faithful software implementation of the paper's full stack:
 
 * :mod:`repro.phy` — IEEE 802.11a OFDM baseband (Sora SoftWiFi substitute);
 * :mod:`repro.channel` — indoor frequency-selective fading substrate;
-* :mod:`repro.rateadapt` — SNR-threshold data-rate adaptation;
+* :mod:`repro.ratectl` — SNR-threshold data-rate adaptation and the
+  pluggable rate controllers;
 * :mod:`repro.cos` — the contribution: silence-symbol control channel with
   interval coding, energy detection, EVM-driven subcarrier selection,
   erasure Viterbi decoding, and adaptive control-message rate;

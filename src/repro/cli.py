@@ -51,18 +51,6 @@ Commands
     summarise the measured-PHY surrogate table that
     ``cos_fidelity="surrogate"`` replays; the active default honours
     the ``REPRO_SURROGATE_TABLE`` environment override.
-``engine worker --queue DIR [--drain] [--lease S] [--max-attempts K]``
-    Serve trial chunks from a filesystem work queue (see
-    :mod:`repro.engine.queue`).  Start any number of these — on this
-    host or on others sharing ``DIR`` — against sweeps submitted by
-    :class:`repro.engine.ShardedExecutor`; leases + heartbeats recover
-    chunks from crashed workers and ``--drain`` exits once the queue is
-    empty.
-``engine serve [--host H] [--port P]``
-    Run the sim-as-a-service HTTP front-end
-    (:mod:`repro.engine.service`): ``POST /jobs`` submits ``fig2`` /
-    ``net`` / ``noop`` jobs, ``GET /jobs/<id>[/result]`` polls and
-    fetches, ``GET /metrics`` exports Prometheus text.
 ``obs summarize trace.jsonl``
     Analyse a recorded trace offline: per-stage latency percentiles,
     exchange span coverage, the failure-cause breakdown, and — for
@@ -288,42 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trial-engine worker processes (0 = serial; "
                              "default: REPRO_WORKERS or serial)")
     add_store_flags(report)
-
-    eng = sub.add_parser(
-        "engine", help="sweep-fabric utilities (work-queue workers, service)"
-    )
-    eng_sub = eng.add_subparsers(dest="engine_command", required=True)
-    worker = eng_sub.add_parser(
-        "worker", help="serve trial chunks from a filesystem work queue"
-    )
-    worker.add_argument("--queue", required=True, metavar="DIR",
-                        help="queue root directory (shared with the "
-                             "submitting ShardedExecutor, e.g. over NFS)")
-    worker.add_argument("--name", default=None, metavar="ID",
-                        help="worker id recorded in claims "
-                             "(default: <hostname>-<pid>)")
-    worker.add_argument("--drain", action="store_true",
-                        help="exit once no claimable work remains "
-                             "(default: keep polling for new jobs)")
-    worker.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="idle poll interval in seconds (default: 0.2)")
-    worker.add_argument("--lease", type=float, default=30.0, metavar="S",
-                        help="chunk lease in seconds; a claim older than "
-                             "this with no heartbeat is re-claimed "
-                             "(default: 30)")
-    worker.add_argument("--max-attempts", type=int, default=3, metavar="K",
-                        help="poison a chunk after K expired leases "
-                             "(default: 3)")
-    worker.add_argument("--max-seconds", type=float, default=None, metavar="S",
-                        help="exit after S seconds even if work remains")
-    serve = eng_sub.add_parser(
-        "serve", help="run the sim-as-a-service HTTP front-end"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8737,
-                       help="TCP port (0 = ephemeral; default: 8737)")
-    serve.add_argument("--max-workers", type=int, default=4, metavar="N",
-                       help="concurrent job threads (default: 4)")
     return parser
 
 
@@ -345,7 +297,7 @@ def _cmd_info() -> int:
     from repro.channel.multipath import POSITION_PROFILES
     from repro.experiments.common import print_table
     from repro.phy.params import RATE_TABLE
-    from repro.rateadapt import DEFAULT_THRESHOLDS
+    from repro.ratectl import DEFAULT_THRESHOLDS
 
     print_table(
         ["Mbps", "modulation", "code rate", "bits/sym", "min SNR dB", "Rm low", "Rm high"],
@@ -781,50 +733,6 @@ def _cmd_link(args) -> int:
     return 0
 
 
-def _cmd_engine(args) -> int:
-    log = logging.getLogger("repro.cli")
-
-    if args.engine_command == "worker":
-        from repro.engine.queue import worker_loop
-
-        try:
-            n = worker_loop(
-                args.queue,
-                worker_id=args.name,
-                poll_s=args.poll,
-                lease_s=args.lease,
-                max_attempts=args.max_attempts,
-                drain=args.drain,
-                max_seconds=args.max_seconds,
-            )
-        except KeyboardInterrupt:  # pragma: no cover — interactive stop
-            log.info("worker interrupted")
-            return 130
-        print(f"processed {n} chunk(s)")
-        return 0
-
-    # serve
-    import asyncio
-
-    from repro.engine.service import FabricService
-
-    service = FabricService(args.host, args.port, max_workers=args.max_workers)
-
-    async def _amain() -> None:
-        await service.start()
-        # Machine-readable line so tests/scripts can find an ephemeral port.
-        print(f"listening on {service.url}", flush=True)
-        await service.serve_forever()
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover — interactive stop
-        log.info("service interrupted")
-    finally:
-        service.close()
-    return 0
-
-
 def _cmd_obs(args) -> int:
     import repro.obs as obs
 
@@ -875,8 +783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = write_report(args.path, stages=args.stages, workers=args.workers)
         print(f"wrote {path}")
         return 0
-    if args.command == "engine":
-        return _cmd_engine(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

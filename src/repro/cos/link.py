@@ -43,7 +43,7 @@ from repro.phy.modulation import get_modulation
 from repro.phy.params import N_DATA_SUBCARRIERS, PhyRate
 from repro.phy.receiver import Receiver, RxResult
 from repro.phy.transmitter import Transmitter, TxFrame
-from repro.rateadapt import RateAdapter
+from repro.ratectl import RateAdapter
 
 __all__ = [
     "reconstruct_reference_symbols",

@@ -23,7 +23,7 @@ from repro.cos.intervals import IntervalCodec
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.phy.params import PhyRate, SYMBOL_DURATION_S
-from repro.rateadapt import RateAdapter
+from repro.ratectl import RateAdapter
 
 __all__ = ["DEFAULT_RM_TABLE", "ControlRateTable", "ControlAllocation", "ControlRateController"]
 

@@ -30,11 +30,7 @@ Guarantees (see ``docs/engine.md`` for the full contract):
 * **Resumability** — the content-addressed :class:`ResultStore`
   (``store=`` argument, ``REPRO_STORE`` environment flag, or the CLI's
   ``--store``) replays completed trials from disk bit-for-bit so re-runs
-  only execute the delta;
-* **Scale-out** — :class:`ShardedExecutor` routes chunks through a
-  filesystem claim queue (:mod:`repro.engine.queue`) served by local
-  and/or remote ``repro engine worker`` processes, and
-  :mod:`repro.engine.service` fronts the whole engine over HTTP.
+  only execute the delta.
 """
 
 from repro.engine.core import (
@@ -46,7 +42,6 @@ from repro.engine.core import (
 from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
-    ShardedExecutor,
     default_workers,
     make_executor,
     resolve_workers,
@@ -70,7 +65,6 @@ __all__ = [
     "run_batched_sweep",
     "SerialExecutor",
     "ProcessExecutor",
-    "ShardedExecutor",
     "make_executor",
     "default_workers",
     "resolve_workers",

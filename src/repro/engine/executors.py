@@ -17,10 +17,6 @@ backends while trial *results* cannot; the core reassembles by index.
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
-import os
-import shutil
-import tempfile
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.spec import TrialSpec
@@ -36,7 +32,6 @@ from repro.utils.env import env_int
 __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
-    "ShardedExecutor",
     "default_workers",
     "resolve_workers",
     "make_executor",
@@ -162,111 +157,3 @@ class ProcessExecutor:
             # Fail-fast path (or generator close): drop queued chunks,
             # wait only for the ones already running.
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-class ShardedExecutor:
-    """Work-queue backend: chunks go through a filesystem claim queue.
-
-    Unlike :class:`ProcessExecutor`, the executor and its workers share
-    nothing but a directory (:mod:`repro.engine.queue`), so the worker
-    fleet can span processes *and hosts*:
-
-    * ``workers >= 1`` spawns that many local worker processes (spawn
-      context — no inherited state) that drain the queue and exit;
-    * ``workers = 0`` spawns none — the sweep is served entirely by
-      external workers started with ``repro engine worker --queue DIR``
-      on any machine that can see ``queue_dir``.
-
-    Leases + heartbeats give crash-recovery: a chunk whose worker dies
-    is re-claimed after ``lease_s`` and retried, and poisoned (failing
-    the sweep fast) after ``max_attempts`` leases.  Results stream back
-    as :class:`ChunkResult` pickles carrying the same per-chunk metrics
-    snapshots the process pool produces, so ``run_trials`` folds sharded
-    metrics identically — and the determinism contract makes sharded
-    output bit-for-bit equal to serial.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        queue_dir: Optional[str] = None,
-        init: Optional[Callable[..., Any]] = None,
-        init_args: Tuple = (),
-        chunk_size: Optional[int] = None,
-        poll_s: float = 0.05,
-        lease_s: float = 30.0,
-        max_attempts: int = 3,
-        timeout_s: Optional[float] = None,
-    ) -> None:
-        if workers < 0:
-            raise ValueError("ShardedExecutor needs workers >= 0")
-        if workers == 0 and queue_dir is None:
-            raise ValueError(
-                "workers=0 relies on external 'repro engine worker' processes; "
-                "pass the queue_dir they are watching"
-            )
-        self.workers = int(workers)
-        self.queue_dir = queue_dir
-        self.init = init
-        self.init_args = init_args
-        self.chunk_size = chunk_size
-        self.poll_s = poll_s
-        self.lease_s = lease_s
-        self.max_attempts = max_attempts
-        self.timeout_s = timeout_s
-
-    def _default_chunk_size(self, n_specs: int) -> int:
-        shards = max(self.workers, 1) * _CHUNKS_PER_WORKER
-        return max(1, -(-n_specs // shards))
-
-    def run(
-        self, fn: Callable[[TrialSpec], Any], specs: Sequence[TrialSpec]
-    ) -> Iterator[ChunkResult]:
-        from repro.engine import queue as fsqueue
-
-        if not specs:
-            return
-        root = self.queue_dir
-        tmp_root = None
-        if root is None:
-            tmp_root = tempfile.mkdtemp(prefix="repro-queue-")
-            root = tmp_root
-        size = self.chunk_size or self._default_chunk_size(len(specs))
-        job_id = fsqueue.create_job(
-            root, fn, specs, chunk_size=size,
-            init=self.init, init_args=self.init_args,
-        )
-        ctx = multiprocessing.get_context("spawn")
-        procs = [
-            ctx.Process(
-                target=fsqueue._spawned_worker_main,
-                args=(root, self.poll_s, self.lease_s, self.max_attempts),
-                daemon=True,
-                name=f"repro-shard-worker-{i}",
-            )
-            for i in range(self.workers)
-        ]
-        for p in procs:
-            p.start()
-        complete = False
-        try:
-            for chunk in fsqueue.iter_job_results(
-                root, job_id, poll_s=self.poll_s, timeout_s=self.timeout_s
-            ):
-                yield chunk
-                if chunk.error is not None:
-                    return
-            complete = True
-        finally:
-            if not complete:
-                # Fail-fast (or generator close): stop workers claiming
-                # the job's remaining chunks, then stop local workers.
-                fsqueue.cancel_job(root, job_id)
-            for p in procs:
-                p.join(timeout=self.lease_s)
-                if p.is_alive():  # pragma: no cover — stuck worker
-                    p.terminate()
-                    p.join(timeout=5.0)
-            if tmp_root is not None:
-                shutil.rmtree(tmp_root, ignore_errors=True)

@@ -49,9 +49,9 @@ On-disk layout
 
 Entries are pickles written to a temp file in the destination directory
 and ``os.replace``-d into place, so concurrent writers (process pools,
-sharded workers on a shared filesystem, parallel CI jobs) can race
-freely: the rename is atomic and every writer produces identical bytes
-for identical keys.  Corrupt or truncated entries read as misses.
+parallel CI jobs sharing one directory) can race freely: the rename is
+atomic and every writer produces identical bytes for identical keys.
+Corrupt or truncated entries read as misses.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ class ResultStore:
 
     ``hits`` / ``misses`` / ``writes`` count this instance's traffic;
     the engine additionally mirrors them into the metrics registry
-    (``repro_store_hits_total`` etc.) so sharded/pool runs aggregate.
+    (``repro_store_hits_total`` etc.) so serial and pool runs aggregate.
     """
 
     def __init__(self, root: Union[str, Path], *,

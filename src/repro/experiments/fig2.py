@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import engine
 from repro.experiments.common import ExperimentConfig, print_table
-from repro.rateadapt import RateAdapter
+from repro.ratectl import RateAdapter
 
 __all__ = ["SnrGapPoint", "SnrGapResult", "run", "print_result"]
 

@@ -22,7 +22,7 @@ from repro.cos.intervals import IntervalCodec
 from repro.cos.link import CosLink
 from repro.cos.rate_control import ControlAllocation, ControlRateController
 from repro.experiments.common import ExperimentConfig, print_table, scaled
-from repro.rateadapt import RateAdapter
+from repro.ratectl import RateAdapter
 
 __all__ = ["CapacityPoint", "CapacityResult", "run", "print_result", "measure_prr"]
 

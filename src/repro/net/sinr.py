@@ -16,7 +16,7 @@ Decoding is a two-stage decision:
 2. *Error model*: above capture, the frame decodes with a rate-dependent
    packet success probability.  :class:`SigmoidErrorModel` anchors each
    rate's waterfall to the paper's stair-case adaptation thresholds
-   (:data:`repro.rateadapt.DEFAULT_THRESHOLDS`): at the threshold SNR the
+   (:data:`repro.ratectl.DEFAULT_THRESHOLDS`): at the threshold SNR the
    PRR is ~0.99 (the paper's working-region figure), a few dB below it
    the PRR collapses — the usual coded-OFDM cliff.
 
@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.rateadapt import DEFAULT_THRESHOLDS
+from repro.ratectl import DEFAULT_THRESHOLDS
 
 __all__ = [
     "dbm_to_mw",

@@ -22,9 +22,7 @@ MAC's TX-completion path and the control plane's feedback delivery.
 Scenarios choose a controller via ``ScenarioSpec(controller=...)``, the
 CLI via ``repro net run --controller`` and ``repro net compare``.
 
-:mod:`repro.ratectl.staircase` holds the SNR-threshold measurement core
-(formerly ``repro.rateadapt.snr_rate_adaptation``, which now re-exports
-from here with a ``DeprecationWarning``).
+:mod:`repro.ratectl.staircase` holds the SNR-threshold measurement core.
 """
 
 from repro.ratectl.base import (

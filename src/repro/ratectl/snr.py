@@ -4,7 +4,7 @@
 :class:`~repro.ratectl.staircase.RateAdapter` behind the
 :class:`~repro.ratectl.base.RateController` interface — decision for
 decision identical to the pre-controller control plane (the parity
-``tests/test_rateadapt.py`` asserts).  It adapts purely on delivered
+``tests/test_ratectl.py`` asserts).  It adapts purely on delivered
 SINR feedback and inherits the scenario's control transport.
 
 :class:`CosFeedbackController` and :class:`ExplicitFeedbackController`

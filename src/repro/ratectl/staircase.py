@@ -13,10 +13,7 @@ the 12 Mbps band is 7.1–9.5 dB and the 54 Mbps band starts at 22.4 dB
 (Fig. 9 discussion).
 
 This module is the measurement core shared by every feedback-driven
-:class:`repro.ratectl.RateController`; it lived at
-``repro.rateadapt.snr_rate_adaptation`` before the controller layer
-existed, and that path still re-exports it (with a
-``DeprecationWarning``).
+:class:`repro.ratectl.RateController`.
 """
 
 from __future__ import annotations

@@ -3,18 +3,25 @@
 The determinism property under test: a store-cached replay of a sweep is
 bit-for-bit identical to a fresh run, across ``run_sweep`` and
 ``run_batched_sweep``, because trial results are pure functions of
-``(trial fn, params, seed)`` and the key hashes exactly those.
+``(trial fn, params, seed)`` and the key hashes exactly those.  A sweep
+SIGKILLed mid-flight resumes from the store with zero recomputation.
 """
 
 import dataclasses
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import engine
+from repro.engine import core
 from repro.engine import store as store_mod
 from repro.engine.spec import make_specs
 from repro.engine.store import (
@@ -26,6 +33,8 @@ from repro.engine.store import (
     spec_key,
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -326,3 +335,76 @@ class TestBatchedSweepReplay:
                                        store=store)
         assert out == engine.run_batched_sweep(PARAMS, _batched_draw, seed=11)
         assert store.hits == 5
+
+
+def _subprocess_env():
+    """The killed sweep must be able to import repro *and* this module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.pop("REPRO_STORE", None)
+    return env
+
+
+def _slow_trial(spec):
+    rng = spec.rng()
+    deadline = time.perf_counter() + 0.2
+    while time.perf_counter() < deadline:
+        pass
+    return float(rng.normal())
+
+
+# ---------------------------------------------------------------------------
+# Resume after SIGKILL: the store replays everything already finished
+# ---------------------------------------------------------------------------
+
+_KILL_SCRIPT = """
+import sys
+from repro.engine import core
+from repro.engine.spec import make_specs
+from repro.engine.store import ResultStore
+from tests.test_engine_store import _slow_trial
+
+store = ResultStore(sys.argv[1])
+params = [{"x": i} for i in range(10)]
+core.run_trials(make_specs(params, seed=21), _slow_trial, store=store)
+"""
+
+
+class TestKillResume:
+    def test_resume_after_kill_recomputes_only_the_delta(self, tmp_path):
+        store_dir = tmp_path / "store"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILL_SCRIPT, str(store_dir)],
+            env=_subprocess_env(), cwd=str(REPO),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # Wait until some trials have landed in the store, then SIGKILL
+        # mid-sweep.
+        deadline = time.monotonic() + 60.0
+        n_before = 0
+        while time.monotonic() < deadline:
+            n_before = len(list(store_dir.glob("objects/*/*.pkl")))
+            if n_before >= 2:
+                break
+            if proc.poll() is not None:  # pragma: no cover — too fast
+                break
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        n_before = len(list(store_dir.glob("objects/*/*.pkl")))
+        assert 0 < n_before < 10, "kill landed before/after the window"
+
+        params = [{"x": i} for i in range(10)]
+        registry = MetricsRegistry()
+        store = ResultStore(store_dir)
+        resumed = core.run_trials(make_specs(params, seed=21), _slow_trial,
+                                  store=store, registry=registry)
+        # Zero recomputation of finished trials, by the store counters...
+        assert store.hits == n_before
+        assert store.writes == 10 - n_before
+        assert registry.counter("repro_store_hits_total").value == n_before
+        # ...and the resumed output equals a clean serial run, bit for bit.
+        clean = core.run_trials(make_specs(params, seed=21), _slow_trial)
+        assert pickle.dumps(resumed) == pickle.dumps(clean)

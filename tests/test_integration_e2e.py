@@ -5,7 +5,7 @@ import pytest
 
 from repro.channel import IndoorChannel, PulseInterferer
 from repro.cos import AckMessage, CosLink, decode_message, encode_message
-from repro.rateadapt import RateAdapter
+from repro.ratectl import RateAdapter
 
 
 class TestMultiPacketSession:

@@ -18,7 +18,7 @@ from repro.net import (
     cos_delivery_prob_for,
     sinr_db,
 )
-from repro.rateadapt import DEFAULT_THRESHOLDS
+from repro.ratectl import DEFAULT_THRESHOLDS
 
 
 class TestEventScheduler:

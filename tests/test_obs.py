@@ -381,7 +381,7 @@ class TestFlightRecords:
         assert flights[1]["control_subcarriers"]
 
     def test_crc_fail_record_classified(self):
-        from repro.rateadapt import RateAdapter
+        from repro.ratectl import RateAdapter
 
         sink = obs.MemorySink()
         session = obs.configure(trace_out=sink)

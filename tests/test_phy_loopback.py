@@ -73,7 +73,7 @@ class TestNoisyLoopback:
 
     def test_rate_adaptation_band_edges_decode(self, payload, psdu):
         """Every rate decodes at its own minimum required SNR."""
-        from repro.rateadapt import DEFAULT_THRESHOLDS
+        from repro.ratectl import DEFAULT_THRESHOLDS
 
         for mbps, threshold in DEFAULT_THRESHOLDS.items():
             channel = IndoorChannel.position("A", snr_db=threshold + 0.5, seed=11)

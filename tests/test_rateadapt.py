@@ -1,18 +1,9 @@
-"""Unit tests for SNR-threshold rate adaptation.
-
-The implementation lives in :mod:`repro.ratectl.staircase`;
-``repro.rateadapt`` re-exports it and the old submodule path warns.
-These tests run against the compatibility surface on purpose, pinning
-both the decisions and the shim.
-"""
-
-import importlib
-import warnings
+"""Unit tests for SNR-threshold rate adaptation (:mod:`repro.ratectl.staircase`)."""
 
 import pytest
 
 from repro.phy.params import RATE_TABLE
-from repro.rateadapt import DEFAULT_THRESHOLDS, RateAdapter, min_required_snr_db, select_rate
+from repro.ratectl import DEFAULT_THRESHOLDS, RateAdapter, min_required_snr_db, select_rate
 
 
 class TestSelection:
@@ -71,39 +62,3 @@ class TestValidation:
         adapter = RateAdapter(thresholds={6: 2.0, 12: 7.0})
         with pytest.raises(KeyError):
             adapter.min_required_snr_db(RATE_TABLE[54])
-
-
-class TestDeprecatedPath:
-    def test_old_submodule_warns_on_import(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.rateadapt.snr_rate_adaptation as old
-
-            importlib.reload(old)
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.ratectl" in str(w.message)
-            for w in caught
-        )
-
-    def test_package_import_stays_quiet(self):
-        import repro.rateadapt as pkg
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(pkg)
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_decision_parity_with_ratectl(self):
-        """Old and new import paths are decision-for-decision identical."""
-        from repro.ratectl import staircase
-        old = importlib.import_module("repro.rateadapt.snr_rate_adaptation")
-
-        assert old.DEFAULT_THRESHOLDS == staircase.DEFAULT_THRESHOLDS
-        old_adapter, new_adapter = old.RateAdapter(), staircase.RateAdapter()
-        for snr_tenths in range(-50, 400):
-            snr = snr_tenths / 10.0
-            assert old.select_rate(snr) == staircase.select_rate(snr)
-            assert old_adapter.select(snr) == new_adapter.select(snr)
