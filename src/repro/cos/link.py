@@ -39,9 +39,9 @@ from repro.cos.silence import DEFAULT_CONTROL_SUBCARRIERS, SilencePlan, SilenceP
 from repro.phy.convcode import conv_encode, puncture
 from repro.phy.frames import build_mpdu, parse_mpdu
 from repro.phy.interleaver import interleave
-from repro.phy.modulation import get_modulation
+from repro.phy.modulation import Modulation, get_modulation
 from repro.phy.params import N_DATA_SUBCARRIERS, PhyRate
-from repro.phy.receiver import Receiver, RxResult
+from repro.phy.receiver import FrameObservation, Receiver, RxResult
 from repro.phy.transmitter import Transmitter, TxFrame
 from repro.ratectl import RateAdapter
 
@@ -57,6 +57,29 @@ __all__ = [
     "control_group_accuracy",
     "measure_operating_point",
 ]
+
+
+def _faded_control_subcarriers(
+    h_gains: np.ndarray,
+    noise_var: float,
+    control_subcarriers: Sequence[int],
+    detector: EnergyDetector,
+    modulation: Modulation,
+) -> List[int]:
+    """Control subcarriers too faded for silence detection.
+
+    A control subcarrier whose *active* symbols sit near the detection
+    threshold cannot host silence signalling — bits "recovered" through it
+    would be garbage, so a non-empty result means the control message is
+    lost.  The detected mask still serves as erasure input for data
+    decoding (the safe direction).
+    """
+    floor = detector.threshold_for(noise_var)
+    return [
+        c
+        for c in control_subcarriers
+        if modulation.min_symbol_energy * h_gains[c] < 2.0 * floor
+    ]
 
 
 def control_group_accuracy(
@@ -271,17 +294,13 @@ class CosReceiver:
         with span("cos.rx.recover") as sp:
             planner = SilencePlanner(self.control_subcarriers, self.codec)
             control_error: Optional[str] = None
-            # Guard: a control subcarrier faded so deep that its *active*
-            # symbols sit near the detection threshold cannot host silence
-            # signalling — bits "recovered" through it would be garbage.
-            # Declare the control message lost; the detected mask still
-            # serves as erasure input for data decoding (the safe direction).
-            floor = self.detector.threshold_for(obs.noise_var)
-            undetectable = [
-                c
-                for c in self.control_subcarriers
-                if modulation.min_symbol_energy * h_gains[c] < 2.0 * floor
-            ]
+            undetectable = _faded_control_subcarriers(
+                h_gains,
+                obs.noise_var,
+                self.control_subcarriers,
+                self.detector,
+                modulation,
+            )
             if undetectable:
                 control_bits = np.zeros(0, dtype=np.uint8)
                 control_error = (
@@ -643,8 +662,8 @@ def measure_operating_point(
     packet runs §III-D subcarrier selection once, standing in for the
     converged state a closed-loop session reaches through feedback —
     without it the fixed default subcarriers may sit in a fade, where
-    :class:`CosReceiver`'s detectability guard (replicated here, per
-    packet) declares every control message lost.
+    :func:`_faded_control_subcarriers` (the detectability guard
+    :class:`CosReceiver` applies too) declares every control message lost.
     """
     codec = codec or IntervalCodec()
     if control_bits_per_packet % codec.k != 0:
@@ -696,7 +715,7 @@ def measure_operating_point(
         waves.append(channel.transmit(frame.waveform))
         channel.evolve(gap_s)
 
-    observations = rx.observe_many(waves) if waves else []
+    observations = rx.observe_many(waves)
     masks: List[Optional[np.ndarray]] = []
     control_lost: List[bool] = []
     for obs in observations:
@@ -713,17 +732,10 @@ def measure_operating_point(
             min_symbol_energy=modulation.min_symbol_energy,
         )
         masks.append(report.mask)
-        # CosReceiver's detectability guard: a control subcarrier whose
-        # active symbols sit near the detection threshold cannot host
-        # silence signalling — the message is lost, though the detected
-        # mask still serves as erasure input (the safe direction).
-        floor = detector.threshold_for(obs.noise_var)
-        control_lost.append(
-            any(
-                modulation.min_symbol_energy * h_gains[c] < 2.0 * floor
-                for c in control_subcarriers
-            )
+        faded = _faded_control_subcarriers(
+            h_gains, obs.noise_var, control_subcarriers, detector, modulation
         )
+        control_lost.append(bool(faded))
     results = rx.decode_many(observations, masks)
 
     accuracies: List[float] = []

@@ -143,12 +143,7 @@ def send_probe_packets(
         waves.append(channel.transmit(frame.waveform))
         channel.evolve(gap_s)
     # All channel randomness is consumed during the TX loop above (the
-    # receiver never touches the channel), so deferring reception is
-    # bit-exact with the old interleaved loop — and equal-length probes
-    # (the only kind this helper sends) flow through the stacked
-    # ``receive_many`` path in one batch of FFTs/demaps/Viterbi calls.
-    if waves and len({w.size for w in waves}) == 1:
-        received = rx.receive_many(waves)
-    else:
-        received = [rx.receive(w) for w in waves]
-    return list(zip(frames, received))
+    # receiver never touches the channel), so receiving afterwards is
+    # bit-exact with receiving each packet as it is sent — and the probes
+    # go through ``receive_many`` as one batch of FFTs/demaps/Viterbi calls.
+    return list(zip(frames, rx.receive_many(waves)))

@@ -85,32 +85,6 @@ def generate_preamble() -> np.ndarray:
     return np.concatenate([stf, gi2, ltf_time, ltf_time])
 
 
-def _ltf_ffts(preamble_samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    ltf_start = STF_SAMPLES + 32
-    first = preamble_samples[ltf_start : ltf_start + N_FFT]
-    second = preamble_samples[ltf_start + N_FFT : ltf_start + 2 * N_FFT]
-    return (
-        np.fft.fft(first) / TIME_SCALE,
-        np.fft.fft(second) / TIME_SCALE,
-    )
-
-
-def estimate_channel(preamble_samples: np.ndarray) -> np.ndarray:
-    """Least-squares channel estimate from the two LTF repetitions.
-
-    Returns ``H`` on all 64 FFT bins; guard bins (where the LTF is zero)
-    are returned as 0 and must not be used.
-    """
-    if preamble_samples.size < PREAMBLE_SAMPLES:
-        raise ValueError("preamble slice too short")
-    fft1, fft2 = _ltf_ffts(preamble_samples)
-    known = ltf_frequency_symbol()
-    h = np.zeros(N_FFT, dtype=np.complex128)
-    used = known != 0
-    h[used] = 0.5 * (fft1[used] + fft2[used]) / known[used]
-    return h
-
-
 def _ltf_ffts_batch(preambles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ltf_start = STF_SAMPLES + 32
     first = preambles[:, ltf_start : ltf_start + N_FFT]
@@ -122,11 +96,13 @@ def _ltf_ffts_batch(preambles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_channel_batch(preambles: np.ndarray) -> np.ndarray:
-    """:func:`estimate_channel` over a ``(B, n_samples)`` stack.
+    """Least-squares channel estimates from the two LTF repetitions.
 
-    Row ``i`` equals ``estimate_channel(preambles[i])`` bit-for-bit: the
-    row FFT and the per-bin arithmetic are elementwise per packet, so
-    batching changes no rounding.
+    ``preambles`` is a ``(B, n_samples)`` stack of frames starting at the
+    preamble.  Returns ``(B, 64)`` ``H`` on all FFT bins; guard bins (where
+    the LTF is zero) are returned as 0 and must not be used.  The row FFT
+    and the per-bin arithmetic are elementwise per packet, so row ``i``
+    does not depend on the rest of the stack.
     """
     preambles = np.asarray(preambles, dtype=np.complex128)
     if preambles.ndim != 2:
@@ -141,25 +117,19 @@ def estimate_channel_batch(preambles: np.ndarray) -> np.ndarray:
     return h
 
 
-def estimate_noise_from_ltf(preamble_samples: np.ndarray) -> float:
+def estimate_channel(preamble_samples: np.ndarray) -> np.ndarray:
+    """:func:`estimate_channel_batch` of one frame (a 64-bin vector)."""
+    return estimate_channel_batch(np.asarray(preamble_samples)[None])[0]
+
+
+def estimate_noise_from_ltf_batch(preambles: np.ndarray) -> np.ndarray:
     """Per-subcarrier noise variance from the difference of the LTF twins.
 
     The two long symbols carry identical signal, so their per-bin difference
     is pure noise with variance 2 * sigma^2; averaging over the 52 used bins
     gives a robust floor estimate that seeds the CoS energy detector.
-    """
-    fft1, fft2 = _ltf_ffts(preamble_samples)
-    used = ltf_frequency_symbol() != 0
-    diff = fft1[used] - fft2[used]
-    return float(np.mean(np.abs(diff) ** 2) / 2.0)
-
-
-def estimate_noise_from_ltf_batch(preambles: np.ndarray) -> np.ndarray:
-    """:func:`estimate_noise_from_ltf` over a ``(B, n_samples)`` stack.
-
-    Returns a ``(B,)`` float64 vector; entry ``i`` equals the scalar
-    estimator on row ``i`` bit-for-bit (the mean reduces each row
-    independently).
+    ``preambles`` is a ``(B, n_samples)`` stack; returns a ``(B,)`` float64
+    vector.
     """
     preambles = np.asarray(preambles, dtype=np.complex128)
     if preambles.ndim != 2:
@@ -168,10 +138,16 @@ def estimate_noise_from_ltf_batch(preambles: np.ndarray) -> np.ndarray:
     used = ltf_frequency_symbol() != 0
     energy = np.abs(fft1[:, used] - fft2[:, used]) ** 2
     # The mean must reduce one row at a time: numpy's axis-1 reduction may
-    # split its pairwise summation differently than the 1-D reduction the
-    # scalar estimator uses, which moves the result by an ulp.  A row of a
-    # C-contiguous matrix reduces exactly like the standalone vector.
+    # split its pairwise summation differently than a 1-D reduction, which
+    # would make a row's estimate depend on the stack around it by an ulp.
+    # A row of a C-contiguous matrix reduces exactly like the standalone
+    # vector.
     return np.array([float(np.mean(row)) for row in energy]) / 2.0
+
+
+def estimate_noise_from_ltf(preamble_samples: np.ndarray) -> float:
+    """:func:`estimate_noise_from_ltf_batch` of one frame."""
+    return float(estimate_noise_from_ltf_batch(np.asarray(preamble_samples)[None])[0])
 
 
 def estimate_cfo(preamble_samples: np.ndarray) -> float:

@@ -2,13 +2,19 @@
 
 The receiver is split into two stages so the CoS layer can interpose:
 
-1. :meth:`Receiver.observe` — synchronise, estimate the channel from the
-   LTF, FFT the payload into a raw frequency grid, and decode the SIGNAL
-   field.  The raw grid is what the CoS energy detector inspects.
-2. :meth:`Receiver.decode` — equalise, compute CSI-weighted LLRs, zero the
-   metrics of any erased (silence) symbols, and run the Viterbi pipeline.
+1. :meth:`Receiver.observe_many` — synchronise, estimate the channel from
+   the LTF, FFT the payload into a raw frequency grid, and decode the
+   SIGNAL field.  The raw grid is what the CoS energy detector inspects.
+2. :meth:`Receiver.decode_many` — equalise, compute CSI-weighted LLRs,
+   zero the metrics of any erased (silence) symbols, and run the Viterbi
+   pipeline.
 
-``Receiver.receive`` chains both for plain-802.11a use.
+Both stages are batch-first: one stacked implementation processes ``B``
+packets as ``(B, …)`` array operations, and the single-packet calls
+:meth:`Receiver.observe`, :meth:`Receiver.decode` and
+:meth:`Receiver.receive` are its ``B = 1`` case.  Every stage reduces each
+packet independently, so a packet's result does not depend on the batch it
+travels in (``B = N`` equals ``N`` calls at ``B = 1``, bit for bit).
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from repro.phy.modulation import get_modulation
 from repro.phy.ofdm import (
     DATA_BINS,
     PILOT_BINS,
-    extract_data,
     extract_pilots,
     time_to_grid,
 )
@@ -33,18 +38,14 @@ from repro.phy.params import N_DATA_SUBCARRIERS, SYMBOL_SAMPLES
 from repro.phy.plcp import (
     DecodedData,
     SignalField,
-    decode_data_field,
     decode_data_fields,
-    signal_llrs_to_field,
     signal_llrs_to_fields,
 )
 from repro.phy.preamble import (
     PREAMBLE_SAMPLES,
     SAMPLE_RATE_HZ,
     estimate_cfo,
-    estimate_channel,
     estimate_channel_batch,
-    estimate_noise_from_ltf,
     estimate_noise_from_ltf_batch,
     synchronize,
 )
@@ -54,12 +55,12 @@ __all__ = ["FrameObservation", "RxResult", "Receiver"]
 _H_FLOOR = 1e-9
 
 
-def _as_waveform_batch(samples_batch: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack a batch of waveforms into a ``(B, n_samples)`` complex array.
+def _as_waveform_batch(samples_batch: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """Normalise a batch of waveforms to complex128 rows.
 
-    Accepts a 2-D array or any sequence of equal-length 1-D waveforms;
-    unequal lengths raise (callers with ragged batches loop the single
-    path instead — see ``repro.experiments.common.send_probe_packets``).
+    A 2-D array, or 1-D waveforms of one length, become a
+    ``(B, n_samples)`` array; waveforms of mixed lengths stay a list of
+    1-D rows (the receiver groups them by length).
     """
     if isinstance(samples_batch, np.ndarray):
         batch = np.asarray(samples_batch, dtype=np.complex128)
@@ -68,10 +69,7 @@ def _as_waveform_batch(samples_batch: Sequence[np.ndarray]) -> np.ndarray:
         if any(row.ndim != 1 for row in rows):
             raise ValueError("waveform batch entries must be 1-D sample arrays")
         if len({row.size for row in rows}) > 1:
-            raise ValueError(
-                "waveform batch entries must share one length; "
-                "mixed-length packets go through receive() per packet"
-            )
+            return rows
         batch = (
             np.stack(rows) if rows else np.zeros((0, 0), dtype=np.complex128)
         )
@@ -155,151 +153,67 @@ class Receiver:
     def observe(self, samples: np.ndarray) -> Optional[FrameObservation]:
         """Synchronise, estimate the channel, and decode SIGNAL.
 
-        Returns ``None`` when the waveform is too short to hold a preamble
-        plus SIGNAL symbol.
+        The ``B = 1`` case of :meth:`observe_many`.  Returns ``None`` when
+        the waveform is too short to hold a preamble plus SIGNAL symbol.
         """
         with span("phy.rx.observe") as sp:
-            obs = self._observe(samples)
+            (obs,) = self._observe_many(_as_waveform_batch(np.asarray(samples)[None]))
             if obs is not None and obs.signal is not None:
                 sp.set(rate_mbps=obs.signal.rate.mbps)
             return obs
 
-    def _observe(self, samples: np.ndarray) -> Optional[FrameObservation]:
-        samples = np.asarray(samples, dtype=np.complex128)
-        start = 0 if self.known_timing else synchronize(samples)
-        if samples.size - start < PREAMBLE_SAMPLES + SYMBOL_SAMPLES:
-            return None
+    def observe_many(
+        self, samples_batch: Sequence[np.ndarray]
+    ) -> List[Optional[FrameObservation]]:
+        """Observe a batch of waveforms as stacked array operations.
+
+        ``samples_batch`` is a ``(B, n_samples)`` complex array or a
+        sequence of 1-D waveforms, of any lengths.  Entry ``i`` of the
+        result equals ``observe(samples_batch[i])`` bit-for-bit: every
+        stage — row FFTs, channel/noise estimation, pilot phase, demapping,
+        SIGNAL decoding — is elementwise or reduces each packet
+        independently (``tests/test_phy_batch.py`` enforces this across
+        all rates).
+        """
+        with span("phy.rx.observe_many") as sp:
+            batch = _as_waveform_batch(samples_batch)
+            sp.set(n_packets=len(batch))
+            return self._observe_many(batch)
+
+    def _observe_many(
+        self, batch: Sequence[np.ndarray]
+    ) -> List[Optional[FrameObservation]]:
+        # Grouping rule: find each row's frame start, trim the row there,
+        # and stack the rows whose remaining lengths match.
+        n_rows = len(batch)
+        if self.known_timing:
+            starts = [0] * n_rows
+        else:
+            starts = [synchronize(row) for row in batch]
+        groups: Dict[int, List[int]] = {}
+        for b, start in enumerate(starts):
+            groups.setdefault(len(batch[b]) - start, []).append(b)
+
+        out: List[Optional[FrameObservation]] = [None] * n_rows
+        for n_samples, members in groups.items():
+            if n_samples < PREAMBLE_SAMPLES + SYMBOL_SAMPLES:
+                continue
+            stack = np.stack([batch[b][starts[b]:] for b in members])
+            for b, obs in zip(members, self._observe_aligned(stack)):
+                out[b] = obs
+        return out
+
+    def _observe_aligned(self, batch: np.ndarray) -> List[FrameObservation]:
+        """Observe a ``(B, n_samples)`` stack whose frames start at sample 0."""
+        n_rows, n_samples = batch.shape
         if self.correct_cfo:
-            # STF/LTF-based CFO estimate, derotated over the whole frame;
+            # STF/LTF-based CFO estimate per row (320 samples each — cheap
+            # next to the payload FFTs), derotated over the whole frame;
             # the pilots then track only the small residual phase drift.
             # The estimator returns exactly 0.0 on phase-clean channels
             # (the autocorrelation angle of an unrotated preamble), and
             # multiplying by exp(0j) = 1+0j is a bit-exact identity — so
-            # the full-frame copy + derotation is skipped outright.
-            cfo = estimate_cfo(samples[start : start + PREAMBLE_SAMPLES])
-            if cfo != 0.0:
-                n = np.arange(samples.size - start)
-                samples = samples.copy()
-                samples[start:] = samples[start:] * np.exp(
-                    -2j * np.pi * cfo * n / SAMPLE_RATE_HZ
-                )
-        preamble = samples[start : start + PREAMBLE_SAMPLES]
-        h_est = estimate_channel(preamble)
-        noise_ltf = estimate_noise_from_ltf(preamble)
-
-        payload = samples[start + PREAMBLE_SAMPLES :]
-        n_whole = payload.size // SYMBOL_SAMPLES
-        grid = time_to_grid(payload[: n_whole * SYMBOL_SAMPLES])
-
-        h_data = h_est[DATA_BINS]
-        safe_h = np.where(np.abs(h_data) < _H_FLOOR, _H_FLOOR, h_data)
-
-        # SIGNAL symbol (polarity index 0).
-        signal_raw = extract_data(grid[:1])[0]
-        phase0, pilot_res0 = self._pilot_phase(grid[:1], h_est, symbol_offset=0)
-        noise_var = self._refine_noise(noise_ltf, pilot_res0)
-        eq_signal = self._equalize(signal_raw, safe_h, noise_var) * np.exp(
-            -1j * phase0[0]
-        )
-        csi = np.abs(h_data) ** 2 / max(noise_var, 1e-15)
-        signal_llrs = get_modulation("bpsk").demap_soft(eq_signal, csi)
-        signal = signal_llrs_to_field(signal_llrs)
-
-        # DATA symbols (polarity indices 1..n).
-        n_data = grid.shape[0] - 1
-        if signal is not None:
-            n_data = min(n_data, signal.n_data_symbols)
-        data_grid = grid[1 : 1 + n_data]
-        raw_data = extract_data(data_grid)
-        phase, pilot_res = self._pilot_phase(data_grid, h_est, symbol_offset=1)
-        noise_var = self._refine_noise(noise_ltf, np.concatenate([pilot_res0, pilot_res]))
-        eq_data = self._equalize(raw_data, safe_h[None, :], noise_var) * np.exp(
-            -1j * phase
-        )[:, None]
-
-        return FrameObservation(
-            h_est=h_est,
-            h_data=h_data,
-            noise_var=noise_var,
-            signal=signal,
-            raw_data_grid=raw_data,
-            eq_data_grid=eq_data,
-        )
-
-    @staticmethod
-    def _equalize(raw: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:
-        """Zero-forcing equalisation.
-
-        For a scalar per-subcarrier channel the *unbiased* MMSE equaliser
-        reduces exactly to ZF (the bias correction cancels the
-        regularisation), and the CSI weighting in the demapper already
-        plays the role MMSE would — so ZF is the whole story here.
-        """
-        del noise_var
-        return raw / h
-
-    @staticmethod
-    def _pilot_phase(grid: np.ndarray, h_est: np.ndarray, symbol_offset: int):
-        """Common-phase-error per symbol and raw pilot residuals.
-
-        The residuals (received minus expected pilot values, before
-        equalisation) feed the pilot-aided noise estimate of eq. (6).
-        """
-        received, sent = extract_pilots(grid, symbol_offset)
-        h_pilots = h_est[PILOT_BINS]
-        expected = sent * h_pilots[None, :]
-        corr = np.sum(received * np.conj(expected), axis=1)
-        phase = np.angle(np.where(corr == 0, 1.0, corr))
-        residuals = received * np.exp(-1j * phase)[:, None] - expected
-        return phase, residuals.reshape(-1)
-
-    @staticmethod
-    def _refine_noise(noise_ltf: float, pilot_residuals: np.ndarray) -> float:
-        """Blend the LTF floor with the pilot residual power (eq. (5)-(6))."""
-        if pilot_residuals.size == 0:
-            return noise_ltf
-        pilot_var = float(np.mean(np.abs(pilot_residuals) ** 2))
-        return 0.5 * (noise_ltf + pilot_var)
-
-    # ------------------------------------------------------------------
-    # Stage 1, batched
-    # ------------------------------------------------------------------
-
-    def observe_many(
-        self, samples_batch: Sequence[np.ndarray]
-    ) -> List[Optional[FrameObservation]]:
-        """:meth:`observe` over a batch of equal-length waveforms.
-
-        ``samples_batch`` is a ``(B, n_samples)`` complex array (or a
-        sequence of equal-length 1-D waveforms).  Entry ``i`` of the result
-        equals ``observe(samples_batch[i])`` bit-for-bit: every batched
-        stage — row FFTs, channel/noise estimation, pilot phase, demapping,
-        SIGNAL decoding — is elementwise or reduces each packet
-        independently, so batching changes no rounding (the property tests
-        in ``tests/test_phy_batch.py`` enforce this across all rates).
-        """
-        with span("phy.rx.observe_many") as sp:
-            batch = _as_waveform_batch(samples_batch)
-            sp.set(n_packets=batch.shape[0])
-            return self._observe_many(batch)
-
-    def _observe_many(self, batch: np.ndarray) -> List[Optional[FrameObservation]]:
-        n_rows = batch.shape[0]
-        if n_rows == 0:
-            return []
-        if not self.known_timing:
-            # Matched-filter sync yields a per-row start offset, which
-            # breaks the aligned-stack layout; fall back to per-packet
-            # observation (identical by definition).
-            return [self._observe(row) for row in batch]
-        n_samples = batch.shape[1]
-        if n_samples < PREAMBLE_SAMPLES + SYMBOL_SAMPLES:
-            return [None] * n_rows
-
-        if self.correct_cfo:
-            # Per-row estimate (320 samples each — cheap next to the
-            # payload FFTs); rows with a nonzero estimate are derotated
-            # with exactly the single-packet expression.
+            # such rows skip the derotation outright.
             derotate: Dict[int, float] = {}
             for b in range(n_rows):
                 cfo = estimate_cfo(batch[b, :PREAMBLE_SAMPLES])
@@ -324,6 +238,9 @@ class Receiver:
         ).reshape(n_rows, n_whole, -1)
 
         h_data_b = h_est_b[:, DATA_BINS]
+        # Zero-forcing equalisation: for a scalar per-subcarrier channel
+        # the unbiased MMSE equaliser reduces exactly to ZF, and the CSI
+        # weighting in the demapper plays the role MMSE would.
         safe_h_b = np.where(np.abs(h_data_b) < _H_FLOOR, _H_FLOOR, h_data_b)
 
         # SIGNAL symbols (polarity index 0), demapped and decoded in one
@@ -357,7 +274,12 @@ class Receiver:
 
         out: List[Optional[FrameObservation]] = [None] * n_rows
         for n_data, members in groups.items():
-            rows = np.asarray(members, dtype=np.intp)
+            # Gathering with an index array copies every operand, even when
+            # the group is the whole batch; a basic slice does not.
+            if len(members) == n_rows:
+                rows = slice(None)
+            else:
+                rows = np.asarray(members, dtype=np.intp)
             data_grid_g = grid_b[rows, 1 : 1 + n_data]
             raw_g = data_grid_g[:, :, DATA_BINS]
             phase_g, res_g = self._pilot_phase_batch(
@@ -378,23 +300,26 @@ class Receiver:
                     raw_data_grid=raw_g[i],
                     eq_data_grid=eq_g[i],
                 )
-        return out
+        return out  # type: ignore[return-value]
 
     @staticmethod
     def _pilot_phase_batch(
         grids: np.ndarray, h_est_b: np.ndarray, symbol_offset: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`_pilot_phase` over a ``(B, n_symbols, 64)`` grid stack."""
+        """Common-phase-error per symbol and raw pilot residuals.
+
+        ``grids`` is a ``(B, n_symbols, 64)`` stack.  The residuals
+        (received minus expected pilot values, before equalisation) feed
+        the pilot-aided noise estimate of eq. (6).
+        """
         received = grids[:, :, PILOT_BINS]
-        # The transmitted pilot values depend only on (n_symbols, offset);
-        # reuse the single-packet helper so the arithmetic stays shared.
+        # The transmitted pilot values depend only on (n_symbols, offset).
         _, sent = extract_pilots(grids[0], symbol_offset)
         h_pilots = h_est_b[:, PILOT_BINS]
         expected = sent[None, :, :] * h_pilots[:, None, :]
         # The correlation must reduce a C-contiguous array: numpy picks a
         # different accumulation order for strided reduction inputs, which
-        # would move the sum (and hence the phase) off the scalar path by
-        # an ulp.
+        # would make a row's phase depend on the batch around it by an ulp.
         products = np.ascontiguousarray(received * np.conj(expected))
         corr = np.sum(products, axis=2)
         phase = np.angle(np.where(corr == 0, 1.0, corr))
@@ -405,11 +330,12 @@ class Receiver:
     def _refine_noise_batch(
         noise_ltf_b: np.ndarray, pilot_residuals_b: np.ndarray
     ) -> np.ndarray:
-        """:meth:`_refine_noise` over per-row residual stacks.
+        """Blend the LTF floor with the pilot residual power (eq. (5)-(6)).
 
         The residual-power mean reduces one row at a time: numpy's axis-1
-        reduction can split its pairwise summation differently than the
-        1-D reduction of the scalar path, shifting the result by an ulp.
+        reduction can split its pairwise summation differently than a 1-D
+        reduction, which would make a row's estimate depend on the batch
+        around it by an ulp.
         """
         if pilot_residuals_b.shape[1] == 0:
             return np.asarray(noise_ltf_b, dtype=np.float64)
@@ -428,80 +354,31 @@ class Receiver:
     ) -> RxResult:
         """Decode the DATA field of an observation.
 
-        ``erasure_mask`` is ``(n_symbols, 48)`` bool; True entries have all
-        their bit metrics zeroed before deinterleaving — the EVD rule of
-        eq. (7).
+        The ``B = 1`` case of :meth:`decode_many`.  ``erasure_mask`` is
+        ``(n_symbols, 48)`` bool; True entries have all their bit metrics
+        zeroed before deinterleaving — the EVD rule of eq. (7).
         """
         with span("phy.rx.decode") as sp:
             sp.set(kernel_backend=backend_name())
-            result = self._decode(obs, erasure_mask)
+            (result,) = self._decode_many([obs], [erasure_mask])
             if result.signal is not None:
                 sp.set(rate_mbps=result.signal.rate.mbps, crc_ok=result.ok)
             return result
-
-    def _decode(
-        self,
-        obs: FrameObservation,
-        erasure_mask: Optional[np.ndarray] = None,
-    ) -> RxResult:
-        if obs.signal is None:
-            return RxResult(mpdu=parse_mpdu(None), signal=None, observation=obs)
-        rate = obs.signal.rate
-        n_symbols = obs.signal.n_data_symbols
-        if obs.eq_data_grid.shape[0] < n_symbols:
-            return RxResult(mpdu=parse_mpdu(None), signal=obs.signal, observation=obs)
-
-        modulation = get_modulation(rate.modulation)
-        eq = obs.eq_data_grid[:n_symbols]
-        if self.decision == "soft":
-            csi_row = np.abs(obs.h_data) ** 2 / max(obs.noise_var, 1e-15)
-            csi = np.broadcast_to(csi_row, eq.shape)
-            llrs = modulation.demap_soft(eq.reshape(-1), csi.reshape(-1))
-        else:
-            # Hard-decision, CSI-blind input — the fidelity mode matching
-            # first-generation software radios like Sora's SoftWiFi, kept
-            # for the decoder-fidelity ablation.
-            from repro.phy.viterbi import hard_bits_to_llrs
-
-            hard = modulation.demap_hard(eq.reshape(-1))
-            llrs = hard_bits_to_llrs(hard)
-        llrs = llrs.reshape(n_symbols, N_DATA_SUBCARRIERS, modulation.bits_per_symbol)
-        if erasure_mask is not None:
-            erasure_mask = np.asarray(erasure_mask, dtype=bool)
-            if erasure_mask.shape != (n_symbols, N_DATA_SUBCARRIERS):
-                raise ValueError(
-                    f"erasure_mask shape {erasure_mask.shape} != "
-                    f"({n_symbols}, {N_DATA_SUBCARRIERS})"
-                )
-            llrs[erasure_mask] = 0.0
-
-        pre_viterbi = modulation.demap_hard(eq.reshape(-1))
-        decoded = decode_data_field(llrs.reshape(-1), rate, obs.signal.length)
-        return RxResult(
-            mpdu=parse_mpdu(decoded.psdu),
-            signal=obs.signal,
-            observation=obs,
-            pre_viterbi_bits=pre_viterbi,
-            decoded=decoded,
-        )
-
-    # ------------------------------------------------------------------
-    # Stage 2, batched
-    # ------------------------------------------------------------------
 
     def decode_many(
         self,
         observations: Sequence[Optional[FrameObservation]],
         erasure_masks: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[RxResult]:
-        """:meth:`decode` over a batch of observations.
+        """Decode a batch of observations as stacked array operations.
 
         Observations sharing a (rate, length) — every member of a
         same-spec batch — are demapped in one :meth:`Modulation.demap_soft`
         call and Viterbi-decoded through the backend's batch kernel;
         stragglers (failed SIGNAL, truncated grids, ``None`` entries from
-        :meth:`observe_many`) take the per-packet path.  Entry ``i`` equals
-        ``decode(observations[i], erasure_masks[i])`` bit-for-bit.
+        :meth:`observe_many`) yield a failed :class:`RxResult`.  Entry
+        ``i`` equals ``decode(observations[i], erasure_masks[i])``
+        bit-for-bit.
         """
         if erasure_masks is not None and len(erasure_masks) != len(observations):
             raise ValueError(
@@ -517,19 +394,15 @@ class Receiver:
         observations: Sequence[Optional[FrameObservation]],
         erasure_masks: Optional[Sequence[Optional[np.ndarray]]],
     ) -> List[RxResult]:
-        def mask_for(i: int) -> Optional[np.ndarray]:
-            return None if erasure_masks is None else erasure_masks[i]
-
         out: List[Optional[RxResult]] = [None] * len(observations)
         groups: Dict[Tuple[float, int], List[int]] = {}
         for i, obs in enumerate(observations):
-            if obs is None:
-                out[i] = RxResult(mpdu=parse_mpdu(None), signal=None, observation=None)
-            elif (
-                obs.signal is None
-                or obs.eq_data_grid.shape[0] < obs.signal.n_data_symbols
-            ):
-                out[i] = self._decode(obs, mask_for(i))
+            if obs is None or obs.signal is None:
+                out[i] = RxResult(mpdu=parse_mpdu(None), signal=None, observation=obs)
+            elif obs.eq_data_grid.shape[0] < obs.signal.n_data_symbols:
+                out[i] = RxResult(
+                    mpdu=parse_mpdu(None), signal=obs.signal, observation=obs
+                )
             else:
                 key = (obs.signal.rate.mbps, obs.signal.length)
                 groups.setdefault(key, []).append(i)
@@ -556,6 +429,9 @@ class Receiver:
                     eq_g.reshape(-1), csi_full.reshape(-1)
                 )
             else:
+                # Hard-decision, CSI-blind input — the fidelity mode matching
+                # first-generation software radios like Sora's SoftWiFi, kept
+                # for the decoder-fidelity ablation.
                 from repro.phy.viterbi import hard_bits_to_llrs
 
                 hard = modulation.demap_hard(eq_g.reshape(-1))
@@ -565,7 +441,7 @@ class Receiver:
                 modulation.bits_per_symbol,
             )
             for row, i in enumerate(members):
-                mask = mask_for(i)
+                mask = None if erasure_masks is None else erasure_masks[i]
                 if mask is not None:
                     mask = np.asarray(mask, dtype=bool)
                     if mask.shape != (n_symbols, N_DATA_SUBCARRIERS):
@@ -596,7 +472,8 @@ class Receiver:
     def receive(
         self, samples: np.ndarray, erasure_mask: Optional[np.ndarray] = None
     ) -> RxResult:
-        """Full pipeline: observe then decode."""
+        """Full pipeline: observe then decode (the ``B = 1`` case of
+        :meth:`receive_many`)."""
         obs = self.observe(samples)
         if obs is None:
             return RxResult(mpdu=parse_mpdu(None), signal=None, observation=None)
@@ -607,7 +484,7 @@ class Receiver:
         samples_batch: Sequence[np.ndarray],
         erasure_masks: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[RxResult]:
-        """Batched full pipeline over equal-length waveforms.
+        """Batched full pipeline over waveforms of any lengths.
 
         Bit-for-bit equal to ``[receive(w, m) for w, m in zip(...)]`` —
         same PSDUs, same CRC outcomes, same soft metrics — while running

@@ -147,14 +147,35 @@ def test_observe_many_matches_observe():
 
 
 def test_waveform_batch_rejects_ragged_and_non_1d():
+    """Non-1-D entries are rejected; ragged batches are grouped by length
+    and decode exactly like per-packet ``receive``."""
     waves, _ = _make_batch(6, snr_db=20.0, n_pkts=2, seed=1)
-    with pytest.raises(ValueError):
-        _as_waveform_batch([waves[0], waves[1][:-80]])
+    rx = Receiver()
+    ragged = [waves[0], waves[1][:-80], waves[1]]
+    singles = [rx.receive(w) for w in ragged]
+    assert not singles[1].ok  # the truncated packet is a straggler
+    for i, (s, b) in enumerate(zip(singles, rx.receive_many(ragged))):
+        _assert_results_identical(s, b, ("ragged", i))
     with pytest.raises(ValueError):
         _as_waveform_batch(np.zeros((2, 3, 400), dtype=np.complex128))
     stacked = _as_waveform_batch(waves)
     assert stacked.shape == (2, waves[0].size)
     assert np.array_equal(stacked[0], waves[0])
+
+
+def test_receive_many_unknown_timing_matches_looped_receive():
+    """Matched-filter sync finds a different start in each row; rows are
+    trimmed there and stacked by remaining length."""
+    rx = Receiver(known_timing=False)
+    waves, _ = _make_batch(24, snr_db=18.0, n_pkts=4, seed=5)
+    padded = [
+        np.concatenate([np.zeros(lead, dtype=np.complex128), wave])
+        for wave, lead in zip(waves, (0, 37, 37, 120))
+    ]
+    singles = [rx.receive(w) for w in padded]
+    assert all(s.ok for s in singles)
+    for i, (s, b) in enumerate(zip(singles, rx.receive_many(padded))):
+        _assert_results_identical(s, b, ("unsync", i))
 
 
 # ---------------------------------------------------------------------------

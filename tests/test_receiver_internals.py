@@ -14,15 +14,19 @@ class TestPilotPhaseTracking:
             (rng.standard_normal((4, 48)) + 1j * rng.standard_normal((4, 48)))
             / np.sqrt(2)
         )
-        h_est = np.ones(64, dtype=complex)
-        phase, residuals = Receiver._pilot_phase(grid, h_est, symbol_offset=0)
+        h_est = np.ones((1, 64), dtype=complex)
+        phase, residuals = Receiver._pilot_phase_batch(
+            grid[None], h_est, symbol_offset=0
+        )
         assert np.allclose(phase, 0.0, atol=1e-9)
         assert np.allclose(residuals, 0.0, atol=1e-9)
 
     def test_recovers_common_phase(self, rng):
         grid = map_to_grid(np.zeros((3, 48), dtype=complex), symbol_offset=2)
         rotated = grid * np.exp(1j * 0.3)
-        phase, _ = Receiver._pilot_phase(rotated, np.ones(64, dtype=complex), 2)
+        phase, _ = Receiver._pilot_phase_batch(
+            rotated[None], np.ones((1, 64), dtype=complex), 2
+        )
         assert np.allclose(phase, 0.3, atol=1e-9)
 
     def test_residuals_reflect_noise(self, rng):
@@ -31,18 +35,25 @@ class TestPilotPhaseTracking:
         noisy = grid + np.sqrt(noise_var / 2) * (
             rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         )
-        _, residuals = Receiver._pilot_phase(noisy, np.ones(64, dtype=complex), 0)
+        _, residuals = Receiver._pilot_phase_batch(
+            noisy[None], np.ones((1, 64), dtype=complex), 0
+        )
         measured = np.mean(np.abs(residuals) ** 2)
         assert measured == pytest.approx(noise_var, rel=0.15)
 
 
 class TestNoiseRefinement:
     def test_empty_residuals_keep_ltf(self):
-        assert Receiver._refine_noise(0.05, np.zeros(0)) == 0.05
+        (refined,) = Receiver._refine_noise_batch(
+            np.array([0.05]), np.zeros((1, 0))
+        )
+        assert refined == 0.05
 
     def test_blend(self):
         residuals = np.full(100, 0.2 + 0.0j)  # power 0.04
-        refined = Receiver._refine_noise(0.02, residuals)
+        (refined,) = Receiver._refine_noise_batch(
+            np.array([0.02]), residuals[None]
+        )
         assert refined == pytest.approx(0.5 * (0.02 + 0.04))
 
 
