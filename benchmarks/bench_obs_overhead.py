@@ -91,7 +91,7 @@ class _CountingLens:
     def __init__(self):
         self.n_hooks = 0
 
-    def bind(self, node_names):
+    def bind(self, node_names, bss_of=None):
         pass
 
     def on_run_start(self):
@@ -105,6 +105,7 @@ class _CountingLens:
 
     on_tx_start = on_tx_end = on_channel_state = on_backoff = _hook
     on_drop = on_deliver = on_control_generated = on_control_delivered = _hook
+    on_rate_selected = _hook
 
 
 def _time_is_none_check(n: int = 200_000) -> float:

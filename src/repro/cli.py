@@ -35,7 +35,8 @@ Commands
     ``--fidelity table|phy|surrogate`` overrides how CoS message
     delivery is decided (analytic operating points, live PHY runs, or
     the prebuilt measured-PHY surrogate table).  ``--controller NAME``
-    attaches a pluggable rate controller (:mod:`repro.ratectl`;
+    swaps the rate controller (:mod:`repro.ratectl`, default
+    ``snr-threshold``;
     ``REPRO_CONTROLLER`` is the env fallback, ``net list`` prints the
     set) and ``--error-model sigmoid|surrogate`` switches data-frame
     fates between the analytic sigmoid and the measured-PHY PRR
@@ -178,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     net_run.add_argument("--controller", default=None, metavar="NAME",
                          help="rate controller (repro.ratectl), e.g. "
                               "minstrel, samplerate, snr-threshold; default: "
-                              "REPRO_CONTROLLER or the scenario's legacy "
-                              "staircase")
+                              "REPRO_CONTROLLER or the scenario's "
+                              "controller")
     net_run.add_argument("--error-model", choices=["sigmoid", "surrogate"],
                          default=None, dest="error_model",
                          help="override how data-frame fates are drawn "
@@ -544,7 +545,7 @@ def _cmd_net(args) -> int:
                 len(spec.nodes),
                 len(spec.bsses) or "-",
                 traffic,
-                spec.controller or "-",
+                spec.controller,
                 (factory.__doc__ or "").strip().splitlines()[0],
             ))
         print_table(
@@ -647,9 +648,8 @@ def _cmd_net(args) -> int:
         ],
         title=(
             f"Scenario {summary['scenario']} [{summary['control']} control, "
-            + (f"{summary['controller']} controller, "
-               if summary.get("controller") else "")
-            + f"{summary['n_trials']} trial(s)] — aggregate "
+            f"{summary['controller']} controller, "
+            f"{summary['n_trials']} trial(s)] — aggregate "
             f"{summary['aggregate_goodput_mbps']:.3f} Mbps, fairness "
             f"{summary['fairness']:.3f}, collisions {summary['collisions']:.1f}, "
             f"ctrl airtime {summary['control_airtime_fraction'] * 100:.2f} %"

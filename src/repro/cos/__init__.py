@@ -8,7 +8,6 @@ Components mirror Fig. 8's architecture:
 * :mod:`repro.cos.evm` — per-subcarrier EVM (eq. (1)) and ∇EVM (eq. (2));
 * :class:`~repro.cos.selection.SubcarrierSelector` — weak-subcarrier choice
   plus the one-symbol feedback vector;
-* :mod:`repro.cos.evd` — erasure Viterbi decoding (eq. (7)–(8));
 * :class:`~repro.cos.rate_control.ControlRateController` — SNR-indexed
   control-message rate with failure fallback;
 * :class:`~repro.cos.link.CosLink` — the closed loop.
@@ -16,7 +15,6 @@ Components mirror Fig. 8's architecture:
 
 from repro.cos.bitmap_coding import BitmapPlanner
 from repro.cos.energy import DetectionReport, EnergyDetector
-from repro.cos.evd import ErasureViterbiDecoder, erase_bit_metrics
 from repro.cos.evm import error_vector_magnitudes, nabla_evm, per_subcarrier_evm
 from repro.cos.flashback import FlashbackDetector, FlashbackTransmitter, FlashPlan
 from repro.cos.intervals import IntervalCodec
@@ -56,8 +54,6 @@ __all__ = [
     "BitmapPlanner",
     "DetectionReport",
     "EnergyDetector",
-    "ErasureViterbiDecoder",
-    "erase_bit_metrics",
     "error_vector_magnitudes",
     "nabla_evm",
     "per_subcarrier_evm",

@@ -33,12 +33,7 @@ Guarantees (see ``docs/engine.md`` for the full contract):
   only execute the delta.
 """
 
-from repro.engine.core import (
-    run_batched_sweep,
-    run_batched_trials,
-    run_sweep,
-    run_trials,
-)
+from repro.engine.core import run_sweep, run_trials
 from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
@@ -61,8 +56,6 @@ __all__ = [
     "make_specs",
     "run_trials",
     "run_sweep",
-    "run_batched_trials",
-    "run_batched_sweep",
     "SerialExecutor",
     "ProcessExecutor",
     "make_executor",

@@ -23,7 +23,6 @@ results — see :mod:`repro.experiments.fig2` for the canonical shape.
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -34,7 +33,7 @@ from repro.engine.store import ResultStore, resolve_store
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import span
 
-__all__ = ["run_trials", "run_sweep", "run_batched_trials", "run_batched_sweep"]
+__all__ = ["run_trials", "run_sweep"]
 
 log = logging.getLogger("repro.engine")
 
@@ -165,160 +164,6 @@ def run_sweep(
     return run_trials(
         make_specs(params, seed=seed),
         fn,
-        workers=workers,
-        init=init,
-        init_args=init_args,
-        chunk_size=chunk_size,
-        label=label,
-        registry=registry,
-        store=store,
-    )
-
-
-def _default_batch_key(spec: TrialSpec) -> str:
-    """Group by params content (order-insensitive, repr-canonical)."""
-    return repr(sorted((k, repr(v)) for k, v in spec.params.items()))
-
-
-def _call_batch_fn(
-    batch_fn: Callable[[List[TrialSpec]], Sequence[Any]], group: TrialSpec
-) -> List[Any]:
-    members: List[TrialSpec] = group.params["specs"]
-    results = list(batch_fn(members))
-    if len(results) != len(members):
-        raise ValueError(
-            f"batch_fn returned {len(results)} results for "
-            f"{len(members)} specs"
-        )
-    return results
-
-
-def run_batched_trials(
-    specs: Sequence[TrialSpec],
-    batch_fn: Callable[[List[TrialSpec]], Sequence[Any]],
-    *,
-    batch_key: Optional[Callable[[TrialSpec], Any]] = None,
-    max_batch: int = 64,
-    workers: Optional[int] = None,
-    init: Optional[Callable[..., Any]] = None,
-    init_args: Tuple = (),
-    chunk_size: Optional[int] = None,
-    label: str = "trials",
-    registry: Optional[MetricsRegistry] = None,
-    store: "ResultStore | bool | None" = None,
-) -> List[Any]:
-    """:func:`run_trials` for batch-aware trial functions.
-
-    Consecutive specs whose ``batch_key`` matches (default: equal
-    ``params``) are handed to ``batch_fn`` as one list of up to
-    ``max_batch`` specs; ``batch_fn`` must return one result per spec,
-    in order.  This is how same-spec sweeps (e.g. PRR probes repeated
-    per SINR point) reach the batched PHY — ``batch_fn`` can stack every
-    packet of the group into a single :meth:`Receiver.receive_many
-    <repro.phy.receiver.Receiver.receive_many>` call.
-
-    The engine's determinism contract is unchanged: each member spec
-    keeps its private seed, so a correct ``batch_fn`` — one whose
-    batched results equal ``[trial_fn(s) for s in specs]`` — yields
-    bit-for-bit the same output as :func:`run_trials` over the flat spec
-    list, for every executor and every grouping.  Only scheduling
-    granularity changes: a group is the unit of dispatch (and of
-    fail-fast error reporting — a raising group reports its position in
-    the group sequence, with the member specs in its params).
-    """
-    specs = list(specs)
-    flat: List[Any] = [None] * len(specs)
-    position = {id(spec): i for i, spec in enumerate(specs)}
-    parent_registry = registry if registry is not None else get_registry()
-
-    # Caching happens at *member*-spec granularity, keyed by the batch
-    # function: grouping is a scheduling detail, and a correct batch_fn
-    # produces per-spec results independent of how specs were grouped —
-    # so cached members simply drop out of the groups and only the
-    # misses are dispatched (a different, but equally valid, grouping).
-    store_obj = resolve_store(store)
-    pending: List[TrialSpec] = specs
-    store_key: dict = {}
-    if store_obj is not None:
-        pending = []
-        n_hits = 0
-        for spec in specs:
-            key = store_obj.key_for(batch_fn, spec)
-            if key is not None:
-                hit, value = store_obj.get(key)
-                if hit:
-                    flat[position[id(spec)]] = value
-                    n_hits += 1
-                    continue
-                store_key[id(spec)] = key
-            pending.append(spec)
-        parent_registry.counter(
-            "repro_store_hits_total",
-            help="Trials replayed from the content-addressed result store.",
-        ).inc(n_hits)
-        parent_registry.counter(
-            "repro_store_misses_total",
-            help="Trials executed because the result store had no entry.",
-        ).inc(len(pending))
-
-    key_fn = batch_key if batch_key is not None else _default_batch_key
-    groups: List[List[TrialSpec]] = []
-    keys: List[Any] = []
-    for spec in pending:
-        key = key_fn(spec)
-        if groups and keys[-1] == key and len(groups[-1]) < max(int(max_batch), 1):
-            groups[-1].append(spec)
-        else:
-            groups.append([spec])
-            keys.append(key)
-
-    group_specs = [
-        TrialSpec(index=g, params={"specs": members})
-        for g, members in enumerate(groups)
-    ]
-    grouped = run_trials(
-        group_specs,
-        functools.partial(_call_batch_fn, batch_fn),
-        workers=workers,
-        init=init,
-        init_args=init_args,
-        chunk_size=chunk_size,
-        label=label,
-        registry=registry,
-        store=False,  # group specs are scheduling artefacts, never cached
-    )
-
-    for members, results in zip(groups, grouped):
-        for spec, result in zip(members, results):
-            flat[position[id(spec)]] = result
-            if store_obj is not None:
-                key = store_key.get(id(spec))
-                if key is not None:
-                    store_obj.put(key, result)
-    return flat
-
-
-def run_batched_sweep(
-    params: Sequence[Mapping[str, Any]],
-    batch_fn: Callable[[List[TrialSpec]], Sequence[Any]],
-    *,
-    seed: Union[int, None] = 0,
-    batch_key: Optional[Callable[[TrialSpec], Any]] = None,
-    max_batch: int = 64,
-    workers: Optional[int] = None,
-    init: Optional[Callable[..., Any]] = None,
-    init_args: Tuple = (),
-    chunk_size: Optional[int] = None,
-    label: str = "sweep",
-    registry: Optional[MetricsRegistry] = None,
-    store: "ResultStore | bool | None" = None,
-) -> List[Any]:
-    """``make_specs`` + :func:`run_batched_trials` in one call."""
-    return run_batched_trials(
-        make_specs(params, seed=seed),
-        batch_fn,
-        batch_key=batch_key,
-        max_batch=max_batch,
         workers=workers,
         init=init,
         init_args=init_args,

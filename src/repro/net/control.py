@@ -2,10 +2,9 @@
 
 Every successfully delivered **data** frame triggers one feedback
 message at the receiver: the SINR it measured, owed back to the sender
-so its stair-case rate adaptation (:class:`repro.ratectl.RateAdapter` —
-or whichever :class:`repro.ratectl.RateController` the scenario plugs
-in) can track the link.  The two delivery mechanisms are the heart of the
-paper's comparison:
+so its :class:`repro.ratectl.RateController` (the SNR-threshold
+staircase unless the scenario plugs in another) can track the link.
+The two delivery mechanisms are the heart of the paper's comparison:
 
 * ``explicit`` — the feedback becomes a real MAC frame (14 octets at the
   base rate, like an 802.11 management frame) that *contends for
@@ -38,11 +37,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mac.overhead import BASE_RATE_MBPS
 from repro.net.medium import Transmission
 from repro.net.sinr import cos_delivery_prob_for
 from repro.obs.metrics import get_registry
-from repro.ratectl import RateAdapter, RateController
+from repro.ratectl import RateController
 
 __all__ = [
     "ControlMessage",
@@ -101,14 +99,13 @@ class ControlPlane:
         mode: str,
         rng: np.random.Generator,
         collector,
-        adapter: Optional[RateAdapter] = None,
+        controller: RateController,
         control_octets: int = 14,
         fixed_rate_mbps: Optional[int] = None,
         cos_delivery_prob: Optional[float] = None,
         cos_fidelity: str = "table",
         max_embed_per_frame: int = 4,
         lens=None,
-        controller: Optional[RateController] = None,
         overhear: bool = False,
     ) -> None:
         if mode not in ("explicit", "cos"):
@@ -118,31 +115,25 @@ class ControlPlane:
         self.mode = mode
         self.rng = rng
         self.collector = collector
-        self.adapter = adapter or RateAdapter()
         self.control_octets = control_octets
         self.fixed_rate_mbps = fixed_rate_mbps
         self.cos_delivery_prob = cos_delivery_prob
         self.cos_fidelity = cos_fidelity
         self.max_embed_per_frame = max_embed_per_frame
         self.lens = lens  # optional repro.net.lens.NetLens (None = free)
-        #: Pluggable rate policy (repro.ratectl).  ``None`` keeps the
-        #: legacy inline staircase — bit-for-bit the pre-ratectl plane.
         self.controller = controller
         #: Tag-Spotting extension: attempt silence-level control decode /
         #: feedback on *failed* data receptions above OVERHEAR_FLOOR_DB.
         self.overhear = overhear
 
         self._macs: Dict[str, object] = {}
-        self._rates: Dict[Tuple[str, str], int] = {}
         self._pending: Dict[Tuple[str, str], List[ControlMessage]] = {}
         self._next_id = 0
         self._last_rate: Dict[Tuple[str, str], int] = {}
-        self._rate_counter = None
-        if controller is not None:
-            self._rate_counter = get_registry().counter(
-                "repro_ratectl_rate_selected_total",
-                help="Rate-controller selections, by rate and controller.",
-            )
+        self._rate_counter = get_registry().counter(
+            "repro_ratectl_rate_selected_total",
+            help="Rate-controller selections, by rate and controller.",
+        )
 
     def bind(self, macs: Dict[str, object]) -> None:
         """Late-bound MAC directory (the simulator wires both ways)."""
@@ -156,17 +147,14 @@ class ControlPlane:
                  now: float = 0.0) -> int:
         """Current data rate of flow ``src -> dst`` (Mbps).
 
-        Fixed-rate scenarios pin it; adaptive flows start at the base
-        rate and climb as feedback arrives.  With a pluggable controller
-        attached the decision is delegated per transmission attempt
-        (``retries`` lets samplers walk their retry chains), tallied in
+        Fixed-rate scenarios pin it; otherwise the controller decides
+        per transmission attempt (``retries`` lets samplers walk their
+        retry chains).  Each decision is tallied in
         ``repro_ratectl_rate_selected_total`` and — on changes — traced
-        as ``rate_selected`` lens events.
+        as a ``rate_selected`` lens event.
         """
         if self.fixed_rate_mbps is not None:
             return self.fixed_rate_mbps
-        if self.controller is None:
-            return self._rates.get((src, dst), BASE_RATE_MBPS)
         rate = int(self.controller.select_rate(src, dst, retries=retries))
         self._rate_counter.labels(
             rate=rate, controller=self.controller.name
@@ -180,11 +168,10 @@ class ControlPlane:
     def on_tx_result(self, frame, ok: bool, now: float) -> None:
         """A data TX attempt completed (ACKed, or the ACK timed out).
 
-        The frame-fate feed of the loss-driven controllers; no-op on the
-        legacy (controller-less) plane and for non-data frames.
+        The frame-fate feed of the loss-driven controllers; no-op for
+        non-data frames.
         """
-        if self.controller is None or frame.kind != "data" \
-                or frame.rate_mbps is None:
+        if frame.kind != "data" or frame.rate_mbps is None:
             return
         self.controller.on_tx_result(
             frame.src, frame.dst, frame.rate_mbps, ok,
@@ -225,11 +212,11 @@ class ControlPlane:
                            now: float) -> None:
         """A data frame failed to decode at its destination.
 
-        Nothing happens unless ``overhear`` is enabled (the legacy
-        behaviour, preserved bit-for-bit).  With it on — the
-        Tag-Spotting regime — the silence-level control channel outlives
-        the data payload: embedded CoS messages still decode with the
-        carrier-SINR accuracy, and the receiver still generates SINR
+        Nothing happens unless ``overhear`` is enabled (it is off by
+        default).  With it on — the Tag-Spotting regime — the
+        silence-level control channel outlives the data payload:
+        embedded CoS messages still decode with the carrier-SINR
+        accuracy, and the receiver still generates SINR
         feedback (energy measurement needs no payload).  This is what
         lets two cells beyond each other's data range keep exchanging
         control state over CoS while explicit control frames — data
@@ -257,7 +244,7 @@ class ControlPlane:
 
     def _generate_feedback(self, src: str, dst: str, sinr_db: float,
                            now: float) -> None:
-        if self.controller is not None and not self.controller.uses_feedback:
+        if not self.controller.uses_feedback:
             return  # loss-driven controller: no control traffic at all
         msg = ControlMessage(
             msg_id=self._next_id, src=src, dst=dst,
@@ -304,15 +291,11 @@ class ControlPlane:
         if msg.delivered_us is not None:
             return
         msg.delivered_us = now
-        # The consumer keys its stair-case adaptation off the reported
-        # SINR — the SiNE lesson: with a CSMA MAC and hidden nodes, SNR
-        # alone would systematically overshoot.  ``(msg.dst, msg.src)``
-        # is the *data* flow the feedback is about (consumer -> owner).
-        if self.controller is not None:
-            self.controller.on_feedback(msg.dst, msg.src, msg.sinr_db)
-        else:
-            self._rates[(msg.dst, msg.src)] = \
-                self.adapter.select(msg.sinr_db).mbps
+        # The consumer keys its rate adaptation off the reported SINR —
+        # the SiNE lesson: with a CSMA MAC and hidden nodes, SNR alone
+        # would systematically overshoot.  ``(msg.dst, msg.src)`` is the
+        # *data* flow the feedback is about (consumer -> owner).
+        self.controller.on_feedback(msg.dst, msg.src, msg.sinr_db)
         self.collector.on_control_delivered(msg, now)
         if self.lens is not None:
             self.lens.on_control_delivered(msg, self.mode, now)

@@ -147,7 +147,7 @@ class ScenarioSpec:
     medium_mode: str = "culled"  # "culled" | "dense-exact"
     beacon_interval_us: float = 102_400.0
     roam_hysteresis_db: float = 6.0
-    controller: Optional[str] = None  # None = legacy staircase-in-plane path
+    controller: str = "snr-threshold"  # a repro.ratectl controller name
     error_model: str = "sigmoid"  # "sigmoid" | "surrogate"
     cos_overhear: bool = False  # Tag-Spotting: decode CoS below data SINR
 
@@ -218,10 +218,11 @@ class ScenarioSpec:
                 raise ValueError(f"traffic {t.src}->{t.dst} is a self-loop")
         if self.beacon_interval_us <= 0:
             raise ValueError("beacon_interval_us must be positive")
-        if self.controller is not None and self.controller not in CONTROLLERS:
+        if self.controller not in CONTROLLERS:
             raise ValueError(
-                f"unknown rate controller {self.controller!r}; available: "
-                f"{', '.join(available_controllers())}"
+                f"unknown rate controller {self.controller!r}: field "
+                f'"controller" must name one (default "snr-threshold"); '
+                f"available: {', '.join(available_controllers())}"
             )
         if self.error_model not in ERROR_MODELS:
             raise ValueError(
@@ -259,7 +260,7 @@ class ScenarioSpec:
         """The same scenario under another CoS fidelity mode."""
         return dataclasses.replace(self, cos_fidelity=cos_fidelity)
 
-    def with_controller(self, controller: Optional[str]) -> "ScenarioSpec":
+    def with_controller(self, controller: str) -> "ScenarioSpec":
         """The same scenario under another rate controller."""
         return dataclasses.replace(self, controller=controller)
 

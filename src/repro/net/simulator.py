@@ -122,9 +122,9 @@ class NetResult:
     per_node: Dict[str, NodeStats]
     airtime_us: Dict[str, float]
     n_events: int
+    controller: str
     n_roams: int = 0
     associations: Optional[Dict[str, str]] = None
-    controller: Optional[str] = None
     ledger: Optional[Dict] = None
     profile: Optional[Dict] = None
     events: Optional[List[Dict]] = None
@@ -200,8 +200,7 @@ class NetResult:
         if self.associations is not None:
             out["n_roams"] = self.n_roams
             out["associations"] = dict(self.associations)
-        if self.controller is not None:
-            out["controller"] = self.controller
+        out["controller"] = self.controller
         if self.ledger is not None:
             out["ledger"] = self.ledger
         if self.profile is not None:
@@ -304,10 +303,8 @@ class NetSimulator:
         )
         # A controller class may pin its feedback transport ("cos" /
         # "explicit"); None inherits the scenario's control mode.
-        ctrl_cls = CONTROLLERS.get(spec.controller) if spec.controller else None
-        self.control_mode = spec.control
-        if ctrl_cls is not None and ctrl_cls.transport is not None:
-            self.control_mode = ctrl_cls.transport
+        self.control_mode = (CONTROLLERS[spec.controller].transport
+                             or spec.control)
         if lens is not None and lens.profile:
             self.scheduler.profiler = lens.profiler
         self.collector = _Collector([n.name for n in spec.nodes])
@@ -321,21 +318,17 @@ class NetSimulator:
         def _plane() -> ControlPlane:
             # Fresh controller per plane: per-BSS rate state mirrors the
             # per-BSS control planes (flows never span planes).
-            controller = (
-                make_controller(spec.controller, rng=self.rng)
-                if spec.controller else None
-            )
             return ControlPlane(
                 mode=self.control_mode,
                 rng=self.rng,
                 collector=self.collector,
+                controller=make_controller(spec.controller, rng=self.rng),
                 control_octets=spec.control_octets,
                 fixed_rate_mbps=spec.data_rate_mbps,
                 cos_delivery_prob=spec.cos_delivery_prob,
                 cos_fidelity=spec.cos_fidelity,
                 max_embed_per_frame=spec.max_embed_per_frame,
                 lens=lens,
-                controller=controller,
                 overhear=spec.cos_overhear,
             )
 

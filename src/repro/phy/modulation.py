@@ -182,7 +182,7 @@ class Modulation:
         ``csi`` is the per-symbol reliability weight, canonically
         ``|H_k|^2 / sigma^2``; a scalar applies uniformly.  Symbols flagged
         as erasures should simply be skipped by the caller (CoS zeroes
-        their metrics via :mod:`repro.cos.evd`).
+        their metrics via ``Receiver.decode(erasure_mask=)``).
         """
         symbols = np.asarray(symbols, dtype=np.complex128)
         csi_arr = np.broadcast_to(np.asarray(csi, dtype=np.float64), symbols.shape)

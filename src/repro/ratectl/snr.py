@@ -2,10 +2,10 @@
 
 :class:`SnrThresholdController` is the existing
 :class:`~repro.ratectl.staircase.RateAdapter` behind the
-:class:`~repro.ratectl.base.RateController` interface — decision for
-decision identical to the pre-controller control plane (the parity
-``tests/test_ratectl.py`` asserts).  It adapts purely on delivered
-SINR feedback and inherits the scenario's control transport.
+:class:`~repro.ratectl.base.RateController` interface, and the
+default controller of every :mod:`repro.net` scenario.  It adapts
+purely on delivered SINR feedback and inherits the scenario's control
+transport.
 
 :class:`CosFeedbackController` and :class:`ExplicitFeedbackController`
 are the same staircase with the transport *pinned*: they exist so the

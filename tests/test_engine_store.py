@@ -1,9 +1,9 @@
 """Tests for :mod:`repro.engine.store` — the content-addressed trial cache.
 
 The determinism property under test: a store-cached replay of a sweep is
-bit-for-bit identical to a fresh run, across ``run_sweep`` and
-``run_batched_sweep``, because trial results are pure functions of
-``(trial fn, params, seed)`` and the key hashes exactly those.  A sweep
+bit-for-bit identical to a fresh run of ``run_sweep``, because trial
+results are pure functions of ``(trial fn, params, seed)`` and the key
+hashes exactly those.  A sweep
 SIGKILLed mid-flight resumes from the store with zero recomputation.
 """
 
@@ -59,10 +59,6 @@ def _no_ambient_store(monkeypatch):
 def _draw_trial(spec):
     rng = spec.rng()
     return (spec["x"], float(rng.normal()), rng.integers(0, 1 << 30).item())
-
-
-def _batched_draw(specs):
-    return [_draw_trial(s) for s in specs]
 
 
 def _object_param_trial(spec):
@@ -303,38 +299,6 @@ class TestSweepReplay:
             monkeypatch.setenv("REPRO_SURROGATE_TABLE", str(path))
             fingerprints.add(store_salt()["surrogate_table"])
         assert len(fingerprints) == 3
-
-
-class TestBatchedSweepReplay:
-    def test_batched_cold_then_warm_is_bit_for_bit(self, tmp_path):
-        fresh = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11)
-        store = ResultStore(tmp_path)
-        cold = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11,
-                                        store=store)
-        warm = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11,
-                                        store=store)
-        assert pickle.dumps(cold) == pickle.dumps(fresh)
-        assert pickle.dumps(warm) == pickle.dumps(fresh)
-        assert store.hits == len(PARAMS)
-
-    def test_batched_and_unbatched_share_no_entries(self, tmp_path):
-        # Different trial callables → different keys, by design: the
-        # batch fn is part of the result's identity.
-        store = ResultStore(tmp_path)
-        engine.run_sweep(PARAMS, _draw_trial, seed=11, store=store)
-        engine.run_batched_sweep(PARAMS, _batched_draw, seed=11, store=store)
-        assert store.hits == 0
-        assert store.writes == 2 * len(PARAMS)
-
-    def test_batched_partial_store_mixes_hits_and_fresh_members(self, tmp_path):
-        store = ResultStore(tmp_path)
-        engine.run_batched_sweep(PARAMS[:5], _batched_draw, seed=11,
-                                 store=store)
-        store.hits = 0
-        out = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11,
-                                       store=store)
-        assert out == engine.run_batched_sweep(PARAMS, _batched_draw, seed=11)
-        assert store.hits == 5
 
 
 def _subprocess_env():

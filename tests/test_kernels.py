@@ -19,7 +19,6 @@ import pytest
 
 from repro.channel import IndoorChannel
 from repro.cos.energy import EnergyDetector
-from repro.cos.evd import ErasureViterbiDecoder
 from repro.kernels import (
     available_backends,
     decode_many,
@@ -394,40 +393,3 @@ class TestGoldenPackets:
         reference = psdus.pop("reference")
         for backend, psdu in psdus.items():
             assert psdu == reference, f"{backend} != reference at {mbps} Mbps"
-
-    def test_evd_decoder_backends_agree(self, rng):
-        """ErasureViterbiDecoder batch path recovers the true bits everywhere.
-
-        The grids carry *valid* codewords (encode → interleave → map), so
-        the ML path has a decisive margin and every backend must land on
-        the same — correct — information bits, erasures and all.
-        """
-        from repro.phy.convcode import puncture
-        from repro.phy.interleaver import interleave
-
-        rate = RATE_TABLE[24]  # 16-QAM, rate 1/2
-        dec = ErasureViterbiDecoder(rate)
-        mod = MODULATIONS[rate.modulation]
-        n_symbols = 6
-        n_cbps = N_DATA_SUBCARRIERS * mod.bits_per_symbol
-        n_info = n_symbols * n_cbps // 2  # rate-1/2: half the coded bits
-        grids, masks, truths = [], [], []
-        for i in range(3):
-            info = np.concatenate(
-                [rng.integers(0, 2, n_info - 6, dtype=np.uint8),
-                 np.zeros(6, dtype=np.uint8)]
-            )
-            coded = puncture(conv_encode(info), rate.code_rate)
-            grid = mod.map_bits(interleave(coded, rate)).reshape(
-                n_symbols, N_DATA_SUBCARRIERS
-            )
-            mask = np.zeros((n_symbols, N_DATA_SUBCARRIERS), dtype=bool)
-            mask[i % n_symbols, ::7] = True
-            grids.append(grid)
-            masks.append(mask)
-            truths.append(info)
-        for backend in available_backends():
-            with use_backend(backend):
-                rows = dec.decode_many(grids, erasure_masks=masks)
-            for got, expected in zip(rows, truths):
-                assert np.array_equal(got, expected), backend

@@ -192,6 +192,12 @@ class TestScenarioSpec:
             self._spec(control="telepathy")
         with pytest.raises(ValueError, match="802.11a"):
             self._spec(data_rate_mbps=11)
+        # A JSON ``"controller": null`` names the field and its default.
+        data = self._spec().to_dict()
+        data["controller"] = None
+        with pytest.raises(ValueError,
+                           match='"controller" .*default "snr-threshold"'):
+            ScenarioSpec.from_dict(data)
 
     def test_with_control(self):
         spec = self._spec(control="cos")

@@ -86,6 +86,14 @@ class TestNetRun:
         assert main(["net", "run", small_scenario_path,
                      "--controller", "bogus"]) == 2
 
+    def test_null_controller_in_file_errors(self, small_scenario_path,
+                                            tmp_path):
+        data = json.loads(open(small_scenario_path).read())
+        data["controller"] = None
+        path = tmp_path / "null_controller.json"
+        path.write_text(json.dumps(data))
+        assert main(["net", "run", str(path)]) == 2
+
     def test_controller_env_fallback(self, small_scenario_path, capsys,
                                      monkeypatch):
         monkeypatch.setenv("REPRO_CONTROLLER", "samplerate")

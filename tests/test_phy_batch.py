@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.channel import IndoorChannel
-from repro.engine import make_specs, run_batched_trials, run_trials
 from repro.kernels.interleave import (
     deinterleave_rx_numpy,
     deinterleave_rx_oracle,
@@ -218,41 +217,6 @@ def test_deinterleave_rx_rejects_partial_blocks():
 
 
 # ---------------------------------------------------------------------------
-# Engine: batched trial runner
-# ---------------------------------------------------------------------------
-
-
-def _trial(spec):
-    return (spec.params["x"], float(spec.rng().random()))
-
-
-def _batch(specs):
-    return [_trial(s) for s in specs]
-
-
-def test_run_batched_trials_matches_run_trials():
-    params = [{"x": x} for x in (1, 1, 1, 2, 2, 1)]  # consecutive groups
-    flat = run_trials(make_specs(params, seed=42), _trial)
-    batched = run_batched_trials(make_specs(params, seed=42), _batch)
-    assert batched == flat  # bit-for-bit, order preserved
-
-
-def test_run_batched_trials_respects_max_batch():
-    seen = []
-
-    def counting_batch(specs):
-        seen.append(len(specs))
-        return [_trial(s) for s in specs]
-
-    params = [{"x": 1}] * 7
-    out = run_batched_trials(
-        make_specs(params, seed=0), counting_batch, max_batch=3
-    )
-    assert len(out) == 7
-    assert seen == [3, 3, 1]
-
-
-# ---------------------------------------------------------------------------
 # Operating-point probe (the surrogate's measurement primitive)
 # ---------------------------------------------------------------------------
 
@@ -426,6 +390,7 @@ def test_surrogate_matches_phy_fidelity_on_grid():
 
 def test_control_plane_fidelity_validation():
     from repro.net.control import ControlPlane
+    from repro.ratectl import make_controller
 
     class _Collector:
         def on_control_generated(self, msg):
@@ -435,10 +400,13 @@ def test_control_plane_fidelity_validation():
             pass
 
     rng = np.random.default_rng(0)
+    controller = make_controller("snr-threshold")
     for fidelity in ("table", "phy", "surrogate"):
-        ControlPlane("cos", rng, _Collector(), cos_fidelity=fidelity)
+        ControlPlane("cos", rng, _Collector(), controller=controller,
+                     cos_fidelity=fidelity)
     with pytest.raises(ValueError, match="cos_fidelity"):
-        ControlPlane("cos", rng, _Collector(), cos_fidelity="exact")
+        ControlPlane("cos", rng, _Collector(), controller=controller,
+                     cos_fidelity="exact")
 
 
 def test_scenario_with_fidelity():

