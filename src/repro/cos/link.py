@@ -10,7 +10,10 @@ raw FFT grid, interpreted into control bits, and passed to the erasure
 Viterbi decoding as zeroed bit metrics.  After a CRC-clean packet it
 re-encodes the decoded bits, reconstructs the ideal constellation points,
 computes per-subcarrier EVM (silences excluded) and selects the weak
-subcarriers for the next packet (§III-D).
+subcarriers for the next packet (§III-D).  ``receive`` handles one PPDU;
+``receive_many`` runs the same steps over a batch, with one stacked
+observe and one stacked EVD decode (the open-loop PRR probe of
+:mod:`repro.phy.surrogate` uses it).
 
 ``CosLink`` closes the loop over an :class:`~repro.channel.IndoorChannel`:
 NIC-SNR-driven data-rate adaptation, subcarrier-selection feedback (only
@@ -21,7 +24,7 @@ fallback on failure, and walking-speed channel evolution between packets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from repro.cos.silence import DEFAULT_CONTROL_SUBCARRIERS, SilencePlan, SilenceP
 from repro.phy.convcode import conv_encode, puncture
 from repro.phy.frames import build_mpdu, parse_mpdu
 from repro.phy.interleaver import interleave
-from repro.phy.modulation import Modulation, get_modulation
+from repro.phy.modulation import get_modulation
 from repro.phy.params import N_DATA_SUBCARRIERS, PhyRate
 from repro.phy.receiver import FrameObservation, Receiver, RxResult
 from repro.phy.transmitter import Transmitter, TxFrame
@@ -53,33 +56,8 @@ __all__ = [
     "CosReceiver",
     "ExchangeOutcome",
     "CosLink",
-    "OperatingPoint",
     "control_group_accuracy",
-    "measure_operating_point",
 ]
-
-
-def _faded_control_subcarriers(
-    h_gains: np.ndarray,
-    noise_var: float,
-    control_subcarriers: Sequence[int],
-    detector: EnergyDetector,
-    modulation: Modulation,
-) -> List[int]:
-    """Control subcarriers too faded for silence detection.
-
-    A control subcarrier whose *active* symbols sit near the detection
-    threshold cannot host silence signalling — bits "recovered" through it
-    would be garbage, so a non-empty result means the control message is
-    lost.  The detected mask still serves as erasure input for data
-    decoding (the safe direction).
-    """
-    floor = detector.threshold_for(noise_var)
-    return [
-        c
-        for c in control_subcarriers
-        if modulation.min_symbol_energy * h_gains[c] < 2.0 * floor
-    ]
 
 
 def control_group_accuracy(
@@ -266,20 +244,48 @@ class CosReceiver:
         rule of §III-D).
         """
         obs = self._phy.observe(waveform)
-        if obs is None or obs.signal is None:
-            if obs is not None:
-                phy_result = self._phy.decode(obs)
-            else:
-                phy_result = RxResult(mpdu=parse_mpdu(None), signal=None, observation=None)
-            return CosRxResult(
-                phy=phy_result,
-                detection=None,
-                control_bits=np.zeros(0, dtype=np.uint8),
-                control_error="signal field undecodable",
-                evms=None,
-                selection=None,
+        if obs is None:
+            return _undecodable(
+                RxResult(mpdu=parse_mpdu(None), signal=None, observation=None)
             )
+        if obs.signal is None:
+            return _undecodable(self._phy.decode(obs))
+        detection, faded = self._detect(obs)
+        phy_result = self._phy.decode(obs, erasure_mask=detection.mask)
+        return self._extract(obs, detection, faded, phy_result, next_target_count)
 
+    def receive_many(self, waveforms: Sequence[np.ndarray]) -> List[CosRxResult]:
+        """Process a batch of PPDUs through the stacked receiver path.
+
+        One :meth:`Receiver.observe_many`, energy detection per packet,
+        one :meth:`Receiver.decode_many` with the detection masks as
+        erasures, then control recovery and EVM feedback per packet.
+        Entry ``i`` equals ``receive(waveforms[i])`` field by field; with
+        a predictor attached, its state advances in batch order.
+        """
+        observations = self._phy.observe_many(waveforms)
+        detected = [
+            self._detect(obs) if obs is not None and obs.signal is not None
+            else None
+            for obs in observations
+        ]
+        results = self._phy.decode_many(
+            observations, [d[0].mask if d else None for d in detected]
+        )
+        return [
+            self._extract(obs, *d, result, None) if d else _undecodable(result)
+            for obs, d, result in zip(observations, detected, results)
+        ]
+
+    def _detect(self, obs: FrameObservation) -> Tuple[DetectionReport, List[int]]:
+        """Silence detection, plus the control subcarriers too faded for it.
+
+        A control subcarrier whose *active* symbols sit near the detection
+        threshold cannot host silence signalling — bits "recovered" through
+        it would be garbage, so a non-empty faded list means the control
+        message is lost.  The detected mask still serves as erasure input
+        for data decoding (the safe direction).
+        """
         modulation = get_modulation(obs.signal.rate.modulation)
         h_gains = np.abs(obs.h_data) ** 2
         detection = self.detector.detect(
@@ -289,25 +295,33 @@ class CosReceiver:
             h_gains=h_gains,
             min_symbol_energy=modulation.min_symbol_energy,
         )
-        phy_result = self._phy.decode(obs, erasure_mask=detection.mask)
+        floor = self.detector.threshold_for(obs.noise_var)
+        faded = [
+            c
+            for c in self.control_subcarriers
+            if modulation.min_symbol_energy * h_gains[c] < 2.0 * floor
+        ]
+        return detection, faded
 
+    def _extract(
+        self,
+        obs: FrameObservation,
+        detection: DetectionReport,
+        faded: List[int],
+        phy_result: RxResult,
+        next_target_count: Optional[int],
+    ) -> CosRxResult:
+        """Recover the control bits; after a clean CRC, EVM and selection."""
         with span("cos.rx.recover") as sp:
-            planner = SilencePlanner(self.control_subcarriers, self.codec)
             control_error: Optional[str] = None
-            undetectable = _faded_control_subcarriers(
-                h_gains,
-                obs.noise_var,
-                self.control_subcarriers,
-                self.detector,
-                modulation,
-            )
-            if undetectable:
+            if faded:
                 control_bits = np.zeros(0, dtype=np.uint8)
                 control_error = (
-                    f"control subcarriers {undetectable} too faded for "
+                    f"control subcarriers {faded} too faded for "
                     "silence detection"
                 )
             else:
+                planner = SilencePlanner(self.control_subcarriers, self.codec)
                 try:
                     control_bits = planner.recover_bits(detection.mask)
                 except ValueError as exc:
@@ -321,22 +335,21 @@ class CosReceiver:
         if phy_result.ok and phy_result.decoded is not None:
             with span("cos.rx.evm") as sp:
                 rate = obs.signal.rate
+                modulation = get_modulation(rate.modulation)
                 reference = reconstruct_reference_symbols(
                     phy_result.decoded.scrambled_bits, rate
                 )
                 evms = per_subcarrier_evm(
                     obs.eq_data_grid[: reference.shape[0]],
                     reference,
-                    get_modulation(rate.modulation),
+                    modulation,
                     exclude_mask=detection.mask[: reference.shape[0]],
                 )
                 selection_evms = (
                     self.predictor.update(evms) if self.predictor is not None else evms
                 )
                 selection = self.selector.select(
-                    selection_evms,
-                    get_modulation(rate.modulation),
-                    target_count=next_target_count,
+                    selection_evms, modulation, target_count=next_target_count
                 )
                 sp.set(n_selected=len(selection.subcarriers))
 
@@ -348,6 +361,18 @@ class CosReceiver:
             evms=evms,
             selection=selection,
         )
+
+
+def _undecodable(phy_result: RxResult) -> CosRxResult:
+    """The CoS result of a PPDU whose SIGNAL field did not decode."""
+    return CosRxResult(
+        phy=phy_result,
+        detection=None,
+        control_bits=np.zeros(0, dtype=np.uint8),
+        control_error="signal field undecodable",
+        evms=None,
+        selection=None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -612,149 +637,3 @@ class CosLink:
             bits = rng.integers(0, 2, size=self.codec.k * 8, dtype=np.uint8)
             stats.outcomes.append(self.exchange(payload, bits))
         return stats
-
-
-# ---------------------------------------------------------------------------
-# Open-loop operating-point measurement (batched)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Open-loop link measurement at one (channel, rate) point."""
-
-    n_packets: int
-    prr: float
-    message_accuracy: float
-    n_control_packets: int
-
-
-def measure_operating_point(
-    channel: IndoorChannel,
-    rate: PhyRate,
-    n_packets: int,
-    payload: bytes = bytes(256),
-    control_bits_per_packet: int = 0,
-    codec: Optional[IntervalCodec] = None,
-    control_subcarriers: Sequence[int] = DEFAULT_CONTROL_SUBCARRIERS,
-    select_subcarriers: bool = True,
-    gap_s: float = 1e-3,
-    rng: Optional[np.random.Generator] = None,
-) -> OperatingPoint:
-    """Measure PRR (and optionally CoS control accuracy) at a fixed point.
-
-    Unlike :meth:`CosLink.exchange` this probe is **open-loop**: the rate
-    and control subcarriers stay fixed, nothing feeds back, and the only
-    channel coupling between packets is :meth:`IndoorChannel.evolve` —
-    which runs entirely during transmission.  That independence is what
-    lets the whole probe batch flow through the stacked receiver path:
-    all ``n_packets`` waveforms are synthesised first, then observed in
-    one :meth:`Receiver.observe_many`, energy-detected per packet, and
-    decoded in one :meth:`Receiver.decode_many` (batched demap + Viterbi).
-    This is the probe engine behind :mod:`repro.phy.surrogate`'s PRR
-    sweeps.
-
-    With ``control_bits_per_packet = 0`` the packets are silence-free and
-    ``message_accuracy`` is vacuously 1.0; otherwise each packet embeds
-    that many random control bits (a multiple of ``codec.k``) and the
-    accuracy is the mean per-packet :func:`control_group_accuracy`.  When
-    ``select_subcarriers`` is set (the default) a silence-free lead-in
-    packet runs §III-D subcarrier selection once, standing in for the
-    converged state a closed-loop session reaches through feedback —
-    without it the fixed default subcarriers may sit in a fade, where
-    :func:`_faded_control_subcarriers` (the detectability guard
-    :class:`CosReceiver` applies too) declares every control message lost.
-    """
-    codec = codec or IntervalCodec()
-    if control_bits_per_packet % codec.k != 0:
-        raise ValueError(
-            f"control_bits_per_packet={control_bits_per_packet} is not a "
-            f"multiple of codec.k={codec.k}"
-        )
-    tx = Transmitter()
-    rx = Receiver()
-    detector = EnergyDetector()
-    rng = rng or np.random.default_rng(0)
-    psdu = build_mpdu(payload)
-    n_symbols = rate.n_symbols_for(len(psdu))
-    modulation = get_modulation(rate.modulation)
-    control_subcarriers = list(control_subcarriers)
-
-    if control_bits_per_packet and select_subcarriers:
-        lead = rx.receive(channel.transmit(tx.transmit(psdu, rate).waveform))
-        channel.evolve(gap_s)
-        if lead.ok and lead.decoded is not None and lead.observation is not None:
-            reference = reconstruct_reference_symbols(
-                lead.decoded.scrambled_bits, rate
-            )
-            evms = per_subcarrier_evm(
-                lead.observation.eq_data_grid[: reference.shape[0]],
-                reference,
-                modulation,
-            )
-            selection = SubcarrierSelector().select(
-                evms, modulation, target_count=len(control_subcarriers)
-            )
-            if selection.subcarriers:
-                control_subcarriers = list(selection.subcarriers)
-
-    planner = SilencePlanner(control_subcarriers, codec)
-    waves: List[np.ndarray] = []
-    sent_bits: List[np.ndarray] = []
-    for _ in range(n_packets):
-        if control_bits_per_packet:
-            bits = rng.integers(
-                0, 2, size=control_bits_per_packet, dtype=np.uint8
-            )
-            plan = planner.plan(bits, n_symbols)
-            frame = tx.transmit(psdu, rate, silence_mask=plan.mask)
-            sent_bits.append(plan.embedded_bits)
-        else:
-            frame = tx.transmit(psdu, rate)
-            sent_bits.append(np.zeros(0, dtype=np.uint8))
-        waves.append(channel.transmit(frame.waveform))
-        channel.evolve(gap_s)
-
-    observations = rx.observe_many(waves)
-    masks: List[Optional[np.ndarray]] = []
-    control_lost: List[bool] = []
-    for obs in observations:
-        if obs is None or obs.signal is None:
-            masks.append(None)
-            control_lost.append(True)
-            continue
-        h_gains = np.abs(obs.h_data) ** 2
-        report = detector.detect(
-            obs.raw_data_grid,
-            control_subcarriers,
-            obs.noise_var,
-            h_gains=h_gains,
-            min_symbol_energy=modulation.min_symbol_energy,
-        )
-        masks.append(report.mask)
-        faded = _faded_control_subcarriers(
-            h_gains, obs.noise_var, control_subcarriers, detector, modulation
-        )
-        control_lost.append(bool(faded))
-    results = rx.decode_many(observations, masks)
-
-    accuracies: List[float] = []
-    for bits, mask, lost in zip(sent_bits, masks, control_lost):
-        if bits.size == 0:
-            continue
-        recovered = np.zeros(0, dtype=np.uint8)
-        if mask is not None and not lost:
-            try:
-                recovered = planner.recover_bits(mask)
-            except ValueError:
-                pass
-        accuracies.append(control_group_accuracy(bits, recovered, codec.k))
-
-    prr = float(np.mean([r.ok for r in results])) if results else 0.0
-    accuracy = float(np.mean(accuracies)) if accuracies else 1.0
-    return OperatingPoint(
-        n_packets=n_packets,
-        prr=prr,
-        message_accuracy=accuracy,
-        n_control_packets=len(accuracies),
-    )

@@ -149,13 +149,9 @@ class SilencePlanner:
 
     def mask_to_positions(self, mask: np.ndarray) -> List[int]:
         """Invert a (possibly detected) mask into control-stream positions."""
-        mask = np.asarray(mask, dtype=bool)
-        positions = []
-        for slot in range(mask.shape[0]):
-            for idx, subcarrier in enumerate(self.control_subcarriers):
-                if mask[slot, subcarrier]:
-                    positions.append(slot * self.n_control + idx)
-        return positions
+        # Row-major over (slot, control index): slot * n_control + idx.
+        cells = np.asarray(mask, dtype=bool)[:, self.control_subcarriers]
+        return np.flatnonzero(cells).tolist()
 
     def recover_bits(self, mask: np.ndarray) -> np.ndarray:
         """Decode control bits from a detected silence mask.

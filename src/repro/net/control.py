@@ -59,22 +59,22 @@ OVERHEAR_FLOOR_DB = -2.0
 _PHY_PROB_CACHE: Dict[int, float] = {}
 
 
-def measured_cos_delivery_prob(snr_db: float, seed: int = 0,
-                               n_packets: int = 12) -> float:
+def measured_cos_delivery_prob(snr_db: float) -> float:
     """Estimate per-message CoS accuracy by running the full PHY link.
 
-    Results are cached per rounded dB (process-local), because a
+    :func:`repro.phy.surrogate.measure_cos_point` at the default
+    :class:`~repro.phy.surrogate.SurrogateSpec`'s CoS position, seed and
+    packet count, cached per rounded dB (process-local), because a
     ``CosLink`` session costs real OFDM modulation + Viterbi decoding.
     """
     key = int(round(snr_db))
     if key not in _PHY_PROB_CACHE:
-        from repro.channel import IndoorChannel
-        from repro.cos import CosLink
+        from repro.phy.surrogate import SurrogateSpec, measure_cos_point
 
-        channel = IndoorChannel.position("A", snr_db=float(key), seed=seed)
-        stats = CosLink(channel=channel).run(n_packets=n_packets,
-                                             payload=bytes(256))
-        _PHY_PROB_CACHE[key] = float(stats.message_accuracy)
+        spec = SurrogateSpec()
+        _PHY_PROB_CACHE[key] = measure_cos_point(
+            spec.cos_position, key, spec.cos_seed, spec.cos_n_packets
+        )
     return _PHY_PROB_CACHE[key]
 
 

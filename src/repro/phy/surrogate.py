@@ -5,7 +5,7 @@
 ``cos_fidelity="phy"`` runs the full OFDM/Viterbi stack per SINR point —
 faithful but far too slow for hundreds of nodes.  This module closes the
 gap: it sweeps the **real** PHY over an SINR × rate grid (through the
-batched receive path, via :func:`repro.engine.run_sweep`), fits a
+batched CoS receive path, via :func:`repro.engine.run_sweep`), fits a
 monotone PRR curve per rate, and serialises the result as a versioned
 JSON table keyed by a hash of the measurement spec.  The network layer
 (:class:`repro.net.sinr.SinrModel`, ``cos_fidelity="surrogate"``) then
@@ -17,9 +17,10 @@ PHY:
 * PRR points are measured by :func:`measure_prr_point`, a pure function
   of the spec fields — re-measuring any grid node reproduces the stored
   raw value bit-for-bit.
-* The CoS accuracy curve is sampled at integer dB with **exactly** the
-  semantics of :func:`repro.net.control.measured_cos_delivery_prob`
-  (same position, seed, packet count, payload), so on grid nodes the
+* The CoS accuracy curve is sampled at integer dB by
+  :func:`measure_cos_point`, the same function
+  :func:`repro.net.control.measured_cos_delivery_prob` calls with the
+  default spec's position, seed and packet count, so on grid nodes the
   surrogate and ``cos_fidelity="phy"`` agree to the last bit.
 
 Build via :func:`build_surrogate_table` or ``repro net tables build``.
@@ -60,16 +61,20 @@ _TABLE_ENV = "REPRO_SURROGATE_TABLE"
 #: The committed default table (built by ``repro net tables build``).
 _DEFAULT_TABLE = Path(__file__).resolve().parent / "tables" / "surrogate_default.json"
 
+#: Seconds of channel evolution between PRR probe packets.
+_PRR_GAP_S = 1e-3
+
 
 @dataclass(frozen=True)
 class SurrogateSpec:
     """Everything that determines a surrogate measurement, and nothing else.
 
     The spec is hashed (canonical JSON, sha256) into the table key; two
-    tables with equal hashes were measured identically.  ``cos_position``
-    / ``cos_seed`` / ``cos_n_packets`` deliberately mirror the constants
-    of :func:`repro.net.control.measured_cos_delivery_prob` so the
-    default spec's CoS curve is bit-compatible with ``cos_fidelity="phy"``.
+    tables with equal hashes were measured identically.  The default
+    ``cos_position`` / ``cos_seed`` / ``cos_n_packets`` are the ones
+    :func:`repro.net.control.measured_cos_delivery_prob` measures with,
+    so the default spec's CoS curve is bit-compatible with
+    ``cos_fidelity="phy"``.
     """
 
     position: str = "A"
@@ -148,23 +153,31 @@ def measure_prr_point(
 ) -> float:
     """PRR of the real PHY at one (SINR, rate, seed) point, batched.
 
-    Deterministic in its arguments: the channel, transmitter and
-    receiver draw from fixed seeds, and the batched receive path is
-    bit-for-bit equal to the looped one.
+    The probe is **open-loop**: the rate stays fixed and nothing feeds
+    back, so every silence-free packet is synthesised first (the channel
+    evolving :data:`_PRR_GAP_S` between them) and the batch then runs
+    through one :meth:`repro.cos.CosReceiver.receive_many` — the CoS
+    receive chain, detector erasures included.  Deterministic in its
+    arguments: the channel, transmitter and receiver draw from fixed
+    seeds, and the batched receive is bit-for-bit equal to the looped one.
     """
     from repro.channel import IndoorChannel
-    from repro.cos.link import measure_operating_point
+    from repro.cos.link import CosReceiver
+    from repro.phy.frames import build_mpdu
+    from repro.phy.transmitter import Transmitter
 
     channel = IndoorChannel.position(
         position, snr_db=float(snr_db), seed=int(channel_seed)
     )
-    point = measure_operating_point(
-        channel,
-        RATE_TABLE[int(rate_mbps)],
-        int(n_packets),
-        payload=bytes(int(payload_octets)),
-    )
-    return point.prr
+    rate = RATE_TABLE[int(rate_mbps)]
+    psdu = build_mpdu(bytes(int(payload_octets)))
+    tx = Transmitter()
+    waves = []
+    for _ in range(int(n_packets)):
+        waves.append(channel.transmit(tx.transmit(psdu, rate).waveform))
+        channel.evolve(_PRR_GAP_S)
+    results = CosReceiver().receive_many(waves)
+    return float(np.mean([r.data_ok for r in results])) if results else 0.0
 
 
 def measure_cos_point(
@@ -172,10 +185,10 @@ def measure_cos_point(
 ) -> float:
     """Closed-loop CoS message accuracy at one integer-dB point.
 
-    This is, line for line, the measurement inside
-    :func:`repro.net.control.measured_cos_delivery_prob` — with the
-    default :class:`SurrogateSpec` the stored curve therefore replays
-    the phy fidelity mode exactly on its own caching grid.
+    :func:`repro.net.control.measured_cos_delivery_prob` caches this
+    function at the default :class:`SurrogateSpec`'s CoS fields, so the
+    stored curve replays the phy fidelity mode exactly on its own
+    caching grid.
     """
     from repro.channel import IndoorChannel
     from repro.cos import CosLink

@@ -4,7 +4,9 @@ The tentpole contract of the batch PHY: ``Receiver.receive_many`` is
 **bit-for-bit** equal to looping :meth:`Receiver.receive` — same soft
 metrics, same channel/noise estimates, same PSDUs, same CRC outcomes —
 across every 802.11a rate, both decision modes, and erasure-mask
-batches.  Batching is a scheduling change, never a numerical one.
+batches.  Batching is a scheduling change, never a numerical one.  The
+same holds one layer up: ``CosReceiver.receive_many`` equals looped
+``CosReceiver.receive`` in every field, control bits and EVM included.
 
 On top of that path sit the surrogate tables: real-PHY PRR sweeps,
 monotone-fitted and serialised.  Their contract is measured-value
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.channel import IndoorChannel
+from repro.cos import CosReceiver, CosTransmitter
 from repro.kernels.interleave import (
     deinterleave_rx_numpy,
     deinterleave_rx_oracle,
@@ -217,35 +220,83 @@ def test_deinterleave_rx_rejects_partial_blocks():
 
 
 # ---------------------------------------------------------------------------
-# Operating-point probe (the surrogate's measurement primitive)
+# Batched CoS receive: receive_many == looped receive
 # ---------------------------------------------------------------------------
 
 
-def test_measure_operating_point_deterministic_and_sane():
-    from repro.cos.link import measure_operating_point
+def _cos_waves(mbps, snr_db, n_pkts, seed):
+    """CoS packets carrying queued control bits over an evolving channel."""
+    tx = CosTransmitter()
+    channel = IndoorChannel.position("A", snr_db=snr_db, seed=seed)
+    rng = np.random.default_rng(seed)
+    waves = []
+    for _ in range(n_pkts):
+        tx.enqueue_control(rng.integers(0, 2, size=16, dtype=np.uint8))
+        record = tx.build(bytes(80), RATE_TABLE[mbps], snr_db)
+        waves.append(channel.transmit(record.frame.waveform))
+        channel.evolve(1e-3)
+    return waves
 
-    rate = RATE_TABLE[12]
-    points = [
-        measure_operating_point(
-            IndoorChannel.position("A", snr_db=18.0, seed=2), rate, 6
-        )
-        for _ in range(2)
-    ]
-    assert points[0] == points[1]  # pure in its arguments
-    assert points[0].n_packets == 6
-    assert points[0].prr == 1.0  # well inside the working region
+
+def _assert_cos_results_identical(single, batched, tag):
+    _assert_results_identical(single.phy, batched.phy, tag)
+    assert single.data_ok == batched.data_ok, tag
+    assert single.payload == batched.payload, tag
+    assert np.array_equal(single.control_bits, batched.control_bits), tag
+    assert single.control_error == batched.control_error, tag
+    assert (single.detection is None) == (batched.detection is None), tag
+    if single.detection is not None:
+        assert np.array_equal(single.detection.mask,
+                              batched.detection.mask), (tag, "mask")
+    assert (single.evms is None) == (batched.evms is None), tag
+    if single.evms is not None:
+        assert np.array_equal(single.evms, batched.evms), (tag, "evms")
+    assert (single.selection is None) == (batched.selection is None), tag
+    if single.selection is not None:
+        ss, bs = single.selection, batched.selection
+        assert ss.subcarriers == bs.subcarriers, (tag, "selection")
+        assert np.array_equal(ss.bit_vector, bs.bit_vector), tag
+        assert ss.threshold == bs.threshold, tag
 
 
-def test_measure_operating_point_with_control_bits():
-    from repro.cos.link import measure_operating_point
+def test_cos_receive_many_matches_looped_receive():
+    """One ragged batch: silence-carrying packets at three rates, a
+    faded control set, a failed data decode, noise and short inputs."""
+    carrying = (_cos_waves(6, 12.0, 3, seed=5) + _cos_waves(24, 18.0, 3, seed=2)
+                + _cos_waves(36, 22.0, 2, seed=3))
+    # Position A seed 7 at 10 dB: the default control subcarriers sit in
+    # a fade, and the third packet fails its CRC.
+    faded = _cos_waves(24, 10.0, 3, seed=7)
+    rng = np.random.default_rng(9)
+    noise = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    stragglers = [noise, carrying[0][:300], carrying[4][:-200]]
+    batch = carrying + faded + stragglers
 
-    point = measure_operating_point(
-        IndoorChannel.position("A", snr_db=22.0, seed=4),
-        RATE_TABLE[24], 4, control_bits_per_packet=8,
-    )
-    assert point.n_control_packets == 4
-    assert point.prr == 1.0
-    assert point.message_accuracy >= 0.5
+    rx = CosReceiver()
+    singles = [rx.receive(w) for w in batch]
+    batched = rx.receive_many(batch)
+    assert len(batched) == len(batch)
+    for i, (s, b) in enumerate(zip(singles, batched)):
+        _assert_cos_results_identical(s, b, ("cos", i))
+
+    # The batch reaches every branch it claims to.
+    n = len(carrying)
+    assert all(s.data_ok and s.control_bits.size for s in singles[n - 2:n])
+    assert sum(s.control_bits.size > 0 for s in singles[:n]) >= 6
+    assert all("too faded" in s.control_error for s in singles[n:n + 3])
+    assert not singles[n + 2].data_ok and singles[n + 2].detection is not None
+    assert singles[-3].control_error == "signal field undecodable"
+    assert singles[-2].phy.observation is None
+    assert not singles[-1].data_ok
+
+
+def test_measure_prr_point_deterministic_and_sane():
+    from repro.phy.surrogate import measure_prr_point
+
+    prrs = [measure_prr_point("A", 18.0, 12, 6, 256, channel_seed=2)
+            for _ in range(2)]
+    assert prrs[0] == prrs[1]  # pure in its arguments
+    assert prrs[0] == 1.0  # well inside the working region
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +406,27 @@ def test_default_table_committed_and_consistent():
         fit = table.prr_fit[rate]
         assert np.all(np.diff(fit) >= 0.0)
         assert fit[-1] == 1.0  # every rate saturates by 30 dB
+
+
+@pytest.mark.parametrize("mbps,snr_db", [(24, 10.0), (6, 2.0)])
+def test_default_table_replays_mid_waterfall_nodes(mbps, snr_db):
+    """Re-measure two committed PRR nodes where detector erasures decide
+    which frames survive; the probe must reproduce them exactly."""
+    from repro.phy.surrogate import measure_prr_point
+
+    table = load_default_table()
+    spec = table.spec
+    prr = np.asarray(
+        [
+            measure_prr_point(spec.position, snr_db, mbps, spec.n_packets,
+                              spec.payload_octets, seed)
+            for seed in spec.channel_seeds
+        ],
+        dtype=np.float64,
+    ).mean()
+    node = table.sinr_grid_db.tolist().index(snr_db)
+    assert 0.0 < prr < 1.0
+    assert prr == table.prr_raw[mbps][node]
 
 
 def test_sinr_model_wraps_table(tiny_table, tmp_path, monkeypatch):
