@@ -2,59 +2,62 @@
 
 The Gray-coded 802.11a constellations factor into independent I/Q PAM
 axes, so both soft and hard demapping reduce to per-axis kernels.  The
-tables they consume — PAM levels and per-bit "is this label a 1?" masks —
-are built once per :class:`~repro.phy.modulation.Modulation` (they used to
-be rebuilt on every property access *and* every demap call).
+tables they consume — PAM levels, label bits and per-bit label subsets —
+are built once per :class:`~repro.phy.modulation.Modulation`.
 
-``axis_llrs`` computes CSI-weighted max-log LLRs with the per-bit min
--distance masks applied as ``±inf`` selectors (one vectorized pass, no
-per-bit boolean rebuild).  ``axis_hard_bits`` unpacks the nearest-level
-index straight through a precomputed label-bit table instead of shifting
-per call.
+``axis_llrs`` computes CSI-weighted max-log LLRs: for every bit, the
+minimum squared distance over the labels whose bit is 1 minus that over
+the labels whose bit is 0.  Each minimum is one gather of the distance
+matrix through a ``(bits_per_axis, n_levels / 2)`` label-index table, so
+all bits of an axis cost two gathers and two reductions.
+``axis_hard_bits`` unpacks the nearest-level index through the label-bit
+table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["axis_llrs", "axis_hard_bits", "build_axis_masks", "build_label_bits"]
+__all__ = ["axis_llrs", "axis_hard_bits", "build_label_bits", "build_bit_labels"]
 
 
-def build_axis_masks(n_levels: int, bits_per_axis: int) -> np.ndarray:
-    """``(bits_per_axis, n_levels)`` bool — True where the label has bit 1.
+def build_label_bits(n_levels: int, bits_per_axis: int) -> np.ndarray:
+    """``(n_levels, bits_per_axis)`` uint8 — label index unpacked to bits.
 
     Bit 0 is the first transmitted bit of the axis (label MSB).
     """
     labels = np.arange(n_levels)
     shifts = np.arange(bits_per_axis - 1, -1, -1)
-    return ((labels[None, :] >> shifts[:, None]) & 1).astype(bool)
+    return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def build_label_bits(n_levels: int, bits_per_axis: int) -> np.ndarray:
-    """``(n_levels, bits_per_axis)`` uint8 — label index unpacked to bits."""
-    return build_axis_masks(n_levels, bits_per_axis).T.astype(np.uint8).copy()
+def build_bit_labels(label_bits: np.ndarray, value: int) -> np.ndarray:
+    """``(bits_per_axis, n_levels / 2)`` — per bit, the labels where it is ``value``.
+
+    ``label_bits`` is the output of :func:`build_label_bits`; every bit of
+    a PAM label is ``value`` for exactly half the labels.
+    """
+    n_levels, bits_per_axis = label_bits.shape
+    _, labels = np.nonzero(label_bits.T == value)
+    return labels.reshape(bits_per_axis, n_levels // 2)
 
 
 def axis_llrs(
     observed: np.ndarray,
     csi: np.ndarray,
     levels: np.ndarray,
-    is_one_masks: np.ndarray,
+    bit0_labels: np.ndarray,
+    bit1_labels: np.ndarray,
 ) -> np.ndarray:
     """Max-log LLRs for one PAM axis; shape ``(n_symbols, bits_per_axis)``.
 
-    ``levels`` is the axis PAM alphabet indexed by label, ``is_one_masks``
-    the output of :func:`build_axis_masks` for that alphabet.
+    ``levels`` is the axis PAM alphabet indexed by label, ``bit0_labels``
+    and ``bit1_labels`` the :func:`build_bit_labels` tables for it.
     """
     d2 = (observed[:, None] - levels[None, :]) ** 2  # (n, L)
-    m = is_one_masks.shape[0]
-    llrs = np.empty((observed.size, m))
-    for bit in range(m):
-        is_one = is_one_masks[bit]
-        d0 = np.where(is_one[None, :], np.inf, d2).min(axis=1)
-        d1 = np.where(is_one[None, :], d2, np.inf).min(axis=1)
-        llrs[:, bit] = (d1 - d0) * csi
-    return llrs
+    d0 = d2[:, bit0_labels].min(axis=2)  # (n, bits_per_axis)
+    d1 = d2[:, bit1_labels].min(axis=2)
+    return (d1 - d0) * csi[:, None]
 
 
 def axis_hard_bits(

@@ -22,7 +22,7 @@ import numpy as np
 from repro.kernels.demap import (
     axis_hard_bits,
     axis_llrs,
-    build_axis_masks,
+    build_bit_labels,
     build_label_bits,
 )
 
@@ -112,18 +112,25 @@ class Modulation:
         return float(np.min(np.diff(levels)))
 
     @cached_property
-    def _axis_bit_masks(self) -> np.ndarray:
-        """``(bits_per_axis, n_levels)`` bool — per-bit "label is 1" masks."""
-        masks = build_axis_masks(self.pam_levels.size, self.bits_per_axis)
-        masks.setflags(write=False)
-        return masks
-
-    @cached_property
     def _label_bits(self) -> np.ndarray:
         """``(n_levels, bits_per_axis)`` uint8 — labels unpacked to bits."""
         bits = build_label_bits(self.pam_levels.size, self.bits_per_axis)
         bits.setflags(write=False)
         return bits
+
+    @cached_property
+    def _bit0_labels(self) -> np.ndarray:
+        """``(bits_per_axis, n_levels / 2)`` — per bit, the labels where it is 0."""
+        labels = build_bit_labels(self._label_bits, 0)
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
+    def _bit1_labels(self) -> np.ndarray:
+        """``(bits_per_axis, n_levels / 2)`` — per bit, the labels where it is 1."""
+        labels = build_bit_labels(self._label_bits, 1)
+        labels.setflags(write=False)
+        return labels
 
     def prewarm(self) -> None:
         """Materialise every cached table (used by kernel warm-up)."""
@@ -132,8 +139,9 @@ class Modulation:
             self.constellation,
             self.min_symbol_energy,
             self.min_distance,
-            self._axis_bit_masks,
             self._label_bits,
+            self._bit0_labels,
+            self._bit1_labels,
         )
 
     # ------------------------------------------------------------------
@@ -171,10 +179,12 @@ class Modulation:
     def _axis_llrs(self, observed: np.ndarray, csi: np.ndarray) -> np.ndarray:
         """Max-log LLRs for one PAM axis; shape (n_symbols, bits_per_axis).
 
-        Delegates to the demap kernel over the precomputed level/bit-mask
-        tables — no per-call label/mask rebuild.
+        Delegates to the demap kernel over the precomputed level and
+        per-bit label tables.
         """
-        return axis_llrs(observed, csi, self.pam_levels, self._axis_bit_masks)
+        return axis_llrs(
+            observed, csi, self.pam_levels, self._bit0_labels, self._bit1_labels
+        )
 
     def demap_soft(self, symbols: np.ndarray, csi: np.ndarray | float = 1.0) -> np.ndarray:
         """Per-bit LLRs (positive ⇒ bit 0) for equalised ``symbols``.

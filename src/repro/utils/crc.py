@@ -1,42 +1,24 @@
 """CRC-32 as used for the IEEE 802.11 frame check sequence (FCS).
 
-This is the standard CRC-32/ISO-HDLC polynomial (0x04C11DB7, reflected),
-identical to ``zlib.crc32`` — implemented here table-driven so the PHY has
-no dependency beyond numpy and the algorithm is explicit.
+The FCS is the standard CRC-32/ISO-HDLC (polynomial 0x04C11DB7, reflected
+as 0xEDB88320, initial value and final XOR 0xFFFFFFFF), which is exactly
+what the standard library's ``zlib.crc32`` computes; every frame goes
+through it once per transmit and once per receive.  ``crc8`` is the
+A-MPDU delimiter checksum, short enough to stay a bitwise loop.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import zlib
 
 __all__ = ["crc32", "append_fcs", "check_fcs", "FCS_LEN", "crc8"]
 
 FCS_LEN = 4
-_POLY_REFLECTED = 0xEDB88320
 
 
-def _build_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY_REFLECTED
-            else:
-                crc >>= 1
-        table[byte] = crc
-    return table
-
-
-_TABLE = _build_table()
-
-
-def crc32(data: bytes | bytearray) -> int:
-    """Compute the CRC-32 of ``data`` (same value as ``zlib.crc32``)."""
-    crc = 0xFFFFFFFF
-    for byte in bytes(data):
-        crc = (crc >> 8) ^ int(_TABLE[(crc ^ byte) & 0xFF])
-    return crc ^ 0xFFFFFFFF
+def crc32(data: bytes | bytearray | memoryview) -> int:
+    """Compute the CRC-32 of ``data`` (the 802.11 FCS, via ``zlib.crc32``)."""
+    return zlib.crc32(data)
 
 
 def crc8(data: bytes | bytearray) -> int:

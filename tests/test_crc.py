@@ -1,20 +1,34 @@
 """Unit tests for repro.utils.crc."""
 
-import zlib
-
-import pytest
-
 from repro.utils.crc import FCS_LEN, append_fcs, check_fcs, crc32
 
 
+def _crc32_bitwise(data) -> int:
+    """Independent oracle: bit-serial CRC-32 over the reflected polynomial."""
+    crc = 0xFFFFFFFF
+    for byte in bytes(data):
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
 class TestCrc32:
-    def test_matches_zlib(self):
+    def test_matches_bitwise_reference(self):
         for data in (b"", b"a", b"hello world", bytes(range(256)) * 3):
-            assert crc32(data) == zlib.crc32(data)
+            assert crc32(data) == _crc32_bitwise(data)
+
+    def test_accepts_byte_like_inputs(self):
+        data = bytes(range(7, 250, 3))
+        expected = _crc32_bitwise(data)
+        for view in (data, bytearray(data), memoryview(data)):
+            assert crc32(view) == expected
+        assert crc32(memoryview(data)[5:20]) == _crc32_bitwise(data[5:20])
 
     def test_known_value(self):
         # CRC-32 of "123456789" is the classic check value 0xCBF43926.
         assert crc32(b"123456789") == 0xCBF43926
+        assert crc32(b"") == 0
 
     def test_sensitive_to_single_bit(self):
         assert crc32(b"\x00") != crc32(b"\x01")

@@ -303,10 +303,48 @@ class TestDemapKernel:
         decided = llrs != 0.0
         assert np.array_equal((llrs[decided] < 0), hard[decided].astype(bool))
 
+    @staticmethod
+    def _soft_reference(mod, symbols, csi):
+        """Scalar max-log demapper: per symbol, per axis, per bit."""
+        levels = [float(v) for v in mod.pam_levels]
+        m = mod.bits_per_axis
+        llrs = []
+        for x, w in zip(symbols, csi):
+            axes = [x.real] if mod.name == "bpsk" else [x.real, x.imag]
+            for obs in axes:
+                d2 = [(obs - lv) * (obs - lv) for lv in levels]
+                for b in range(m):
+                    bit = [(label >> (m - 1 - b)) & 1 for label in range(len(levels))]
+                    d1 = min(d for d, v in zip(d2, bit) if v == 1)
+                    d0 = min(d for d, v in zip(d2, bit) if v == 0)
+                    llrs.append((d1 - d0) * w)
+        return np.array(llrs)
+
+    @pytest.mark.parametrize("name", sorted(MODULATIONS))
+    def test_soft_llrs_equal_scalar_reference(self, rng, name):
+        """Exact LLRs, including ties at 0, level midpoints and ±levels."""
+        mod = MODULATIONS[name]
+        levels = np.sort(mod.pam_levels)  # symmetric: ±every level
+        edges = np.concatenate([[0.0], levels, (levels[1:] + levels[:-1]) / 2])
+        special = edges[:, None] + 1j * edges[None, :]
+        symbols = np.concatenate([
+            special.reshape(-1),
+            mod.map_bits(rng.integers(0, 2, 64 * mod.bits_per_symbol, dtype=np.uint8)),
+            0.7 * (rng.normal(size=64) + 1j * rng.normal(size=64)),
+        ])
+        n = symbols.size
+        vector_csi = rng.exponential(size=n)
+        for csi, ref_csi in ((vector_csi, vector_csi), (2.5, [2.5] * n), (1.0, [1.0] * n)):
+            got = mod.demap_soft(symbols, csi)
+            assert np.array_equal(got, self._soft_reference(mod, symbols, ref_csi))
+
     @pytest.mark.parametrize("name", sorted(MODULATIONS))
     def test_cached_tables_are_immutable(self, name):
         mod = MODULATIONS[name]
-        for table in (mod.pam_levels, mod.constellation, mod._axis_bit_masks):
+        mod.prewarm()
+        assert {"_label_bits", "_bit0_labels", "_bit1_labels"} <= set(vars(mod))
+        for table in (mod.pam_levels, mod.constellation, mod._label_bits,
+                      mod._bit0_labels, mod._bit1_labels):
             with pytest.raises((ValueError, RuntimeError)):
                 table[0] = 0
 
