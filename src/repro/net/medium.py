@@ -27,18 +27,27 @@ random streams are untouched).
 
 Two operating modes (``mode=``):
 
-* ``"culled"`` (default) — when a transmission starts, its received
-  power at every *relevant* listener (grid-indexed neighbourhood, see
+* ``"culled"`` (default) — a static source's received power at every
+  *relevant* listener (grid-indexed neighbourhood, see
   :meth:`~repro.net.topology.Topology.neighbors_of`, with contributions
-  below ``RadioSpec.interference_floor_dbm`` dropped) is computed once
-  and frozen in a per-transmission contribution map.  Carrier-sense
-  sums, interference accumulation, and carrier-state fan-out then cost
-  dict lookups over that local set instead of all-pairs log-distance
-  math — sub-linear per reception attempt once the deployment outgrows
-  the relevance radius.  With ``interference_floor_dbm = -inf`` the
-  relevant set is every node and the frozen values equal the fresh
-  ones for static topologies, making culled mode bit-for-bit identical
-  to the dense path.
+  below ``RadioSpec.interference_floor_dbm`` dropped) is computed the
+  first time it transmits and memoised, together with its fan-out list
+  in MAC-registration order; every later transmission from it shares
+  that frozen contribution map.  ``set_channel`` clears the memo (and
+  copies a map before editing it, so in-flight siblings keep theirs).
+  Each static listener keeps a *hearing list*: the active static-source
+  transmissions whose map holds it, in ``_active`` order.  Carrier
+  sense then sums the listener's hearing list instead of walking every
+  transmission on the air, so its cost follows the local neighbourhood,
+  not N.  The terms it skips are exact ``+0.0`` and the summation order
+  is unchanged, so the sums are bit-identical to the full walk, which
+  is still taken while the listener is mobile or a mobile source is on
+  the air.  Interference accumulation and carrier-state fan-out are
+  dict lookups over the same local set.  With ``interference_floor_dbm
+  = -inf`` the relevant set is every node and the frozen values equal
+  the fresh ones for static topologies, making culled mode bit-for-bit
+  identical to the dense path.  Static nodes are assumed not to move
+  (``Topology.invalidate`` is only used to pin a finished walker).
 * ``"dense-exact"`` — today's all-pairs semantics, recomputing every
   power from the topology at query time.  The equivalence oracle for
   tests.  Pairs touching a *mobile* node are excluded from the frozen
@@ -54,7 +63,7 @@ which keeps single-BSS scenarios exactly on the legacy numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -158,6 +167,14 @@ class Medium:
         self.channel: Dict[str, int] = {}
         self._tx_count: Dict[str, int] = {}  # node -> its in-flight count
         self._active: List[Transmission] = []
+        #: Culled mode: static listener -> the active static-source
+        #: transmissions whose frozen map holds it, in ``_active`` order.
+        self._hearing: Dict[str, List[Transmission]] = {}
+        #: Culled mode: static source -> (frozen map, ordered fan-out),
+        #: built on its first transmission.
+        self._static_maps: Dict[str, Tuple[Dict[str, float], List[str]]] = {}
+        #: Culled mode: in-flight transmissions from mobile sources.
+        self._mobile_on_air = 0
         #: Airtime by kind (data / control / ack / beacon / interference), µs.
         self.airtime_us: Dict[str, float] = {}
 
@@ -167,6 +184,8 @@ class Medium:
         self._mac_order[mac.name] = len(self._macs)
         self._macs[mac.name] = mac
         self._busy[mac.name] = False
+        self._hearing[mac.name] = []
+        self._static_maps.clear()  # maps hold registered listeners only
 
     # ------------------------------------------------------------------
     # Channels
@@ -175,16 +194,20 @@ class Medium:
     def set_channel(self, name: str, ch: int) -> None:
         """Assign ``name`` to channel ``ch`` (roaming / BSS setup).
 
-        In culled mode every active transmission's frozen contribution
-        at this listener is recomputed under the new channel rejection,
-        then the listener's carrier state is re-evaluated — so a station
-        that roams to a quieter channel goes locally idle immediately.
+        In culled mode the memoised source maps are dropped, every active
+        transmission's frozen contribution at this listener is recomputed
+        under the new channel rejection (on a copy: the map may be shared
+        with the source's other transmissions), the listener's hearing
+        list is rebuilt, then its carrier state is re-evaluated — so a
+        station that roams to a quieter channel goes locally idle
+        immediately.
         """
         old = self.channel.get(name, 0)
         ch = int(ch)
         if ch == old:
             return
         self.channel[name] = ch
+        self._static_maps.clear()
         if not self._active:
             return
         if self._culled:
@@ -194,9 +217,13 @@ class Medium:
                     if tx.src == name or tx.src in self._mobile:
                         continue
                     p = self._rx_dbm(tx.src, name, self.scheduler.now_us)
-                    tx.contrib.pop(name, None)
+                    contrib = tx.contrib = dict(tx.contrib)
+                    contrib.pop(name, None)
                     if p >= floor:
-                        tx.contrib[name] = dbm_to_mw(p)
+                        contrib[name] = dbm_to_mw(p)
+                self._hearing[name] = [
+                    tx for tx in self._active if name in tx.contrib
+                ]
             if name in self._macs:
                 self._update_carrier_states_for((name,))
         else:
@@ -232,6 +259,12 @@ class Medium:
         """Aggregate power from every *other* active source at ``listener``."""
         total = 0.0
         if self._culled:
+            if not self._mobile_on_air and listener not in self._mobile:
+                # Only the transmissions whose frozen map holds
+                # ``listener``: the rest would add exact +0.0.
+                for tx in self._hearing.get(listener, ()):
+                    total += tx.contrib[listener]
+                return total
             now = self.scheduler.now_us
             for tx in self._active:
                 if tx.src == listener:
@@ -261,11 +294,15 @@ class Medium:
 
         Mobile endpoints are excluded (see :meth:`_pair_mw`): a mobile
         source freezes nothing, and mobile listeners are left out of a
-        static source's map.
+        static source's map.  A static source's map is memoised with its
+        ordered fan-out, so its transmissions share one dict.
         """
-        contrib: Dict[str, float] = {}
         if tx.src in self._mobile:
-            return contrib
+            return {}
+        memo = self._static_maps.get(tx.src)
+        if memo is not None:
+            return memo[0]
+        contrib: Dict[str, float] = {}
         floor = self._floor_dbm
         macs = self._macs
         mobile = self._mobile
@@ -278,6 +315,7 @@ class Medium:
             p = self._rx_dbm(tx.src, name, now)
             if p >= floor:
                 contrib[name] = dbm_to_mw(p)
+        self._static_maps[tx.src] = (contrib, self._ordered_listeners(contrib))
         return contrib
 
     def begin(self, tx: Transmission) -> None:
@@ -288,7 +326,7 @@ class Medium:
 
         culled = self._culled
         if culled:
-            contrib = tx.contrib = self._contribution(tx, now)
+            tx.contrib = self._contribution(tx, now)
 
         # Cross-couple with everything already on the air.
         for other in self._active:
@@ -314,6 +352,13 @@ class Medium:
                     )
 
         self._active.append(tx)
+        if culled:
+            if tx.src in self._mobile:
+                self._mobile_on_air += 1
+            else:
+                hearing = self._hearing
+                for name in tx.contrib:
+                    hearing[name].append(tx)
         self._tx_count[tx.src] = self._tx_count.get(tx.src, 0) + 1
         self.airtime_us[tx.kind] = self.airtime_us.get(tx.kind, 0.0) + tx.duration_us
         if self.lens is not None:
@@ -328,6 +373,13 @@ class Medium:
 
     def _end(self, tx: Transmission) -> None:
         self._active.remove(tx)
+        if self._culled:
+            if tx.src in self._mobile:
+                self._mobile_on_air -= 1
+            else:
+                hearing = self._hearing
+                for name in tx.contrib:
+                    hearing[name].remove(tx)
         self._tx_count[tx.src] -= 1
 
         ok, sinr, reason = False, float("-inf"), "not_addressed"
@@ -426,6 +478,9 @@ class Medium:
         path would find affected.
         """
         if tx.src not in self._mobile:
+            memo = self._static_maps.get(tx.src)
+            if memo is not None and memo[0] is tx.contrib:
+                return memo[1]
             return self._ordered_listeners(tx.contrib)
         order = self._mac_order
         names = {

@@ -1,0 +1,196 @@
+"""The culled medium's indexes against an independent reference.
+
+In culled mode :class:`~repro.net.medium.Medium` memoises each static
+source's frozen contribution map and keeps, per static listener, the
+list of active transmissions whose map holds it.  These tests drive a
+``Medium`` directly through a seeded random sequence of ``begin``,
+frame ends, ``set_channel`` retunes with frames on the air and a mobile
+source, and after every step compare
+
+* every active static-source transmission's map with one rebuilt here
+  from the topology (channel rejection as at its start, updated for
+  listeners that retuned since), and
+* ``sensed_power_mw`` at every listener with a walk over ``_active``
+  that adds every term, zeros included — exact ``==``, not approximate.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.net import EventScheduler, RadioSpec, ReceptionModel, Topology, Waypoint
+from repro.net.medium import Medium, Transmission
+from repro.net.sinr import dbm_to_mw
+
+FLOOR_DBM = -95.0
+RADIO = RadioSpec(path_loss_exponent=3.5, interference_floor_dbm=FLOOR_DBM)
+MOBILE = "walker"
+
+
+class _Mac:
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def on_channel_state(self, busy: bool) -> None:
+        pass
+
+    def on_tx_end(self, tx) -> None:
+        pass
+
+    def on_receive(self, tx, ok, sinr_db, reason) -> None:
+        pass
+
+    def on_beacon(self, ap, rssi_dbm, channel) -> None:
+        pass
+
+
+class _Reference:
+    """The medium's expected state, rebuilt from the topology alone."""
+
+    def __init__(self, medium: Medium) -> None:
+        self.medium = medium
+        self.topo = medium.topology
+        self.static = [n for n in self.topo.names if not self.topo.is_mobile(n)]
+        self.maps = {}  # static-source Transmission -> {listener: mW}
+
+    def _dbm(self, src: str, dst: str) -> float:
+        p = self.topo.rx_power_dbm(src, dst, self.medium.scheduler.now_us)
+        channel = self.medium.channel
+        return p - abs(channel.get(src, 0) - channel.get(dst, 0)) * \
+            RADIO.adjacent_rejection_db
+
+    def _mw(self, src: str, dst: str) -> float:
+        p = self._dbm(src, dst)
+        return dbm_to_mw(p) if p >= FLOOR_DBM else 0.0
+
+    def began(self, tx: Transmission) -> None:
+        if tx.src == MOBILE:
+            return
+        self.maps[tx] = {}
+        for name in self.static:
+            if name != tx.src and self._dbm(tx.src, name) >= FLOOR_DBM:
+                self.maps[tx][name] = self._mw(tx.src, name)
+
+    def retune(self, name: str, ch: int) -> None:
+        """``medium.set_channel`` plus the maps it should touch."""
+        changed = ch != self.medium.channel.get(name, 0)
+        self.medium.set_channel(name, ch)
+        if not changed or name == MOBILE:
+            return
+        for tx in self.medium._active:
+            if tx.src in (name, MOBILE):
+                continue
+            self.maps[tx].pop(name, None)
+            if self._dbm(tx.src, name) >= FLOOR_DBM:
+                self.maps[tx][name] = self._mw(tx.src, name)
+
+    def sensed_mw(self, listener: str) -> float:
+        total = 0.0
+        for tx in self.medium._active:
+            if tx.src == listener:
+                continue
+            if MOBILE in (tx.src, listener):
+                total += self._mw(tx.src, listener)
+            else:
+                total += self.maps[tx].get(listener, 0.0)
+        return total
+
+    def check(self) -> None:
+        for tx in self.medium._active:
+            if tx.src != MOBILE:
+                assert tx.contrib == self.maps[tx]
+        for name in self.topo.names:
+            got = self.medium.sensed_power_mw(name)
+            assert np.float64(got) == np.float64(self.sensed_mw(name)), name
+
+
+def _medium(n_static: int, rng: random.Random) -> Medium:
+    positions = {f"n{i}": (rng.uniform(0, 220), rng.uniform(0, 220))
+                 for i in range(n_static)}
+    positions[MOBILE] = (0.0, 110.0)
+    topo = Topology(positions, radio=RADIO, mobility={
+        MOBILE: [Waypoint(0.0, 0.0, 110.0), Waypoint(50_000.0, 220.0, 110.0)],
+    })
+    medium = Medium(topo, EventScheduler(), ReceptionModel(),
+                    np.random.default_rng(0))
+    for name in positions:
+        medium.register(_Mac(name))
+    return medium
+
+
+def _begin(medium: Medium, ref: _Reference, src: str, dst, duration_us: float):
+    tx = Transmission(src=src, dst=dst, kind="data", rate_mbps=24,
+                      duration_us=duration_us)
+    medium.begin(tx)
+    ref.began(tx)
+    return tx
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sensed_power_equals_active_walk_after_every_step(seed):
+    rng = random.Random(seed)
+    medium = _medium(14, rng)
+    ref = _Reference(medium)
+    names = list(medium.topology.names)
+    indexed_steps = busy_retunes = mobile_steps = 0
+    for _ in range(600):
+        roll = rng.random()
+        if roll < 0.45:
+            src = rng.choice(names)
+            dst = rng.choice([None] + [n for n in names if n != src])
+            _begin(medium, ref, src, dst, rng.uniform(50.0, 900.0))
+        elif roll < 0.85:
+            now = medium.scheduler.now_us
+            medium.scheduler.run(until_us=now + rng.uniform(0.0, 400.0))
+        else:
+            name = rng.choice(names)
+            busy_retunes += bool(medium._active)
+            ref.retune(name, rng.randrange(3))
+        ref.check()
+        mobile_on_air = any(tx.src == MOBILE for tx in medium._active)
+        mobile_steps += mobile_on_air
+        indexed_steps += not mobile_on_air and len(medium._active) > 1
+    # Both carrier-sense paths and mid-air retunes were exercised.
+    assert indexed_steps > 100 and mobile_steps > 50 and busy_retunes > 30
+
+
+def test_roam_copies_a_shared_map_and_freezes_the_roamers_own_frames():
+    medium = _medium(14, random.Random(5))
+    ref = _Reference(medium)
+    topo = medium.topology
+    src = "n0"
+    listener = max((n for n in ref.static if n != src),
+                   key=lambda n: topo.rx_power_dbm(src, n))
+    first = _begin(medium, ref, src, None, 500.0)
+    second = _begin(medium, ref, src, None, 500.0)
+    shared = first.contrib
+    assert second.contrib is shared  # one memoised map per static source
+    before = dict(shared)
+    assert listener in before
+
+    ref.retune(listener, 1)  # roam with both frames on the air
+    ref.check()
+    assert shared == before  # edited on copies, not in place
+    for tx in (first, second):
+        assert tx.contrib is not shared
+        assert tx.contrib.get(listener, 0.0) < before[listener]
+        assert {k: v for k, v in tx.contrib.items() if k != listener} == \
+            {k: v for k, v in before.items() if k != listener}
+
+    # The source itself roaming leaves its in-flight maps frozen, and its
+    # next frame gets a fresh map under the new channel plan.
+    frozen = dict(first.contrib)
+    ref.retune(src, 1)
+    ref.check()
+    assert first.contrib == frozen and second.contrib == frozen
+    third = _begin(medium, ref, src, None, 500.0)
+    ref.check()
+    assert third.contrib is not shared
+    assert third.contrib[listener] == before[listener]  # co-channel again
+    medium.scheduler.run()
+    assert not medium._active
+    for name in topo.names:
+        assert medium.sensed_power_mw(name) == 0.0
