@@ -13,7 +13,7 @@ Two entry points:
   1. ``receive_batch64``: ``receive_many`` over 64 same-spec packets
      must run >= ``--min-speedup`` (default 3x) faster than looping
      ``receive`` — measured on the **numpy** backend, so the win comes
-     from batching, not from a JIT/C kernel.
+     from batching, not from the C kernel.
   2. ``net_256_surrogate``: a 256-node ``repro net run`` under
      ``cos_fidelity="surrogate"`` must finish within ``--max-slowdown``
      (default 1.2x) of the analytic ``table`` mode — measured fidelity

@@ -67,7 +67,7 @@ def worker_initializer(init: Optional[Callable[..., Any]], init_args: Tuple = ()
     * Drop any inherited tracer: the parent's sink (often an open file)
       must not receive interleaved writes from worker processes.
     * Pre-warm the compute-kernel backend (:func:`repro.kernels.warmup`)
-      so JIT compilation / table builds happen once per worker, never
+      so C compilation / table builds happen once per worker, never
       inside a measured trial.
     """
     _metrics.set_registry(_metrics.MetricsRegistry())

@@ -109,7 +109,7 @@ def phy_pair() -> Tuple[Transmitter, Receiver]:
 def init_phy_worker() -> None:
     """Engine ``init`` hook: pre-build the PHY pair in each worker.
 
-    Also pre-warms the compute-kernel backend so table builds / JIT
+    Also pre-warms the compute-kernel backend so table builds / C
     compilation never land inside a measured trial (the process-pool
     initializer does this too; calling again is an idempotent no-op —
     this covers the serial path).

@@ -6,36 +6,35 @@ the data scrambler, and silence energy detection.  This package collects
 those loops into *kernels* behind a small dispatch layer so they can be
 served by different backends without the callers caring:
 
-``numpy``
-    The default pure-NumPy backend.  Its Viterbi uses a *blocked* ACS: k
-    trellis steps are fused into one super-step whose 2^k branch metrics
-    for **all** steps are produced by a single BLAS matmul against a
-    precomputed sign matrix, cutting the Python-level loop count by k×.
-``numba``
-    Optional JIT backend (``pip install repro[speed]``), auto-detected at
-    import time and silently skipped when numba is absent.  Runs the
-    scalar ACS loop in machine code; fastest when available.
 ``cext``
-    Optional C backend: the same scalar ACS embedded as C source and
-    compiled on demand with whatever system compiler exists
-    (``cc``/``gcc``/``clang``), cached per machine, loaded via ctypes.
-    Registered only when a compiler is on PATH; a failed build falls
-    back to ``numpy`` with a one-time warning.
-``reference``
-    The legacy step-by-step NumPy implementation, kept verbatim as the
-    semantics anchor.  Every other backend must be bit-exact against it
-    (see :mod:`repro.kernels.dispatch` for the exact-arithmetic contract).
+    The C backend, and the one ``auto`` picks whenever it is registered:
+    the scalar ACS embedded as C source and compiled on demand with
+    whatever system compiler exists (``cc``/``gcc``/``clang``), cached
+    per machine, loaded via ctypes.  Registered only when a compiler is
+    on PATH; a failed build falls back to ``numpy`` with a one-time
+    warning.
+``numpy``
+    The always-available pure-NumPy backend.  Its Viterbi uses a
+    *blocked* ACS: ``DEFAULT_BLOCK = 2`` trellis steps are fused into one
+    super-step whose branch metrics are gathered from a fixed-order table
+    of summed pair metrics, halving the Python-level loop count.  The same
+    recursion runs a whole ``(B, 2n)`` batch at once, which makes it the
+    batched kernel.
 
-Backend selection: ``REPRO_KERNEL_BACKEND`` (``auto``/``numpy``/``numba``/
-``cext``/``reference``) or :func:`set_backend`; ``auto`` prefers numba,
-then cext, then numpy.  :func:`warmup` pre-builds tables and triggers
-JIT/C compilation — the trial engine calls it once per worker process.
+The pure-Python scalar oracle in :mod:`repro.kernels.oracle` is the one
+semantics anchor: both backends must be bit-exact against it (see
+:mod:`repro.kernels.dispatch` for the exact-arithmetic contract).
 
-All backends implement the same tie-breaking rule (prefer the lower branch
+Backend selection: ``REPRO_KERNEL_BACKEND`` (``auto``/``numpy``/``cext``)
+or :func:`set_backend`; ``auto`` prefers cext, then numpy.
+:func:`warmup` pre-builds tables and triggers C compilation — the trial
+engine calls it once per worker process.
+
+Both backends implement the same tie-breaking rule (prefer the lower branch
 index, later steps dominating), so on *exact-arithmetic* inputs — integer
 -valued LLRs, hard decisions, erasures — their decoded bits are provably
-identical, ties included.  ``tests/test_kernels.py`` asserts this against a
-pure-Python scalar oracle across all eight 802.11a rates.
+identical, ties included.  ``tests/test_kernels.py`` asserts this against
+the oracle, and CRC-verified golden packets cover all eight 802.11a rates.
 """
 
 from repro.kernels.dispatch import (

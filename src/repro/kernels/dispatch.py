@@ -1,30 +1,30 @@
 """Backend dispatch for the compute kernels.
 
 A :class:`KernelBackend` bundles the Viterbi entry points (the only
-kernels whose implementation differs per backend today — demap, scramble
-and energy detection are already single-pass vectorized NumPy shared by
-all backends).  Resolution order:
+kernels whose implementation differs per backend — demap, scramble,
+energy detection and the RX deinterleave gather are single-pass
+vectorized NumPy shared by both backends).  Resolution order:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` override;
 2. the ``REPRO_KERNEL_BACKEND`` environment flag
-   (``auto`` | ``numpy`` | ``numba`` | ``cext`` | ``reference``);
-3. ``auto``: numba when importable, else the on-demand-compiled C
-   kernel (:mod:`repro.kernels.cext`) when a system C compiler exists,
-   else the blocked NumPy backend.
+   (``auto`` | ``numpy`` | ``cext``);
+3. ``auto``: the on-demand-compiled C kernel (:mod:`repro.kernels.cext`)
+   when a system C compiler exists, else the blocked NumPy backend.
 
-Requesting ``numba`` or ``cext`` on a machine without the prerequisite
-logs a warning once and falls back to ``numpy`` — no hard dependency
-anywhere.
+Requesting ``cext`` on a machine without a C compiler logs a warning
+once and falls back to ``numpy`` — no hard dependency anywhere.  Any
+other name raises :class:`ValueError`.
 
-**Exactness contract.**  All backends implement identical decode
-semantics: the same branch-tie rule and the same exact-arithmetic metric
+**Exactness contract.**  Both backends implement the decode semantics of
+the scalar oracle (:func:`repro.kernels.oracle.viterbi_decode_oracle`):
+the same branch-tie rule and the same exact-arithmetic metric
 recursion.  On inputs whose LLRs are exactly representable and whose
 partial sums stay integral (hard decisions, integer-scaled soft values,
 erasures — everything the equivalence suite feeds them), outputs are
 bit-for-bit equal across backends *including every tie*.  On generic
 float inputs the backends may round intermediate sums in different
 orders; decoded bits still agree except on exact metric coincidences,
-and CRC-verified golden-packet tests pin the behaviour end to end.
+and CRC-verified golden packets pin the behaviour end to end.
 """
 
 from __future__ import annotations
@@ -37,22 +37,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels import cext, numba_backend
-from repro.kernels.interleave import (
-    deinterleave_rx_numba,
-    deinterleave_rx_numpy,
-    deinterleave_rx_oracle,
-    warmup_rx_gather,
-)
+from repro.kernels import cext
+from repro.kernels.interleave import deinterleave_rx_numpy, warmup_rx_gather
 from repro.kernels.scramble import prbs_sequence, prbs_state_table
 from repro.kernels.tables import block_tables
 from repro.kernels.viterbi_numpy import (
     DEFAULT_BLOCK,
     decode_blocked,
     decode_blocked_batch,
-    decode_reference,
 )
-from repro.utils.env import env_int, env_str
+from repro.utils.env import env_str
 
 __all__ = [
     "KernelBackend",
@@ -69,7 +63,6 @@ __all__ = [
 log = logging.getLogger("repro.kernels")
 
 ENV_FLAG = "REPRO_KERNEL_BACKEND"
-BLOCK_FLAG = "REPRO_VITERBI_BLOCK"
 
 
 @dataclass(frozen=True)
@@ -79,33 +72,14 @@ class KernelBackend:
     ``viterbi_decode(llrs, terminated)`` decodes a single rate-1/2 LLR
     stream; ``viterbi_decode_batch(llrs2d, terminated)`` an equal-length
     ``(B, 2n)`` batch in one call (the :func:`decode_many` helper groups
-    mixed lengths).  ``deinterleave_rx(values, n_cbps, n_bpsc, code_rate,
-    fill)`` applies the composed per-symbol deinterleave + depuncture
-    gather of :mod:`repro.kernels.interleave`.  ``prewarm()`` pays any
-    one-off cost (JIT compilation, table builds) outside the measured
-    path.
+    mixed lengths).  ``prewarm()`` pays any one-off cost (C compilation,
+    table builds) outside the measured path.
     """
 
     name: str
     viterbi_decode: Callable[[np.ndarray, bool], np.ndarray]
     viterbi_decode_batch: Callable[[np.ndarray, bool], np.ndarray]
-    deinterleave_rx: Callable[..., np.ndarray]
     prewarm: Callable[[], None]
-
-
-def _viterbi_block() -> int:
-    block = env_int(BLOCK_FLAG, default=DEFAULT_BLOCK)
-    if not 1 <= block <= 8:
-        raise ValueError(f"{BLOCK_FLAG}={block} out of range 1..8")
-    return block
-
-
-def _numpy_decode(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
-    return decode_blocked(llrs, terminated, block=_viterbi_block())
-
-
-def _numpy_decode_batch(llrs2d: np.ndarray, terminated: bool = True) -> np.ndarray:
-    return decode_blocked_batch(llrs2d, terminated, block=_viterbi_block())
 
 
 def _batch_via_single(
@@ -122,8 +96,7 @@ def _batch_via_single(
 
 
 def _numpy_prewarm() -> None:
-    block = _viterbi_block()
-    for k in range(1, block + 1):
+    for k in range(1, DEFAULT_BLOCK + 1):
         block_tables(k)
     warmup_rx_gather()
     prbs_sequence(1)
@@ -136,36 +109,14 @@ def _numpy_prewarm() -> None:
         mod.prewarm()
 
 
-def _numba_prewarm() -> None:
-    _numpy_prewarm()
-    numba_backend.warmup()
-
-
 _REGISTRY: Dict[str, KernelBackend] = {
     "numpy": KernelBackend(
         name="numpy",
-        viterbi_decode=_numpy_decode,
-        viterbi_decode_batch=_numpy_decode_batch,
-        deinterleave_rx=deinterleave_rx_numpy,
-        prewarm=_numpy_prewarm,
-    ),
-    "reference": KernelBackend(
-        name="reference",
-        viterbi_decode=decode_reference,
-        viterbi_decode_batch=_batch_via_single(decode_reference),
-        deinterleave_rx=deinterleave_rx_oracle,
+        viterbi_decode=decode_blocked,
+        viterbi_decode_batch=decode_blocked_batch,
         prewarm=_numpy_prewarm,
     ),
 }
-
-if numba_backend.HAVE_NUMBA:  # pragma: no cover — numba-only environments
-    _REGISTRY["numba"] = KernelBackend(
-        name="numba",
-        viterbi_decode=numba_backend.decode_jit,
-        viterbi_decode_batch=numba_backend.decode_batch_jit,
-        deinterleave_rx=deinterleave_rx_numba,
-        prewarm=_numba_prewarm,
-    )
 
 
 def _cext_prewarm() -> None:
@@ -178,16 +129,15 @@ if cext.compiler_available():
         name="cext",
         viterbi_decode=cext.decode_c,
         viterbi_decode_batch=_batch_via_single(cext.decode_c),
-        deinterleave_rx=deinterleave_rx_numpy,
         prewarm=_cext_prewarm,
     )
 
 #: auto-resolution preference, best first.
-_AUTO_ORDER = ("numba", "cext", "numpy")
+_AUTO_ORDER = ("cext", "numpy")
 
 _lock = threading.Lock()
 _active: Optional[KernelBackend] = None
-_warned_missing: set = set()
+_warned_no_compiler = False
 
 
 def available_backends() -> List[str]:
@@ -196,31 +146,25 @@ def available_backends() -> List[str]:
 
 
 def _resolve(name: Optional[str]) -> KernelBackend:
+    global _warned_no_compiler
     requested = (name or env_str(ENV_FLAG, "auto") or "auto").strip().lower()
     if requested == "auto":
-        for candidate in _AUTO_ORDER:
-            if candidate in _REGISTRY:
-                return _REGISTRY[candidate]
-    if requested in ("numba", "cext") and requested not in _REGISTRY:
-        if requested not in _warned_missing:
-            hint = (
-                "pip install repro[speed]"
-                if requested == "numba"
-                else "install a C compiler"
-            )
+        return next(_REGISTRY[n] for n in _AUTO_ORDER if n in _REGISTRY)
+    if requested == "cext" and "cext" not in _REGISTRY:
+        if not _warned_no_compiler:
             log.warning(
-                "%s=%s requested but unavailable; "
-                "falling back to the NumPy backend (%s)",
-                ENV_FLAG, requested, hint,
+                "%s=cext requested but no C compiler was found; "
+                "falling back to the NumPy backend",
+                ENV_FLAG,
             )
-            _warned_missing.add(requested)
+            _warned_no_compiler = True
         return _REGISTRY["numpy"]
     try:
         return _REGISTRY[requested]
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {requested!r}; "
-            f"valid: auto, {', '.join(available_backends())}"
+            f"valid: auto, {', '.join(_AUTO_ORDER)}"
         ) from None
 
 
@@ -235,7 +179,7 @@ def get_backend() -> KernelBackend:
 
 
 def backend_name() -> str:
-    """Name of the active backend (``numpy``/``numba``/``cext``/``reference``)."""
+    """Name of the active backend (``numpy`` or ``cext``)."""
     return get_backend().name
 
 
@@ -259,9 +203,9 @@ def use_backend(name: str):
 
 
 def warmup() -> str:
-    """Pre-build tables / compile JIT for the active backend; returns its name.
+    """Pre-build tables / compile C for the active backend; returns its name.
 
-    Called once per trial-engine worker so JIT compilation and table
+    Called once per trial-engine worker so C compilation and table
     construction never land inside a measured trial.
     """
     backend = get_backend()
@@ -275,8 +219,8 @@ def decode_many(
     """Decode a batch of codewords (mixed lengths allowed) in one call.
 
     Codewords are grouped by length and each group handed to the active
-    backend's batch kernel, amortizing dispatch and (for numba) running
-    the whole group inside one compiled loop.  Result order matches input
+    backend's batch kernel, amortizing dispatch (the NumPy backend runs
+    the whole group through one batched blocked-ACS recursion).  Result order matches input
     order; a looped ``viterbi_decode`` is bit-for-bit identical.
     """
     backend = get_backend()
@@ -307,11 +251,11 @@ def deinterleave_rx(
     code_rate,
     fill: float = 0.0,
 ) -> np.ndarray:
-    """Composed per-symbol deinterleave + depuncture on the active backend.
+    """Composed per-symbol deinterleave + depuncture (shared by both backends).
 
     ``values`` is ``(..., n_symbols * n_cbps)`` received metrics (any
     leading batch shape); the result is ``(..., n_symbols * 2 * n_dbps)``
-    with ``fill`` at every punctured position.  Pure element moves — every
-    backend is bit-for-bit identical, batched or row by row.
+    with ``fill`` at every punctured position.  Pure element moves —
+    bit-for-bit identical batched or row by row.
     """
-    return get_backend().deinterleave_rx(values, n_cbps, n_bpsc, code_rate, fill)
+    return deinterleave_rx_numpy(values, n_cbps, n_bpsc, code_rate, fill)

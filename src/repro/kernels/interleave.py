@@ -15,19 +15,12 @@ puncture periods (24/48/96 at rate 1/2, 192 at 2/3, 36/72/144/216 at
 3/4), so the stream-tiled puncture mask always aligns to symbol
 boundaries.
 
-Three implementations share the cached tables:
-
-* :func:`deinterleave_rx_numpy` — one fancy-indexed assignment over the
-  whole ``(..., n_symbols, n_cbps)`` batch; exact by construction (pure
-  element moves, no arithmetic).
-* :func:`deinterleave_rx_numba` — the same loop JIT-compiled, used by the
-  numba backend (guarded by ``HAVE_NUMBA``; identical output).
-* :func:`deinterleave_rx_oracle` — a pure-Python nested loop kept as the
-  semantics anchor for the equivalence tests, wired to the ``reference``
-  backend.
-
-Callers go through :func:`repro.kernels.dispatch.deinterleave_rx`, which
-routes to the active backend's implementation.
+:func:`deinterleave_rx_numpy` applies them as one fancy-indexed
+assignment over the whole ``(..., n_symbols, n_cbps)`` batch; exact by
+construction (pure element moves, no arithmetic).  Both kernel backends
+share it — callers go through :func:`repro.kernels.dispatch.deinterleave_rx`
+— and the equivalence tests check it against the per-symbol loop of
+:func:`repro.kernels.oracle.deinterleave_rx_oracle`.
 """
 
 from __future__ import annotations
@@ -38,15 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.kernels.numba_backend import HAVE_NUMBA
-
-__all__ = [
-    "RxGatherTables",
-    "rx_gather_tables",
-    "deinterleave_rx_numpy",
-    "deinterleave_rx_numba",
-    "deinterleave_rx_oracle",
-]
+__all__ = ["RxGatherTables", "rx_gather_tables", "deinterleave_rx_numpy"]
 
 
 class RxGatherTables(NamedTuple):
@@ -130,70 +115,9 @@ def deinterleave_rx_numpy(
     return out.reshape(blocks.shape[:-2] + (-1,))
 
 
-if HAVE_NUMBA:  # pragma: no cover — exercised only where numba is installed
-    import numba
-
-    @numba.njit(cache=True)
-    def _deinterleave_rx_jit(blocks2d, gather, scatter, n_out, fill):
-        n_blocks = blocks2d.shape[0]
-        n_cbps = gather.shape[0]
-        out = np.full((n_blocks, n_out), fill, dtype=np.float64)
-        for b in range(n_blocks):
-            for i in range(n_cbps):
-                out[b, scatter[i]] = blocks2d[b, gather[i]]
-        return out
-
-
-def deinterleave_rx_numba(
-    values: np.ndarray,
-    n_cbps: int,
-    n_bpsc: int,
-    code_rate: Fraction,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """JIT variant of :func:`deinterleave_rx_numpy` (requires numba)."""
-    if not HAVE_NUMBA:  # pragma: no cover — defensive; dispatch gates this
-        raise RuntimeError("numba is not available")
-    tables = rx_gather_tables(n_cbps, n_bpsc, code_rate)
-    blocks = _blocks(values, n_cbps)
-    flat = np.ascontiguousarray(blocks.reshape(-1, n_cbps))
-    out = _deinterleave_rx_jit(
-        flat, tables.gather, tables.scatter, tables.n_out, float(fill)
-    )
-    return out.reshape(blocks.shape[:-2] + (-1,))
-
-
-def deinterleave_rx_oracle(
-    values: np.ndarray,
-    n_cbps: int,
-    n_bpsc: int,
-    code_rate: Fraction,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Pure-Python anchor: per-symbol loops, no vectorization."""
-    tables = rx_gather_tables(n_cbps, n_bpsc, code_rate)
-    blocks = _blocks(values, n_cbps)
-    lead = blocks.shape[:-2]
-    flat = blocks.reshape(-1, blocks.shape[-2], n_cbps)
-    out = np.full((flat.shape[0], flat.shape[1], tables.n_out), fill,
-                  dtype=np.float64)
-    for row in range(flat.shape[0]):
-        for sym in range(flat.shape[1]):
-            for i in range(n_cbps):
-                out[row, sym, int(tables.scatter[i])] = flat[
-                    row, sym, int(tables.gather[i])
-                ]
-    return out.reshape(lead + (-1,))
-
-
 def warmup_rx_gather() -> None:
-    """Pre-build the gather tables (and JIT) for every 802.11a rate."""
+    """Pre-build the gather tables for every 802.11a rate."""
     from repro.phy.params import RATE_TABLE
 
-    tiny_ok = True
     for rate in RATE_TABLE.values():
         rx_gather_tables(rate.n_cbps, rate.n_bpsc, rate.code_rate)
-        if HAVE_NUMBA and tiny_ok:  # pragma: no cover — numba-only
-            deinterleave_rx_numba(
-                np.zeros(rate.n_cbps), rate.n_cbps, rate.n_bpsc, rate.code_rate
-            )

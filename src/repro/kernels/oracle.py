@@ -2,22 +2,30 @@
 
 These are deliberately naive transcriptions of the algorithms — one
 scalar operation per loop iteration, no NumPy vectorization — so they are
-independent of both the blocked NumPy kernels and the numba JIT.  The
+independent of both the blocked NumPy kernels and the C kernel.
+:func:`viterbi_decode_oracle` is the one Viterbi semantics anchor: the
 equivalence tests decode the same inputs through every backend *and*
-these oracles and require identical bits.
+this oracle and require identical bits.
 
 Slow by design; only tests and the CI equivalence job should import this.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
+from repro.kernels.interleave import _blocks, rx_gather_tables
 from repro.phy.trellis import N_STATES, shared_trellis
 
-__all__ = ["viterbi_decode_oracle", "scramble_oracle", "demap_hard_oracle"]
+__all__ = [
+    "viterbi_decode_oracle",
+    "scramble_oracle",
+    "demap_hard_oracle",
+    "deinterleave_rx_oracle",
+]
 
 _NEG_INF = -1e18
 
@@ -112,3 +120,26 @@ def demap_hard_oracle(
         if has_q_axis:
             out.extend(axis(z.imag))
     return np.array(out, dtype=np.uint8)
+
+
+def deinterleave_rx_oracle(
+    values: np.ndarray,
+    n_cbps: int,
+    n_bpsc: int,
+    code_rate: Fraction,
+    fill: float = 0.0,
+) -> np.ndarray:
+    """Per-symbol scalar loops over the RX gather tables, no vectorization."""
+    tables = rx_gather_tables(n_cbps, n_bpsc, code_rate)
+    blocks = _blocks(values, n_cbps)
+    lead = blocks.shape[:-2]
+    flat = blocks.reshape(-1, blocks.shape[-2], n_cbps)
+    out = np.full((flat.shape[0], flat.shape[1], tables.n_out), fill,
+                  dtype=np.float64)
+    for row in range(flat.shape[0]):
+        for sym in range(flat.shape[1]):
+            for i in range(n_cbps):
+                out[row, sym, int(tables.scatter[i])] = flat[
+                    row, sym, int(tables.gather[i])
+                ]
+    return out.reshape(lead + (-1,))

@@ -6,9 +6,10 @@ register walk only ever needs to run once per seed — :func:`prbs_sequence`
 caches the 127-bit period per state and serves arbitrary lengths by tiling
 it, turning the former O(n) Python loop into an O(1)-loop ``np.tile``.
 
-:func:`prbs_sequence_reference` is the original bit-by-bit walk, kept both
-as the cache filler and as the test oracle the vectorized path is checked
-against.  :func:`prbs_state_table` precomputes the first seven output bits
+:func:`prbs_sequence_reference` is the original bit-by-bit walk, kept as
+the cache filler; the tests check the vectorized path against the
+independent :func:`repro.kernels.oracle.scramble_oracle`.
+:func:`prbs_state_table` precomputes the first seven output bits
 of all 127 states, which lets scrambler-seed recovery from the SERVICE
 field be a single vectorized table match instead of 127 sequence builds.
 """
@@ -36,7 +37,7 @@ def _check_state(state: int) -> None:
 
 
 def prbs_sequence_reference(n: int, state: int = 0b1111111) -> np.ndarray:
-    """Bit-by-bit LFSR walk — the legacy path, kept as the test oracle.
+    """Bit-by-bit LFSR walk — fills the :func:`prbs_period` cache.
 
     ``state`` packs the shift register x1..x7 with x7 in the MSB; each
     step outputs x7 XOR x4 and feeds it back into x1.

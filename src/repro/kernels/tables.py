@@ -10,16 +10,15 @@ first-occurrence tie rule reproduce the per-step ACS tie rule exactly (the
 later step's preference dominates, each preferring label 0).
 
 Because each pair metric is ``±llr_A ± llr_B``, a super-branch metric is a
-fixed ±1 linear combination of the block's ``2k`` LLRs.  :func:`block_tables`
-returns that combination two ways: a ``(2k, 64·2^k)`` *sign matrix* (one
-matmul yields every super-step's branch metrics) and a ``(k, 64·2^k)``
-*pair-index* table (``pair_index[i]`` names which of the four per-step pair
-metrics step ``i`` contributes).  The blocked kernel uses the pair-index
-form: accumulating ``k`` gathered pair metrics in fixed step order is
-batch-shape-invariant — unlike BLAS, whose summation order (and therefore
-last-ulp rounding) can differ between a ``(1, 2k)`` and a ``(64·n, 2k)``
-left operand — which is what makes the batched decoder bit-for-bit equal
-to the single-codeword path on *all* float inputs, not just exact ones.
+sum of ``k`` per-step pair metrics.  :func:`block_tables` encodes which
+pair hypothesis each step contributes as a base-4 *combo index*; the
+blocked kernel left-folds the per-step pair metrics into a ``4^k`` sums
+table and gathers through it.  Accumulating in fixed step order is
+batch-shape-invariant — unlike a BLAS matmul, whose summation order (and
+therefore last-ulp rounding) can differ between a ``(1, 2k)`` and a
+``(64·n, 2k)`` left operand — which is what makes the batched decoder
+bit-for-bit equal to the single-codeword path on *all* float inputs, not
+just exact ones.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ __all__ = ["BlockTables", "block_tables", "PAIR_SIGN_A", "PAIR_SIGN_B", "MAX_BLO
 PAIR_SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 PAIR_SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
-#: Largest supported block size.  Past ~6 the sign-matrix matmul (64·2^k
-#: columns) starts to dominate; 8 keeps the decision store in uint8.
+#: Largest supported block size; 8 keeps the decision store in uint8.
 MAX_BLOCK = 8
 
 
@@ -55,21 +53,12 @@ class BlockTables(NamedTuple):
     info_bits:
         ``(64, 2^k, k)`` uint8 — the information bits emitted along the
         super-branch, in forward step order.
-    sign_matrix_t:
-        ``(2k, 64·2^k)`` float64, C-contiguous — transposed sign matrix;
-        ``block_llrs @ sign_matrix_t`` yields the flat ``(s, j)`` branch
-        metrics of each super-step.
-    pair_index:
-        ``(k, 64·2^k)`` intp — ``pair_index[i, s * 2^k + j]`` is the pair
-        hypothesis (``2*A + B``) taken at relative step ``i`` along
-        super-branch ``j`` into state ``s``.  Gathering the per-step pair
-        metrics through it and summing in step order gives the same branch
-        metrics as the sign matrix with a *fixed*, batch-independent
-        rounding order.
     combo_index:
         ``(64·2^k,)`` intp — the base-4 digit string of a super-branch's
-        pair hypotheses, earliest step in the highest digit:
-        ``combo_index[s * 2^k + j] = Σ_i pair_index[i, ·] · 4^(k-1-i)``.
+        pair hypotheses (``2*A + B``), earliest step in the highest digit:
+        ``combo_index[s * 2^k + j] = Σ_i pair_i · 4^(k-1-i)`` where
+        ``pair_i`` is the hypothesis taken at relative step ``i`` along
+        super-branch ``j`` into state ``s``.
         The kernel left-folds the ``k`` per-step pair metrics into a
         ``4^k`` sums table (one fixed-order add tree, independent of the
         batch shape) and gathers branch metrics through this index —
@@ -79,8 +68,6 @@ class BlockTables(NamedTuple):
     k: int
     prev_state: np.ndarray
     info_bits: np.ndarray
-    sign_matrix_t: np.ndarray
-    pair_index: np.ndarray
     combo_index: np.ndarray
 
 
@@ -93,7 +80,6 @@ def block_tables(k: int) -> BlockTables:
     n_branches = 1 << k
     prev_k = np.empty((N_STATES, n_branches), dtype=np.intp)
     bits_k = np.empty((N_STATES, n_branches, k), dtype=np.uint8)
-    signs = np.zeros((N_STATES, n_branches, 2 * k))
     pair_index = np.empty((k, N_STATES * n_branches), dtype=np.intp)
     for s in range(N_STATES):
         for j in range(n_branches):
@@ -103,18 +89,12 @@ def block_tables(k: int) -> BlockTables:
             for i in range(k - 1, -1, -1):
                 x = (j >> i) & 1
                 pair = int(trellis.branch_pair[state, x])
-                signs[s, j, 2 * i] = PAIR_SIGN_A[pair]
-                signs[s, j, 2 * i + 1] = PAIR_SIGN_B[pair]
                 pair_index[i, s * n_branches + j] = pair
                 bits_k[s, j, i] = trellis.input_bit[state]
                 state = int(trellis.prev_state[state, x])
             prev_k[s, j] = state
-    sign_matrix_t = np.ascontiguousarray(
-        signs.reshape(N_STATES * n_branches, 2 * k).T
-    )
     combo_index = np.zeros(N_STATES * n_branches, dtype=np.intp)
     for i in range(k):
         combo_index = combo_index * 4 + pair_index[i]
     return BlockTables(k=k, prev_state=prev_k, info_bits=bits_k,
-                       sign_matrix_t=sign_matrix_t, pair_index=pair_index,
                        combo_index=combo_index)

@@ -1,11 +1,10 @@
-"""NumPy Viterbi kernels: blocked ACS (default, batched) and the step reference.
+"""NumPy Viterbi kernel: blocked add-compare-select, single and batched.
 
 The functions decode rate-1/2 LLR streams (``A0 B0 A1 B1 …``, positive
 favours 0, zero = erasure) into ``n_steps = len(llrs) // 2`` information
-bits.  Semantics are identical; only the execution strategy differs:
+bits, with the semantics of the scalar oracle
+(:func:`repro.kernels.oracle.viterbi_decode_oracle`):
 
-* :func:`decode_reference` — the legacy one-step-per-iteration recursion,
-  kept verbatim as the semantics anchor for equivalence tests.
 * :func:`decode_blocked_batch` — fuses ``block`` steps per iteration for a
   whole ``(B, 2n)`` batch of equal-length codewords at once.  Branch
   metrics are built by left-folding the per-step pair metrics into a
@@ -25,13 +24,13 @@ therefore last-ulp rounding — differs between gemv and gemm and between
 batch shapes; the fixed-order pair-metric accumulation removes that
 dependency at equal flop count, since ``2k ≤ 16``.)
 
-Tie handling is identical to the reference by construction: ``argmax``
+Tie handling is identical to the oracle by construction: ``argmax``
 picks the first (lowest-``j``) maximiser, and ``j``'s bit order makes
 that the same path the per-step rule keeps.  On exact-arithmetic inputs
-(integer LLRs, hard decisions, erasures) blocked and reference decoders
-are bit-for-bit interchangeable, ties included; on generic floats they
-agree wherever no exact metric tie or rounding-order coincidence occurs
-(see ``docs/performance.md``).
+(integer LLRs, hard decisions, erasures) the blocked decoder and the
+oracle are bit-for-bit interchangeable, ties included; on generic floats
+they agree wherever no exact metric tie or rounding-order coincidence
+occurs (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -39,12 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.tables import PAIR_SIGN_A, PAIR_SIGN_B, block_tables
-from repro.phy.trellis import N_STATES, shared_trellis
+from repro.phy.trellis import N_STATES
 
 __all__ = [
     "decode_blocked",
     "decode_blocked_batch",
-    "decode_reference",
     "DEFAULT_BLOCK",
     "NEG_INF",
 ]
@@ -181,39 +179,3 @@ def decode_blocked(
     if llrs.ndim != 1:
         raise ValueError("expected a flat LLR stream")
     return decode_blocked_batch(llrs[None, :], terminated, block)[0]
-
-
-def decode_reference(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
-    """The legacy step-by-step NumPy recursion (semantics anchor)."""
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.size % 2 != 0:
-        raise ValueError("LLR stream must contain whole (A, B) pairs")
-    n_steps = llrs.size // 2
-    if n_steps == 0:
-        return np.zeros(0, dtype=np.uint8)
-
-    llr_a = llrs[0::2]
-    llr_b = llrs[1::2]
-    pair_metrics = llr_a[:, None] * PAIR_SIGN_A + llr_b[:, None] * PAIR_SIGN_B
-
-    trellis = shared_trellis()
-    prev_state = trellis.prev_state
-    branch_pair = trellis.branch_pair
-
-    metric = np.full(N_STATES, NEG_INF)
-    metric[0] = 0.0
-    decisions = np.empty((n_steps, N_STATES), dtype=np.uint8)
-    for t in range(n_steps):
-        cand = metric[prev_state] + pair_metrics[t][branch_pair]
-        choice = cand[:, 1] > cand[:, 0]
-        decisions[t] = choice
-        metric = np.where(choice, cand[:, 1], cand[:, 0])
-        metric -= metric.max()  # keep metrics bounded
-
-    state = 0 if terminated else int(metric.argmax())
-    bits = np.empty(n_steps, dtype=np.uint8)
-    input_bit = trellis.input_bit
-    for t in range(n_steps - 1, -1, -1):
-        bits[t] = input_bit[state]
-        state = int(prev_state[state, decisions[t, state]])
-    return bits

@@ -8,25 +8,19 @@ the OFDM modulator.
 
 The per-bit register walk lives in :mod:`repro.kernels.scramble`; because
 the LFSR is maximal-length, every sequence is a tiling of a cached 127-bit
-period, so scrambling is a single vectorized XOR.  The original bit-by-bit
-walk is kept as :func:`scrambler_sequence_reference` — the test oracle the
-vectorized path is checked against.
+period, so scrambling is a single vectorized XOR.  The tests check it
+against the bit-at-a-time LFSR of :func:`repro.kernels.oracle.scramble_oracle`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.scramble import (
-    prbs_sequence,
-    prbs_sequence_reference,
-    prbs_state_table,
-)
+from repro.kernels.scramble import prbs_sequence, prbs_state_table
 
 __all__ = [
     "Scrambler",
     "scrambler_sequence",
-    "scrambler_sequence_reference",
     "pilot_polarity_sequence",
 ]
 
@@ -39,11 +33,6 @@ def scrambler_sequence(n: int, state: int = 0b1111111) -> np.ndarray:
     Served from the cached 127-bit period (the LFSR is maximal-length).
     """
     return prbs_sequence(n, state)
-
-
-def scrambler_sequence_reference(n: int, state: int = 0b1111111) -> np.ndarray:
-    """The original bit-by-bit LFSR walk — kept as the test oracle."""
-    return prbs_sequence_reference(n, state)
 
 
 class Scrambler:

@@ -42,9 +42,9 @@ class ViterbiDecoder:
         final state is used.
 
     The actual add-compare-select recursion is served by the active
-    compute-kernel backend (:mod:`repro.kernels`): blocked NumPy by
-    default, numba JIT when installed, selectable via
-    ``REPRO_KERNEL_BACKEND``.  All backends share identical decode
+    compute-kernel backend (:mod:`repro.kernels`): the on-demand C kernel
+    when a compiler exists, else blocked NumPy, selectable via
+    ``REPRO_KERNEL_BACKEND``.  Both backends share identical decode
     semantics (see the dispatch module's exactness contract).
     """
 
@@ -73,8 +73,8 @@ class ViterbiDecoder:
         """Decode a batch of codewords in one call (mixed lengths allowed).
 
         Bit-for-bit identical to looping :meth:`decode`; the batch entry
-        point amortizes dispatch overhead and lets the numba backend run
-        whole equal-length groups inside one compiled loop.
+        point amortizes dispatch overhead and lets the NumPy backend run
+        whole equal-length groups through one batched recursion.
 
         A single-codeword batch is routed through :meth:`decode` so the
         ``phy.viterbi`` span (with its ``n_steps``/``backend`` attributes)

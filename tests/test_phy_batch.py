@@ -24,10 +24,8 @@ import pytest
 
 from repro.channel import IndoorChannel
 from repro.cos import CosReceiver, CosTransmitter
-from repro.kernels.interleave import (
-    deinterleave_rx_numpy,
-    deinterleave_rx_oracle,
-)
+from repro.kernels.interleave import deinterleave_rx_numpy
+from repro.kernels.oracle import deinterleave_rx_oracle
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
 from repro.phy.preamble import (
     estimate_channel,
