@@ -32,14 +32,16 @@ This is the measurement the ROADMAP's dense-multi-BSS scaling work is
 gated on: the event scheduler's dispatch rate is the simulator's budget,
 and the per-callback histograms say where it goes as N grows.
 
-Culled per-event cost is close to flat in N: carrier sense sums only the
-transmissions a listener hears, and each static source's contribution
-map is built once per run.  On a 2-vCPU x86_64 host (Python 3.11) the
-committed ``BENCH_net_scaling.json`` has the culled medium at ~20.5k
-events/s at N = 16 and ~16.4k at N = 1024 (four runs on that host gave
-12.6k-19.3k at N = 1024, 1.25-1.8x below N = 16).  Part of what is
-left of the slope is each source's one-time map build, paid on its
-first frame: 15 candidates at N = 16, about 120 at N = 1024.
+Culled per-event cost is close to flat in N: carrier sense and the
+cross-coupling at frame start visit only the transmissions a listener
+hears or that are addressed to it, and each static source's
+contribution map is built once per run, testing exact power only on
+candidates inside the distance at which its power reaches the floor
+(about 17 of the grid's ~120 bounding-box candidates at N = 1024).
+On a 2-vCPU x86_64 host (Python 3.11) the committed
+``BENCH_net_scaling.json`` has the culled medium at ~34.5k events/s at
+N = 16 and ~26.5k at N = 1024; five runs on that host gave 17.5k-29.9k
+at N = 1024, 0.9-1.4x below N = 16 (a 330-event point, so noisy).
 """
 
 from __future__ import annotations

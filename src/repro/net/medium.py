@@ -33,20 +33,30 @@ Two operating modes (``mode=``):
   below ``RadioSpec.interference_floor_dbm`` dropped) is computed the
   first time it transmits and memoised, together with its fan-out list
   in MAC-registration order; every later transmission from it shares
-  that frozen contribution map.  ``set_channel`` clears the memo (and
-  copies a map before editing it, so in-flight siblings keep theirs).
-  Each static listener keeps a *hearing list*: the active static-source
-  transmissions whose map holds it, in ``_active`` order.  Carrier
-  sense then sums the listener's hearing list instead of walking every
-  transmission on the air, so its cost follows the local neighbourhood,
-  not N.  The terms it skips are exact ``+0.0`` and the summation order
-  is unchanged, so the sums are bit-identical to the full walk, which
-  is still taken while the listener is mobile or a mobile source is on
-  the air.  Interference accumulation and carrier-state fan-out are
-  dict lookups over the same local set.  With ``interference_floor_dbm
-  = -inf`` the relevant set is every node and the frozen values equal
-  the fresh ones for static topologies, making culled mode bit-for-bit
-  identical to the dense path.  Static nodes are assumed not to move
+  that frozen contribution map.  The first build skips, before any
+  path-loss call, each candidate farther than the distance at which its
+  channel step's power reaches the floor (per-step radius, widened by a
+  relative 1e-9 and memoised; infinite at a ``-inf`` floor), so the
+  exact ``p >= floor`` test only runs on a disk, not the grid's box.
+  ``set_channel`` clears the memo (and copies a map before editing it,
+  so in-flight siblings keep theirs).  Two indexes follow the active
+  set: each static listener's *hearing list* (the active static-source
+  transmissions whose map holds it) and, by destination, the active
+  transmissions addressed to each node, both in ``_active`` order.
+  Carrier sense sums the listener's hearing list instead of walking
+  every transmission on the air; ``begin`` adds a static source's
+  frozen powers to the receptions addressed to its map's listeners and
+  takes a static destination's interference from its hearing list.
+  Costs thus follow the local neighbourhood, not N.  The terms skipped
+  are exact ``+0.0`` and every sum keeps its order, so results are
+  bit-identical to the full walk, which is still taken whenever a
+  mobile node is involved.  The carrier-state fan-out compares the
+  hearing-list sum with the threshold in mW and only falls back to
+  the dBm comparison within a relative 1e-9 of it, so the verdict is
+  the same too.  With ``interference_floor_dbm = -inf`` the relevant
+  set is every node and the frozen values equal the fresh ones for
+  static topologies, making culled mode bit-for-bit identical to the
+  dense path.  Static nodes are assumed not to move
   (``Topology.invalidate`` is only used to pin a finished walker).
 * ``"dense-exact"`` — today's all-pairs semantics, recomputing every
   power from the topology at query time.  The equivalence oracle for
@@ -173,8 +183,25 @@ class Medium:
         #: Culled mode: static source -> (frozen map, ordered fan-out),
         #: built on its first transmission.
         self._static_maps: Dict[str, Tuple[Dict[str, float], List[str]]] = {}
+        #: Culled mode: destination -> its active addressed
+        #: transmissions, in ``_active`` order (empty lists dropped).
+        self._by_dst: Dict[str, List[Transmission]] = {}
+        #: Culled mode: channel step -> squared distance beyond which a
+        #: static pair's power is surely below the floor (see
+        #: :meth:`_prefilter_r2`).
+        self._prefilter: Dict[int, float] = {}
         #: Culled mode: in-flight transmissions from mobile sources.
         self._mobile_on_air = 0
+        #: Carrier-sense threshold in mW, widened by a relative 1e-9 each
+        #: way: a sensed sum outside [idle, busy) decides the verdict
+        #: without ``mw_to_dbm``; inside, the dBm comparison does.
+        cs = topology.radio.cs_threshold_dbm
+        if -300.0 <= cs <= 300.0:
+            cs_mw = dbm_to_mw(cs)
+            self._cs_idle_mw = cs_mw * (1.0 - 1e-9)
+            self._cs_busy_mw = cs_mw * (1.0 + 1e-9)
+        else:  # extreme thresholds: always take the dBm comparison
+            self._cs_idle_mw, self._cs_busy_mw = 0.0, float("inf")
         #: Airtime by kind (data / control / ack / beacon / interference), µs.
         self.airtime_us: Dict[str, float] = {}
 
@@ -297,26 +324,53 @@ class Medium:
         static source's map.  A static source's map is memoised with its
         ordered fan-out, so its transmissions share one dict.
         """
-        if tx.src in self._mobile:
+        src = tx.src
+        if src in self._mobile:
             return {}
-        memo = self._static_maps.get(tx.src)
+        memo = self._static_maps.get(src)
         if memo is not None:
             return memo[0]
         contrib: Dict[str, float] = {}
+        topo = self.topology
         floor = self._floor_dbm
         macs = self._macs
         mobile = self._mobile
-        for name in self.topology.neighbors_of(
-            tx.src, self.topology.relevance_range_m, now
-        ):
-            if (name == tx.src or name not in macs or name in contrib
+        channels = self.channel
+        src_ch = channels.get(src, 0)
+        sx, sy = topo.position(src)
+        prefilter = self._prefilter
+        for name in topo.neighbors_of(src, topo.relevance_range_m, now):
+            if (name == src or name not in macs or name in contrib
                     or name in mobile):
                 continue
-            p = self._rx_dbm(tx.src, name, now)
+            dc = abs(channels.get(name, 0) - src_ch)
+            r2 = prefilter.get(dc)
+            if r2 is None:
+                r2 = self._prefilter_r2(dc)
+            x, y = topo.position(name)
+            dx, dy = x - sx, y - sy
+            if dx * dx + dy * dy > r2:
+                continue  # surely below the floor: skip the exact test
+            p = self._rx_dbm(src, name, now)
             if p >= floor:
                 contrib[name] = dbm_to_mw(p)
-        self._static_maps[tx.src] = (contrib, self._ordered_listeners(contrib))
+        self._static_maps[src] = (contrib, self._ordered_listeners(contrib))
         return contrib
+
+    def _prefilter_r2(self, dc: int) -> float:
+        """Squared prefilter radius of :meth:`_contribution` at step ``dc``.
+
+        The distance at which a static pair ``dc`` channel steps apart
+        falls to the floor, widened by a relative 1e-9 so that rounding
+        in the path-loss model can never put a pruned pair at or above
+        it; the exact ``p >= floor`` test still decides every survivor.
+        Infinite at a ``-inf`` floor.  Memoised per ``dc``.
+        """
+        rejection = self.topology.radio.adjacent_rejection_db
+        r = self.topology.range_for_rx_dbm(self._floor_dbm + dc * rejection)
+        r *= 1.0 + 1e-9
+        r2 = self._prefilter[dc] = r * r
+        return r2
 
     def begin(self, tx: Transmission) -> None:
         """Put ``tx`` on the air; its end (and reception) is scheduled here."""
@@ -324,32 +378,29 @@ class Medium:
         tx.start_us = now
         tx.end_us = now + tx.duration_us
 
+        # Cross-couple with everything already on the air.
         culled = self._culled
         if culled:
             tx.contrib = self._contribution(tx, now)
-
-        # Cross-couple with everything already on the air.
-        for other in self._active:
-            if other.dst is not None:
-                if tx.src == other.dst:
-                    other.rx_busy = True  # other's receiver just keyed up
-                elif culled:
-                    other.interference_mw += self._pair_mw(tx, other.dst, now)
-                else:
-                    other.interference_mw += dbm_to_mw(
-                        self._rx_dbm(tx.src, other.dst, now)
-                    )
-        if tx.dst is not None:
-            tx.signal_dbm = self._rx_dbm(tx.src, tx.dst, now)
+            self._couple_culled(tx, now)
+        else:
             for other in self._active:
-                if other.src == tx.dst:
-                    tx.rx_busy = True  # destination is mid-transmission
-                elif culled:
-                    tx.interference_mw += self._pair_mw(other, tx.dst, now)
-                else:
-                    tx.interference_mw += dbm_to_mw(
-                        self._rx_dbm(other.src, tx.dst, now)
-                    )
+                if other.dst is not None:
+                    if tx.src == other.dst:
+                        other.rx_busy = True  # other's receiver just keyed up
+                    else:
+                        other.interference_mw += dbm_to_mw(
+                            self._rx_dbm(tx.src, other.dst, now)
+                        )
+            if tx.dst is not None:
+                tx.signal_dbm = self._rx_dbm(tx.src, tx.dst, now)
+                for other in self._active:
+                    if other.src == tx.dst:
+                        tx.rx_busy = True  # destination is mid-transmission
+                    else:
+                        tx.interference_mw += dbm_to_mw(
+                            self._rx_dbm(other.src, tx.dst, now)
+                        )
 
         self._active.append(tx)
         if culled:
@@ -359,6 +410,8 @@ class Medium:
                 hearing = self._hearing
                 for name in tx.contrib:
                     hearing[name].append(tx)
+            if tx.dst is not None:
+                self._by_dst.setdefault(tx.dst, []).append(tx)
         self._tx_count[tx.src] = self._tx_count.get(tx.src, 0) + 1
         self.airtime_us[tx.kind] = self.airtime_us.get(tx.kind, 0.0) + tx.duration_us
         if self.lens is not None:
@@ -371,6 +424,59 @@ class Medium:
         else:
             self._update_carrier_states()
 
+    def _couple_culled(self, tx: Transmission, now: float) -> None:
+        """Culled-mode cross-coupling of ``tx`` with the active set.
+
+        The same adds as the all-pairs walk minus its exact ``+0.0``
+        terms.  A static source adds its frozen power to each reception
+        addressed to a listener in its map (each reception gets exactly
+        one add, so visiting them by destination changes nothing), and
+        a static destination's interference is its hearing-list sum, in
+        ``_active`` order.  Pairs touching a mobile node go through
+        :meth:`_pair_mw` as before.
+        """
+        src, dst = tx.src, tx.dst
+        mobile = self._mobile
+        by_dst = self._by_dst
+        if src in mobile:
+            for other in self._active:
+                if other.dst is not None:
+                    if src == other.dst:
+                        other.rx_busy = True  # other's receiver just keyed up
+                    else:
+                        other.interference_mw += self._pair_mw(
+                            tx, other.dst, now)
+        else:
+            for other in by_dst.get(src, ()):
+                other.rx_busy = True  # other's receiver just keyed up
+            for name, p in tx.contrib.items():
+                others = by_dst.get(name)
+                if others:
+                    for other in others:
+                        other.interference_mw += p
+            for name in mobile:
+                others = by_dst.get(name)
+                if others:
+                    p = self._pair_mw(tx, name, now)
+                    for other in others:
+                        other.interference_mw += p
+        if dst is None:
+            return
+        tx.signal_dbm = self._rx_dbm(src, dst, now)
+        hearing = self._hearing.get(dst)
+        if hearing is not None and not self._mobile_on_air \
+                and dst not in mobile:
+            if self._tx_count.get(dst, 0):
+                tx.rx_busy = True  # destination is mid-transmission
+            for other in hearing:
+                tx.interference_mw += other.contrib[dst]
+            return
+        for other in self._active:
+            if other.src == dst:
+                tx.rx_busy = True  # destination is mid-transmission
+            else:
+                tx.interference_mw += self._pair_mw(other, dst, now)
+
     def _end(self, tx: Transmission) -> None:
         self._active.remove(tx)
         if self._culled:
@@ -380,6 +486,12 @@ class Medium:
                 hearing = self._hearing
                 for name in tx.contrib:
                     hearing[name].remove(tx)
+            if tx.dst is not None:
+                others = self._by_dst[tx.dst]
+                if len(others) == 1:
+                    del self._by_dst[tx.dst]
+                else:
+                    others.remove(tx)
         self._tx_count[tx.src] -= 1
 
         ok, sinr, reason = False, float("-inf"), "not_addressed"
@@ -493,9 +605,31 @@ class Medium:
         return sorted(names, key=order.__getitem__)
 
     def _update_carrier_states_for(self, names) -> None:
+        """Re-evaluate carrier sense at ``names`` (culled mode).
+
+        A static listener with no mobile on the air sums its hearing
+        list inline (:meth:`sensed_power_mw`'s indexed path) and decides
+        in mW; only a sum within 1e-9 of the threshold takes the dBm
+        comparison of :meth:`locally_busy`, so the verdict is the same.
+        """
         busy_map = self._busy
+        hearing = self._hearing
+        mobile = self._mobile
+        idle_mw, busy_mw = self._cs_idle_mw, self._cs_busy_mw
+        cs = self.topology.radio.cs_threshold_dbm
         for name in names:
-            busy = self.locally_busy(name)
+            if not self._mobile_on_air and name not in mobile:
+                total = 0.0
+                for tx in hearing[name]:
+                    total += tx.contrib[name]
+                if total >= busy_mw:
+                    busy = True
+                elif total < idle_mw:
+                    busy = False
+                else:
+                    busy = mw_to_dbm(total) >= cs
+            else:
+                busy = self.locally_busy(name)
             if busy != busy_map[name]:
                 busy_map[name] = busy
                 if self.lens is not None:

@@ -33,7 +33,7 @@ Scale-out machinery (multi-BSS refactor):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = ["RadioSpec", "Waypoint", "GridIndex", "Topology"]
@@ -89,6 +89,21 @@ class RadioSpec:
     adjacent_rejection_db: float = 25.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{f.name} must be a number, "
+                                 f"got {value!r}") from None
+            if f.name == "interference_floor_dbm":
+                if not (finite or value == float("-inf")):
+                    raise ValueError(
+                        f"{f.name} must be finite or -inf, got {value!r}")
+            elif not finite:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.path_loss_exponent <= 0.0:
+            raise ValueError("path_loss_exponent must be positive")
         if self.ref_distance_m <= 0.0:
             raise ValueError("ref_distance_m must be positive")
         if self.min_distance_m <= 0.0:

@@ -105,10 +105,32 @@ class TestTopologyInvariants:
         dict(ref_distance_m=0.0),
         dict(adjacent_rejection_db=-1.0),
         dict(bandwidth_hz=0.0),
+        dict(path_loss_exponent=0.0),
+        dict(path_loss_exponent=-2.0),
+        dict(tx_power_dbm=math.nan),
+        dict(cs_threshold_dbm=math.nan),
+        dict(adjacent_rejection_db=math.nan),
+        dict(tx_power_dbm=math.inf),
+        dict(cs_threshold_dbm=-math.inf),
+        dict(noise_figure_db="7"),
+        dict(interference_floor_dbm=math.nan),
+        dict(interference_floor_dbm=math.inf),
     ])
     def test_radio_spec_validation(self, bad):
-        with pytest.raises(ValueError):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
             RadioSpec(**bad)
+
+    def test_radio_spec_floor_may_be_minus_inf(self):
+        radio = RadioSpec(interference_floor_dbm=-math.inf)
+        assert Topology({"a": (0.0, 0.0)}, radio=radio).relevance_range_m \
+            == math.inf
+
+    def test_scenario_radio_block_is_validated(self):
+        data = builtin_scenario("hidden-node").to_dict()
+        data["radio"]["path_loss_exponent"] = 0
+        with pytest.raises(ValueError, match="path_loss_exponent"):
+            ScenarioSpec.from_dict(data)
 
     def test_static_pair_cache_is_exact(self):
         topo = Topology({f"n{i}": (i * 13.0, i * 7.0) for i in range(6)})
@@ -189,6 +211,19 @@ class TestMediumEquivalence:
         dense = run_scenario(spec.with_medium("dense-exact"), rng=4)
         assert culled.to_dict() == dense.to_dict()
         assert culled.associations == dense.associations
+
+    def test_enterprise_grid_multichannel_bit_identical_at_inf_floor(self):
+        # Four cells on three channels: adjacent-channel terms in every
+        # map, and a per-channel-step prefilter radius that is infinite.
+        spec = _with_floor(builtin_scenario("enterprise-grid", n_aps=4,
+                                            duration_us=20_000.0),
+                           float("-inf"))
+        assert len({b.channel for b in spec.bsses}) > 1
+        culled = run_scenario(spec.with_medium("culled"), rng=7)
+        dense = run_scenario(spec.with_medium("dense-exact"), rng=7)
+        assert culled.n_events > 100
+        assert json.dumps(culled.to_dict(), sort_keys=True) == \
+            json.dumps(dense.to_dict(), sort_keys=True)
 
     @pytest.mark.parametrize("scenario", ["hidden-node", "contention"])
     def test_default_floor_goodput_within_one_percent(self, scenario):

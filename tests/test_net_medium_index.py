@@ -9,13 +9,25 @@ source, and after every step compare
 
 * every active static-source transmission's map with one rebuilt here
   from the topology (channel rejection as at its start, updated for
-  listeners that retuned since), and
+  listeners that retuned since),
 * ``sensed_power_mw`` at every listener with a walk over ``_active``
-  that adds every term, zeros included — exact ``==``, not approximate.
+  that adds every term, zeros included — exact ``==``, not approximate,
+* every active addressed transmission's ``interference_mw`` and
+  ``rx_busy`` with an all-pairs reference accumulated at each ``begin``,
+* the by-destination index with a scan of ``_active``, and
+* each static listener's carrier state with the dBm verdict on that
+  walk while no mobile source is on the air (a moving pair's power
+  drifts between events, and carrier state is only re-evaluated at
+  events).
+
+Two edge tests pin the shortcuts that must not change a bit: the mW
+guard band around the carrier-sense threshold, and the first map
+build's distance prefilter at the edge of each channel step's radius.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -23,7 +35,7 @@ import pytest
 
 from repro.net import EventScheduler, RadioSpec, ReceptionModel, Topology, Waypoint
 from repro.net.medium import Medium, Transmission
-from repro.net.sinr import dbm_to_mw
+from repro.net.sinr import dbm_to_mw, mw_to_dbm
 
 FLOOR_DBM = -95.0
 RADIO = RadioSpec(path_loss_exponent=3.5, interference_floor_dbm=FLOOR_DBM)
@@ -55,6 +67,8 @@ class _Reference:
         self.topo = medium.topology
         self.static = [n for n in self.topo.names if not self.topo.is_mobile(n)]
         self.maps = {}  # static-source Transmission -> {listener: mW}
+        self.interference = {}  # addressed Transmission -> mW
+        self.rx_busy = {}  # addressed Transmission -> bool
 
     def _dbm(self, src: str, dst: str) -> float:
         p = self.topo.rx_power_dbm(src, dst, self.medium.scheduler.now_us)
@@ -66,13 +80,35 @@ class _Reference:
         p = self._dbm(src, dst)
         return dbm_to_mw(p) if p >= FLOOR_DBM else 0.0
 
-    def began(self, tx: Transmission) -> None:
-        if tx.src == MOBILE:
-            return
-        self.maps[tx] = {}
-        for name in self.static:
-            if name != tx.src and self._dbm(tx.src, name) >= FLOOR_DBM:
-                self.maps[tx][name] = self._mw(tx.src, name)
+    def _pair_mw(self, tx: Transmission, listener: str) -> float:
+        if MOBILE in (tx.src, listener):
+            return self._mw(tx.src, listener)
+        return self.maps[tx].get(listener, 0.0)
+
+    def begin(self, tx: Transmission) -> None:
+        """The expected state of ``tx`` and the active set, then begin."""
+        if tx.src != MOBILE:
+            self.maps[tx] = {}
+            for name in self.static:
+                if name != tx.src and self._dbm(tx.src, name) >= FLOOR_DBM:
+                    self.maps[tx][name] = self._mw(tx.src, name)
+        # The all-pairs cross-coupling, every term added.
+        active = self.medium._active
+        for other in active:
+            if other.dst is not None:
+                if tx.src == other.dst:
+                    self.rx_busy[other] = True
+                else:
+                    self.interference[other] += self._pair_mw(tx, other.dst)
+        if tx.dst is not None:
+            self.interference[tx] = 0.0
+            self.rx_busy[tx] = False
+            for other in active:
+                if other.src == tx.dst:
+                    self.rx_busy[tx] = True
+                else:
+                    self.interference[tx] += self._pair_mw(other, tx.dst)
+        self.medium.begin(tx)
 
     def retune(self, name: str, ch: int) -> None:
         """``medium.set_channel`` plus the maps it should touch."""
@@ -92,19 +128,29 @@ class _Reference:
         for tx in self.medium._active:
             if tx.src == listener:
                 continue
-            if MOBILE in (tx.src, listener):
-                total += self._mw(tx.src, listener)
-            else:
-                total += self.maps[tx].get(listener, 0.0)
+            total += self._pair_mw(tx, listener)
         return total
 
     def check(self) -> None:
-        for tx in self.medium._active:
+        medium = self.medium
+        active = medium._active
+        for tx in active:
             if tx.src != MOBILE:
                 assert tx.contrib == self.maps[tx]
+            if tx.dst is not None:
+                assert tx.interference_mw == self.interference[tx], tx
+                assert tx.rx_busy == self.rx_busy[tx], tx
+        assert set(medium._by_dst) == {tx.dst for tx in active} - {None}
+        mobile_on_air = any(tx.src == MOBILE for tx in active)
         for name in self.topo.names:
-            got = self.medium.sensed_power_mw(name)
-            assert np.float64(got) == np.float64(self.sensed_mw(name)), name
+            assert medium._by_dst.get(name, []) == \
+                [tx for tx in active if tx.dst == name]
+            want = self.sensed_mw(name)
+            got = medium.sensed_power_mw(name)
+            assert np.float64(got) == np.float64(want), name
+            if not mobile_on_air and name != MOBILE:
+                assert medium._busy[name] == \
+                    (mw_to_dbm(want) >= RADIO.cs_threshold_dbm), name
 
 
 def _medium(n_static: int, rng: random.Random) -> Medium:
@@ -121,11 +167,10 @@ def _medium(n_static: int, rng: random.Random) -> Medium:
     return medium
 
 
-def _begin(medium: Medium, ref: _Reference, src: str, dst, duration_us: float):
+def _begin(ref: _Reference, src: str, dst, duration_us: float):
     tx = Transmission(src=src, dst=dst, kind="data", rate_mbps=24,
                       duration_us=duration_us)
-    medium.begin(tx)
-    ref.began(tx)
+    ref.begin(tx)
     return tx
 
 
@@ -141,7 +186,7 @@ def test_sensed_power_equals_active_walk_after_every_step(seed):
         if roll < 0.45:
             src = rng.choice(names)
             dst = rng.choice([None] + [n for n in names if n != src])
-            _begin(medium, ref, src, dst, rng.uniform(50.0, 900.0))
+            _begin(ref, src, dst, rng.uniform(50.0, 900.0))
         elif roll < 0.85:
             now = medium.scheduler.now_us
             medium.scheduler.run(until_us=now + rng.uniform(0.0, 400.0))
@@ -164,8 +209,8 @@ def test_roam_copies_a_shared_map_and_freezes_the_roamers_own_frames():
     src = "n0"
     listener = max((n for n in ref.static if n != src),
                    key=lambda n: topo.rx_power_dbm(src, n))
-    first = _begin(medium, ref, src, None, 500.0)
-    second = _begin(medium, ref, src, None, 500.0)
+    first = _begin(ref, src, None, 500.0)
+    second = _begin(ref, src, None, 500.0)
     shared = first.contrib
     assert second.contrib is shared  # one memoised map per static source
     before = dict(shared)
@@ -186,7 +231,7 @@ def test_roam_copies_a_shared_map_and_freezes_the_roamers_own_frames():
     ref.retune(src, 1)
     ref.check()
     assert first.contrib == frozen and second.contrib == frozen
-    third = _begin(medium, ref, src, None, 500.0)
+    third = _begin(ref, src, None, 500.0)
     ref.check()
     assert third.contrib is not shared
     assert third.contrib[listener] == before[listener]  # co-channel again
@@ -194,3 +239,76 @@ def test_roam_copies_a_shared_map_and_freezes_the_roamers_own_frames():
     assert not medium._active
     for name in topo.names:
         assert medium.sensed_power_mw(name) == 0.0
+
+
+def _pair_medium(positions, radio=RADIO) -> Medium:
+    medium = Medium(Topology(positions, radio=radio), EventScheduler(),
+                    ReceptionModel(), np.random.default_rng(0))
+    for name in positions:
+        medium.register(_Mac(name))
+    return medium
+
+
+def test_carrier_sense_verdict_inside_the_mw_guard_band():
+    # Sweep the sensed power ulp by ulp across the threshold.  Near it,
+    # ``p >= dbm_to_mw(cs)`` and ``mw_to_dbm(p) >= cs`` disagree on a
+    # few values; the fan-out must always give the dBm verdict.
+    cs = RADIO.cs_threshold_dbm
+    threshold_mw = dbm_to_mw(cs)
+    medium = _pair_medium({"a": (0.0, 0.0), "b": (10.0, 0.0)})
+    tx = Transmission(src="a", dst=None, kind="data", rate_mbps=24,
+                      duration_us=100.0)
+    medium.begin(tx)
+    sensed = threshold_mw
+    for _ in range(40):
+        sensed = math.nextafter(sensed, 0.0)
+    verdicts, disagreements = set(), 0
+    for _ in range(80):
+        tx.contrib["b"] = sensed
+        medium._update_carrier_states_for(["b"])
+        assert medium.sensed_power_mw("b") == sensed
+        want = mw_to_dbm(sensed) >= cs
+        assert medium._busy["b"] == want, sensed
+        verdicts.add(want)
+        disagreements += (sensed >= threshold_mw) != want
+        sensed = math.nextafter(sensed, math.inf)
+    assert verdicts == {True, False} and disagreements > 0
+    assert abs(sensed / threshold_mw - 1.0) < 1e-9  # all inside the band
+
+
+def test_first_map_build_prefilter_keeps_every_pair_above_the_floor():
+    # Listeners on channel steps 0, 1 and 2 from the source, each set
+    # straddling that step's prefilter radius by 3 µm, plus a scatter.
+    rejection = RADIO.adjacent_rejection_db
+    topo = Topology({"src": (0.0, 0.0)}, radio=RADIO)
+    positions = {"src": (0.0, 0.0)}
+    channels = {}
+    for dc in (0, 1, 2):
+        r = topo.range_for_rx_dbm(FLOOR_DBM + dc * rejection)
+        for tag, xy in (("in", (r - 3e-6, 0.0)), ("out", (0.0, r + 3e-6)),
+                        ("near", (-0.5 * r, 0.0)), ("far", (0.0, -1.5 * r))):
+            positions[f"l{dc}_{tag}"] = xy
+            channels[f"l{dc}_{tag}"] = dc
+    rng = random.Random(3)
+    for i in range(40):
+        positions[f"s{i}"] = (rng.uniform(-80, 80), rng.uniform(-80, 80))
+        channels[f"s{i}"] = rng.randrange(3)
+    medium = _pair_medium(positions)
+    for name, ch in channels.items():
+        medium.set_channel(name, ch)
+    medium.begin(Transmission(src="src", dst=None, kind="data",
+                              rate_mbps=24, duration_us=100.0))
+    built = medium._static_maps["src"][0]
+
+    want = {}
+    for name in positions:
+        p = medium._rx_dbm("src", name, 0.0)
+        if name != "src" and p >= FLOOR_DBM:
+            want[name] = dbm_to_mw(p)
+    assert built == want
+    assert list(built) == [n for n in medium.topology.neighbors_of(
+        "src", medium.topology.relevance_range_m) if n in want]
+    for dc in (0, 1, 2):
+        assert f"l{dc}_in" in built and f"l{dc}_near" in built
+        assert f"l{dc}_out" not in built and f"l{dc}_far" not in built
+    assert set(medium._prefilter) == {0, 1, 2}
