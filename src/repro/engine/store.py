@@ -162,10 +162,6 @@ def canonical(obj: Any) -> Any:
     )
 
 
-def _canonical_text(obj: Any) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # Salt
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ One :class:`NetLens` instance observes one :class:`~repro.net.simulator
 the control plane, and the event scheduler.  Every hook site is guarded
 by a single ``if lens is not None`` check, so the disabled path (the
 default, and the only path thousand-node scaling runs should ever take)
-costs one attribute load + branch per site — gated by
-``benchmarks/bench_obs_overhead.py::test_net_lens_disabled_overhead``.
+costs one attribute load + branch per site — gated under 3 % of the
+run by ``lens_disabled_share`` in ``benchmarks/gates.py obs``.
 
 Three instruments, independently switchable:
 
@@ -41,9 +41,8 @@ Three instruments, independently switchable:
 * **Throughput profiler** (``profile=True``) — hooks the scheduler's
   dispatch loop to time every callback, reporting events/sec, the
   sim-time-to-wall-time ratio, and per-event-type wall-time histograms.
-  This is the measurement the ROADMAP's dense-multi-BSS scaling work is
-  gated on (``benchmarks/bench_net_scaling.py`` →
-  ``BENCH_net_scaling.json``).
+  The ``net-scaling`` gates of ``benchmarks/gates.py`` read their
+  events/sec from it (recorded in ``BENCH_gates.json``).
 
 On :meth:`finalize` the lens folds its totals into the process metrics
 registry (``repro_net_airtime_us_total``, ``repro_net_lens_events_total``,

@@ -143,7 +143,8 @@ def enterprise_grid(
     which puts the carrier-sense range (~31 m) inside the AP spacing:
     cells contend internally but transmit concurrently across the
     floor — the workload the spatial-culling medium exists for, and the
-    substrate ``benchmarks/bench_net_scaling.py`` sweeps N over.
+    substrate the ``net-scaling`` gates of ``benchmarks/gates.py`` sweep
+    N over.
     """
     if n_aps < 1:
         raise ValueError("need at least one AP")

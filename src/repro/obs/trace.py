@@ -11,7 +11,7 @@ manager unconditionally::
 When tracing is **disabled** (the default), :func:`span` returns a shared
 immutable null object: the total overhead is one global load, one ``is
 None`` test and a pair of no-op ``__enter__``/``__exit__`` calls — well
-under a microsecond (asserted by ``benchmarks/bench_obs_overhead.py``),
+under a microsecond (the ``obs`` group of ``benchmarks/gates.py`` gates it),
 so hot paths stay hot.
 
 When **enabled** (:func:`enable`), each span records wall-clock duration

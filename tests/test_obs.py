@@ -322,7 +322,7 @@ class TestSpans:
             with span("hot"):
                 pass
         per_span = (time.perf_counter() - t0) / n
-        # Hard bar is < 1 µs (bench_obs_overhead.py); allow CI slack here.
+        # Hard bar is < 1 µs (benchmarks/gates.py obs); allow CI slack here.
         assert per_span < 10e-6
 
 
