@@ -91,8 +91,12 @@ def run_trials(
     n_hits = 0
     if store_obj is not None:
         pending = []
+        # Specs of one call share their param objects (a sweep's scenario
+        # appears once per trial): render each once.  The memo lives for
+        # this call only; it holds the objects, so their ids stay theirs.
+        memo: dict = {}
         for spec in specs:
-            key = store_obj.key_for(fn, spec)
+            key = store_obj.key_for(fn, spec, memo)
             if key is not None:
                 hit, value = store_obj.get(key)
                 if hit:

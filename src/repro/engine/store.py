@@ -19,6 +19,13 @@ Key derivation (:func:`spec_key`)
 * the spec's seed entropy (root entropy + spawn key);
 * the store *salt* — see below.
 
+The key text is built in one pass by :func:`canonical_json`, which is
+byte-identical to ``json.dumps(canonical(obj), sort_keys=True,
+separators=(",", ":"))`` but never materialises the intermediate
+structure; :func:`canonical` stays the reference definition.  Callers
+that key many specs sharing param objects pass a ``memo`` (see
+:func:`spec_key`) so each shared object is rendered once.
+
 Objects that cannot be canonicalised deterministically (default
 ``object`` reprs would embed memory addresses) raise
 :class:`UncacheableSpec`; the engine treats such specs as permanent
@@ -57,14 +64,18 @@ Corrupt or truncated entries read as misses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import os
 import pickle
 import tempfile
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.utils.env import env_str
 
@@ -73,6 +84,7 @@ __all__ = [
     "STORE_ENV",
     "UncacheableSpec",
     "canonical",
+    "canonical_json",
     "store_salt",
     "spec_key",
     "ResultStore",
@@ -108,6 +120,10 @@ def canonical(obj: Any) -> Any:
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    # Before ``float``: ``np.float64`` subclasses it, and its repr
+    # ("np.float64(0.5)") varies with the numpy version.
+    if isinstance(obj, np.generic):
+        return canonical(obj.item())
     if isinstance(obj, float):
         return {"__float__": repr(obj)}
     if isinstance(obj, (bytes, bytearray)):
@@ -136,29 +152,146 @@ def canonical(obj: Any) -> Any:
                 for f in dataclasses.fields(obj)
             },
         }
-    # numpy without importing it eagerly at module import time is not a
-    # concern here (the engine already depends on numpy), but the check
-    # must not break on builds where a param is a numpy scalar/array.
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            return {
-                "__ndarray__": hashlib.sha256(
-                    np.ascontiguousarray(obj).tobytes()
-                ).hexdigest(),
-                "dtype": str(obj.dtype),
-                "shape": list(obj.shape),
-            }
-        if isinstance(obj, np.generic):
-            return canonical(obj.item())
-    except ImportError:  # pragma: no cover — numpy is a hard dependency
-        pass
+    if isinstance(obj, np.ndarray):
+        return {
+            "__ndarray__": hashlib.sha256(
+                np.ascontiguousarray(obj).tobytes()
+            ).hexdigest(),
+            "dtype": str(obj.dtype),
+            "shape": list(obj.shape),
+        }
     if isinstance(obj, Path):
         return {"__path__": str(obj)}
     raise UncacheableSpec(
         f"cannot build a deterministic cache key for {type(obj).__module__}."
         f"{type(obj).__qualname__} (value {obj!r:.120})"
+    )
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def canonical_json(obj: Any) -> str:
+    """``json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))``,
+    built in one pass.
+
+    Raises :class:`UncacheableSpec` exactly when :func:`canonical` does.
+    """
+    out: List[str] = []
+    _encode(obj, out)
+    return "".join(out)
+
+
+def _reference_json(obj: Any) -> str:
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
+def _encode(obj: Any, out: List[str]) -> None:
+    """Append the text of :func:`canonical_json` for ``obj`` to ``out``.
+
+    Exact-type dispatch: subclasses of the builtins (``np.float64`` is a
+    ``float``), bytes, arrays, sets, paths and numpy scalars are
+    rendered through :func:`canonical`.
+    """
+    t = type(obj)
+    if t is str:
+        out.append(_encode_str(obj))
+    elif t is float:
+        # A float repr is ASCII with no quote or backslash: no escaping.
+        out.append('{"__float__":"')
+        out.append(repr(obj))
+        out.append('"}')
+    elif t is int:
+        out.append(repr(obj))
+    elif obj is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is tuple or t is list:
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(",")
+            _encode(value, out)
+        out.append("]")
+    elif t is dict:
+        _encode_map(obj, out, None)
+    else:
+        layout = _dataclass_layout(t)
+        if layout is None:
+            out.append(_reference_json(obj))
+            return
+        head, fields = layout
+        out.append(head)
+        for name, prefix in fields:
+            out.append(prefix)
+            _encode(getattr(obj, name), out)
+        out.append("}}")
+
+
+def _encode_map(mapping: Dict, out: List[str], memo: Optional[Dict]) -> None:
+    """``{"__map__": [[key text, value], ...]}`` sorted by key text."""
+    pairs = sorted(
+        ((_encode_str(k) if type(k) is str else canonical_json(k), v)
+         for k, v in mapping.items()),
+        key=itemgetter(0),
+    )
+    if len({text for text, _ in pairs}) != len(pairs):
+        # Two keys render alike; canonical() breaks the tie by value.
+        out.append(_reference_json(mapping))
+        return
+    out.append('{"__map__":[')
+    for i, (text, value) in enumerate(pairs):
+        out.append(",[" if i else "[")
+        out.append(_encode_str(text))
+        out.append(",")
+        if memo is None:
+            _encode(value, out)
+        else:
+            out.append(_memo_text(value, memo))
+        out.append("]")
+    out.append("]}")
+
+
+def _memo_text(value: Any, memo: Dict[int, Tuple[Any, str]]) -> str:
+    """``canonical_json(value)`` through ``memo`` (``id -> (object, text)``).
+
+    An entry holds its object, so no other object can take that id while
+    the memo lives.  The text is only as fresh as the object, which is
+    why a memo is scoped to one sweep and never kept at module level.
+    """
+    hit = memo.get(id(value))
+    if hit is not None and hit[0] is value:
+        return hit[1]
+    text = canonical_json(value)
+    memo[id(value)] = (value, text)
+    return text
+
+
+_BUILTIN_BASES = (str, int, float, bytes, bytearray, list, tuple, set,
+                  frozenset, dict)
+
+
+@functools.lru_cache(maxsize=None)
+def _dataclass_layout(
+    cls: type,
+) -> Optional[Tuple[str, Tuple[Tuple[str, str], ...]]]:
+    """``(head, ((field, '"field":'), ...))`` for the type of a dataclass
+    instance, fields in sorted order; ``None`` for any other type.
+
+    The cache holds the class object, not its id.  A dataclass that
+    subclasses a builtin is left to :func:`canonical`, which renders it
+    as that builtin.
+    """
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, _BUILTIN_BASES):
+        return None
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    head = ('{"__dataclass__":'
+            + _encode_str(f"{cls.__module__}.{cls.__qualname__}")
+            + ',"fields":{')
+    return head, tuple(
+        (name, ("," if i else "") + _encode_str(name) + ":")
+        for i, name in enumerate(names)
     )
 
 
@@ -204,8 +337,19 @@ def _fn_token(fn: Callable) -> str:
     return f"{module}.{qualname}"
 
 
-def spec_key(fn: Callable, spec, salt: Optional[Dict[str, Any]] = None) -> str:
+def spec_key(fn: Callable, spec, salt: Optional[Dict[str, Any]] = None,
+             *, memo: Optional[Dict] = None) -> str:
     """The content address of ``fn(spec)``: a 64-hex-char sha256 digest.
+
+    The digest is over ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` where ``payload`` maps ``fn`` to the
+    function's dotted name and ``params``, ``seed`` (the spec's seed
+    entropy) and ``salt`` to their :func:`canonical` renderings.
+
+    ``memo`` (an empty dict, shared across the specs of one sweep)
+    renders each top-level param value once per object; it holds those
+    objects, so it must be dropped with the sweep, and they must not be
+    mutated while it lives.
 
     Raises :class:`UncacheableSpec` when ``fn`` or ``spec.params`` cannot
     be rendered deterministically.  The spec's ``index`` is deliberately
@@ -213,14 +357,23 @@ def spec_key(fn: Callable, spec, salt: Optional[Dict[str, Any]] = None) -> str:
     result, only the seed does, so a superset sweep re-hits the subset's
     entries.
     """
-    payload = {
-        "fn": _fn_token(fn),
-        "params": canonical(spec.params),
-        "seed": canonical(spec.seed_entropy),
-        "salt": canonical(salt if salt is not None else store_salt()),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    salt_text = canonical_json(salt if salt is not None else store_salt())
+    return _spec_key(fn, spec, salt_text, memo)
+
+
+def _spec_key(fn: Callable, spec, salt_text: str, memo: Optional[Dict]) -> str:
+    out = ['{"fn":', _encode_str(_fn_token(fn)), ',"params":']
+    params = spec.params
+    if type(params) is dict:
+        _encode_map(params, out, memo)
+    else:
+        _encode(params, out)
+    out.append(',"salt":')
+    out.append(salt_text)
+    out.append(',"seed":')
+    _encode(spec.seed_entropy, out)
+    out.append("}")
+    return hashlib.sha256("".join(out).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +392,7 @@ class ResultStore:
                  salt: Optional[Dict[str, Any]] = None) -> None:
         self.root = Path(root)
         self.salt = dict(salt) if salt is not None else store_salt()
+        self._salt_text = canonical_json(self.salt)
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -261,10 +415,14 @@ class ResultStore:
 
     # -- keys ----------------------------------------------------------
 
-    def key_for(self, fn: Callable, spec) -> Optional[str]:
-        """The entry key for ``fn(spec)``; ``None`` when uncacheable."""
+    def key_for(self, fn: Callable, spec,
+                memo: Optional[Dict] = None) -> Optional[str]:
+        """The entry key for ``fn(spec)``; ``None`` when uncacheable.
+
+        ``memo`` is :func:`spec_key`'s per-sweep render memo.
+        """
         try:
-            return spec_key(fn, spec, salt=self.salt)
+            return _spec_key(fn, spec, self._salt_text, memo)
         except UncacheableSpec as exc:
             log.debug("uncacheable spec %s: %s", getattr(spec, "index", "?"), exc)
             return None

@@ -15,7 +15,7 @@ seeds, so serial and process-pool executions are bit-for-bit identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class NodeStats:
     def mean_control_latency_us(self) -> float:
         if not self.control_latencies_us:
             return 0.0
-        return float(np.mean(self.control_latencies_us))
+        return float(_f64(self.control_latencies_us).mean())
 
     @property
     def mean_sinr_db(self) -> Optional[float]:
@@ -95,15 +95,24 @@ class NodeStats:
 
         ``None`` rather than NaN so exported summaries stay strict JSON.
         """
-        if not self.sinr_samples_db:
-            return None
-        return float(np.mean(self.sinr_samples_db))
+        return self.sinr_mean_min_db()[0]
 
     @property
     def min_sinr_db(self) -> Optional[float]:
+        return self.sinr_mean_min_db()[1]
+
+    def sinr_mean_min_db(self) -> Tuple[Optional[float], Optional[float]]:
+        """``(mean_sinr_db, min_sinr_db)`` from one array conversion."""
         if not self.sinr_samples_db:
-            return None
-        return float(np.min(self.sinr_samples_db))
+            return None, None
+        samples = _f64(self.sinr_samples_db)
+        return float(samples.mean()), float(samples.min())
+
+
+def _f64(values: List[float]) -> np.ndarray:
+    """``values`` as a float64 array (``fromiter`` with a count is the
+    fastest conversion of a long list of floats)."""
+    return np.fromiter(values, np.float64, len(values))
 
 
 @dataclass
@@ -165,6 +174,26 @@ class NetResult:
         """The canonical JSON shape — CLI ``--json``, sweep summaries, and
         tests all derive from this one method so exported fields never
         drift between surfaces."""
+        per_node = {}
+        for name, stats in self.per_node.items():
+            mean_sinr, min_sinr = stats.sinr_mean_min_db()
+            per_node[name] = {
+                "goodput_mbps": self.goodput_mbps(name),
+                "delivery_ratio": stats.delivery_ratio,
+                "completion_ratio": stats.completion_ratio,
+                "data_generated": stats.data_generated,
+                "data_attempts": stats.data_attempts,
+                "data_delivered": stats.data_delivered,
+                "data_dropped": stats.data_dropped,
+                "failures": stats.failures,
+                "control_generated": stats.control_generated,
+                "control_delivered": stats.control_delivered,
+                "roams": stats.roams,
+                "mean_control_latency_us": stats.mean_control_latency_us,
+                "mean_sinr_db": mean_sinr,
+                "min_sinr_db": min_sinr,
+                "loss_reasons": dict(stats.loss_reasons),
+            }
         out = {
             "scenario": self.scenario,
             "control": self.control,
@@ -176,26 +205,7 @@ class NetResult:
             "control_airtime_fraction": self.control_airtime_fraction,
             "airtime_us": dict(self.airtime_us),
             "n_events": self.n_events,
-            "per_node": {
-                name: {
-                    "goodput_mbps": self.goodput_mbps(name),
-                    "delivery_ratio": stats.delivery_ratio,
-                    "completion_ratio": stats.completion_ratio,
-                    "data_generated": stats.data_generated,
-                    "data_attempts": stats.data_attempts,
-                    "data_delivered": stats.data_delivered,
-                    "data_dropped": stats.data_dropped,
-                    "failures": stats.failures,
-                    "control_generated": stats.control_generated,
-                    "control_delivered": stats.control_delivered,
-                    "roams": stats.roams,
-                    "mean_control_latency_us": stats.mean_control_latency_us,
-                    "mean_sinr_db": stats.mean_sinr_db,
-                    "min_sinr_db": stats.min_sinr_db,
-                    "loss_reasons": dict(stats.loss_reasons),
-                }
-                for name, stats in self.per_node.items()
-            },
+            "per_node": per_node,
         }
         if self.associations is not None:
             out["n_roams"] = self.n_roams
@@ -524,39 +534,66 @@ def _combine_values(values: List) -> object:
     """Mean-over-trials combiner for one key of ``NetResult.to_dict``.
 
     ``None`` entries are dropped (``None`` when every trial is ``None``);
-    dicts recurse over the union of keys (a key absent from one trial —
-    a loss reason that never fired, an airtime kind never transmitted —
-    counts as zero); identical values pass through unchanged (preserving
-    strings, bools, and integer counts); differing numbers become the
-    float mean; differing non-numerics (e.g. the final association map
-    of a roaming scenario) pass through by first-trial value.
+    dicts recurse over the union of keys, in order of first appearance
+    (a key absent from one trial — a loss reason that never fired, an
+    airtime kind never transmitted — counts as zero); identical values
+    pass through unchanged (preserving strings, bools, and integer
+    counts); differing numbers become the float mean; differing
+    non-numerics (e.g. the final association map of a roaming scenario)
+    pass through by first-trial value.
+
+    The means are taken last, one ``mean(axis=1)`` over every differing
+    leaf with the same number of values: that is bit-identical to one
+    ``np.mean`` per leaf, as each row is reduced on its own.
     """
+    root: Dict = {}
+    rows: Dict[int, List[Tuple[Dict, object, List]]] = {}
+    _combine_into(root, None, values, rows)
+    for group in rows.values():
+        means = np.array([row for _, _, row in group],
+                         dtype=np.float64).mean(axis=1)
+        for (out, key, _), mean in zip(group, means.tolist()):
+            out[key] = mean
+    return root[None]
+
+
+_ABSENT = object()
+
+
+def _combine_into(out: Dict, key: object, values: List,
+                  rows: Dict[int, List[Tuple[Dict, object, List]]]) -> None:
+    """Set ``out[key]`` to the combination of ``values``; a differing
+    numeric leaf gets a placeholder (keeping key order) and joins
+    ``rows`` under its length."""
     present = [v for v in values if v is not None]
     if not present:
-        return None
+        out[key] = None
+        return
     first = present[0]
     if isinstance(first, dict):
-        keys = []
-        for v in present:
-            for k in v:
-                if k not in keys:
-                    keys.append(k)
-        out = {}
-        for k in keys:
-            sample = next(
-                (v[k] for v in present if v.get(k) is not None), None
-            )
-            missing = {} if isinstance(sample, dict) else 0
-            out[k] = _combine_values(
-                [v.get(k, missing) for v in present]
-            )
-        return out
-    if all(v == first for v in present):
-        return first
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in present):
-        return first
-    return float(np.mean(present))
+        combined: Dict = {}
+        for k in dict.fromkeys(k for v in present for k in v):
+            column = [v.get(k, _ABSENT) for v in present]
+            if _ABSENT in column:
+                sample = next((c for c in column
+                               if c is not None and c is not _ABSENT), None)
+                missing = {} if isinstance(sample, dict) else 0
+                column = [missing if c is _ABSENT else c for c in column]
+            _combine_into(combined, k, column, rows)
+        out[key] = combined
+        return
+    for v in present:
+        if v != first:
+            break
+    else:
+        out[key] = first
+        return
+    for v in present:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            out[key] = first
+            return
+    out[key] = None
+    rows.setdefault(len(present), []).append((out, key, present))
 
 
 def summarize_results(results: List[NetResult]) -> Dict:

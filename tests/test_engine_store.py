@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engine
 from repro.engine import core
@@ -28,6 +30,7 @@ from repro.engine.store import (
     ResultStore,
     UncacheableSpec,
     canonical,
+    canonical_json,
     resolve_store,
     set_default_store,
     spec_key,
@@ -101,6 +104,16 @@ class TestCanonical:
     def test_numpy_scalars_match_python_scalars(self):
         assert canonical(np.int64(5)) == canonical(5)
 
+    def test_numpy_floats_render_like_python_floats(self):
+        # np.float64 subclasses float; its repr names numpy.
+        assert canonical(np.float64(0.5)) == {"__float__": "0.5"}
+        assert canonical(np.float32(0.5)) == canonical(0.5)
+        assert canonical_json([np.float64(0.1)]) == canonical_json([0.1])
+        salt = {"schema": 1}
+        a = make_specs([{"x": np.float64(2.5)}], seed=0)[0]
+        b = make_specs([{"x": 2.5}], seed=0)[0]
+        assert spec_key(_draw_trial, a, salt) == spec_key(_draw_trial, b, salt)
+
     def test_dataclass_by_type_and_fields(self):
         a = canonical(_Config(snr_db=10.0, payload=b"hi"))
         b = canonical(_Config(snr_db=10.0, payload=b"hi"))
@@ -114,6 +127,91 @@ class TestCanonical:
 
         with pytest.raises(UncacheableSpec):
             canonical(Opaque())
+
+
+@dataclasses.dataclass
+class _Node:
+    label: object
+    children: object
+
+
+def _reference_json(obj):
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
+def _outcome(render, obj):
+    try:
+        return render(obj)
+    except Exception as exc:  # both renderings must fail alike
+        return type(exc)
+
+
+_hashable = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.binary(max_size=8)
+    | st.builds(np.float64, st.floats()) | st.builds(np.float32, st.floats(width=32))
+    | st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1))
+    | st.builds(np.bool_, st.booleans())
+    | st.builds(np.array, st.lists(st.floats(), max_size=4))
+    | st.builds(Path, st.text(alphabet="ab/.", max_size=6))
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.tuples(inner, inner)
+        | st.dictionaries(_hashable, inner, max_size=4)
+        | st.sets(_hashable, max_size=4)
+        | st.builds(_Node, inner, inner)
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_one_pass_text_equals_canonical_json(self, obj):
+        assert _outcome(canonical_json, obj) == _outcome(_reference_json, obj)
+
+    def test_keys_that_render_alike_sort_by_value(self):
+        # Two NaN keys are distinct dict keys with one rendering.
+        obj = {float("nan"): 2, float("nan"): 1}
+        assert canonical_json(obj) == _reference_json(obj)
+
+    def test_unhandled_types_fail_like_canonical(self):
+        class Opaque:
+            pass
+
+        with pytest.raises(UncacheableSpec):
+            canonical_json({"x": [Opaque()]})
+
+    def test_memo_renders_a_shared_object_once(self, monkeypatch):
+        shared = _Config(snr_db=10.0, payload=b"hi")
+        specs = make_specs([{"config": shared, "i": i} for i in range(3)], seed=0)
+        salt = {"schema": 1}
+        plain = [spec_key(_draw_trial, spec, salt) for spec in specs]
+        rendered = []
+        real = store_mod.canonical_json
+        monkeypatch.setattr(store_mod, "canonical_json",
+                            lambda obj: rendered.append(obj) or real(obj))
+        memo = {}
+        assert [spec_key(_draw_trial, spec, salt, memo=memo)
+                for spec in specs] == plain
+        assert sum(obj is shared for obj in rendered) == 1
+        assert memo[id(shared)][0] is shared
+
+    def test_memo_ignores_an_entry_for_another_object(self):
+        spec = make_specs([{"x": [1.5]}], seed=0)[0]
+        salt = {"schema": 1}
+        x = spec["x"]
+        memo = {id(x): ([1.5], "stale")}  # same id, different object
+        assert spec_key(_draw_trial, spec, salt, memo=memo) == \
+            spec_key(_draw_trial, spec, salt)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +270,14 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         assert store.put("ef" + "0" * 62, lambda: None) is False
         assert len(store) == 0
+
+    def test_key_for_matches_spec_key_under_the_store_salt(self, tmp_path):
+        store = ResultStore(tmp_path, salt={"schema": 1, "code": "x"})
+        spec = make_specs([{"x": 5, "c": _Config(1.0, b"")}], seed=3)[0]
+        assert store.key_for(_draw_trial, spec) == spec_key(_draw_trial, spec,
+                                                            store.salt)
+        assert store.key_for(_draw_trial, spec, {}) == spec_key(_draw_trial,
+                                                                spec, store.salt)
 
     def test_meta_file_written(self, tmp_path):
         ResultStore(tmp_path)
