@@ -504,12 +504,13 @@ class CosLink:
             # channel.transmit carries its own span (direct child here).
             rx_waveform = self.channel.transmit(record.frame.waveform)
 
-            next_alloc = self.controller.allocation(
-                measured, record.frame.n_data_symbols
-            )
+            # The next packet's budget is this one's: ``build`` asked the
+            # shared controller at the same SNR and symbol count, and its
+            # state only moves in ``on_data_result`` below.
             with span("cos.rx.receive"):
                 result = self.rx.receive(
-                    rx_waveform, next_target_count=next_alloc.n_control_subcarriers
+                    rx_waveform,
+                    next_target_count=record.allocation.n_control_subcarriers,
                 )
 
             with span("cos.feedback"):

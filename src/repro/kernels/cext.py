@@ -1,13 +1,17 @@
 """Optional C Viterbi backend, compiled on demand with the system compiler.
 
-The scalar add-compare-select recursion is tiny (a few dozen lines of
-C), and an ``-O3`` build of it runs the whole 64-state trellis an order
-of magnitude faster than any NumPy formulation — NumPy's per-call
-dispatch overhead is the floor there, not the arithmetic.  This module
-embeds that C source, builds it into a shared library the first time it
-is needed (``cc``/``gcc``/``clang``, whichever exists), caches the
-artifact under a content-hashed name in the per-user temp directory, and
-loads it with :mod:`ctypes`.  No toolchain, no build step, no new
+The add-compare-select recursion is tiny (a few dozen lines of C), and an
+``-O3`` build of it runs the whole 64-state trellis far faster than any
+NumPy formulation — NumPy's per-call dispatch overhead is the floor
+there, not the arithmetic.  The kernel walks the trellis in its 32
+butterflies, branch-free, so the compiler vectorises each step; the
+function is cloned per ISA (AVX-512, AVX2, baseline) where the
+toolchain supports ``target_clones``, and the loader picks the clone for
+the running CPU.  This module embeds that C source, builds it into a
+shared library the first time it is needed (``CC``, else ``cc``/``gcc``/
+``clang``, whichever exists), caches the artifact in the per-user temp
+directory under a name hashing the compiler, its flags and the source,
+and loads it with :mod:`ctypes`.  No toolchain, no build step, no new
 dependency: machines without a C compiler simply don't register the
 backend, and a failed build falls back to the blocked NumPy kernel with
 a one-time warning.
@@ -28,7 +32,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,34 +46,50 @@ _SOURCE = r"""
 #include <stdint.h>
 
 #define N_STATES 64
+#define HALF (N_STATES / 2)
 #define NEG_INF (-1e18)
 #define NORM_INTERVAL 256
 
-/* Scalar ACS Viterbi for the 802.11a K=7 rate-1/2 code.
+/* One clone per ISA, picked by the loader on the running CPU, where the
+ * toolchain can build them (GNU ifunc on x86-64 Linux); elsewhere the same
+ * body is built once for the baseline ISA. */
+#if defined(__has_attribute)
+#if __has_attribute(target_clones) && defined(__x86_64__) && defined(__linux__)
+#define ACS_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef ACS_CLONES
+#define ACS_CLONES
+#endif
+
+/* Butterfly ACS Viterbi for the 802.11a K=7 rate-1/2 code.
  *
- * llrs:        2*n_steps soft values (A0 B0 A1 B1 ...), positive => bit 0
- * prev_state:  64x2 int64, predecessor state per (state, branch)
- * branch_pair: 64x2 int64, pair-metric index per (state, branch)
- * input_bit:   64 uint8, info bit associated with each state
- * decisions:   n_steps x 64 uint8 scratch (caller-allocated)
- * bits_out:    n_steps uint8 decoded info bits
+ * llrs:      2*n_steps soft values (A0 B0 A1 B1 ...), positive => bit 0
+ * sign_a/b:  32 doubles each, +-1: butterfly s's branch metric is
+ *            bm = sign_a[s]*la + sign_b[s]*lb
+ * decisions: n_steps x 64 uint8 scratch (caller-allocated)
+ * bits_out:  n_steps uint8 decoded info bits
  *
- * Tie rule: branch 1 wins only on strict c1 > c0; unterminated start
- * state is the lowest-index maximiser.  Metrics are re-centred about
- * their peak every NORM_INTERVAL steps (a float-range guard only).
+ * Next states s and s+32 share the predecessors 2s and 2s+1, and both
+ * generators tap the newest and the shifted-out bit, so the four
+ * transitions of butterfly s carry +bm, -bm, -bm, +bm.  Tie rule: branch 1
+ * (predecessor 2s+1) wins only on strict c1 > c0; the unterminated start
+ * state is the lowest-index maximiser.  Metrics are re-centred about their
+ * peak every NORM_INTERVAL steps (a float-range guard only).
  */
+ACS_CLONES
 void viterbi_decode(
     const double *llrs,
     int64_t n_steps,
-    const int64_t *prev_state,
-    const int64_t *branch_pair,
-    const uint8_t *input_bit,
+    const double *sign_a,
+    const double *sign_b,
     int terminated,
     uint8_t *decisions,
     uint8_t *bits_out)
 {
-    double metric[N_STATES];
-    double next[N_STATES];
+    double buf[2][N_STATES];
+    double *metric = buf[0];
+    double *next = buf[1];
     int s;
     int64_t t;
 
@@ -79,19 +99,19 @@ void viterbi_decode(
     for (t = 0; t < n_steps; t++) {
         const double la = llrs[2 * t];
         const double lb = llrs[2 * t + 1];
-        const double pm[4] = {la + lb, la - lb, lb - la, -la - lb};
         uint8_t *row = decisions + t * N_STATES;
-        for (s = 0; s < N_STATES; s++) {
-            const double c0 = metric[prev_state[2 * s]] + pm[branch_pair[2 * s]];
-            const double c1 =
-                metric[prev_state[2 * s + 1]] + pm[branch_pair[2 * s + 1]];
-            if (c1 > c0) {
-                row[s] = 1;
-                next[s] = c1;
-            } else {
-                row[s] = 0;
-                next[s] = c0;
-            }
+        for (s = 0; s < HALF; s++) {
+            const double m0 = metric[2 * s];
+            const double m1 = metric[2 * s + 1];
+            const double bm = sign_a[s] * la + sign_b[s] * lb;
+            const double c00 = m0 + bm, c01 = m1 - bm; /* into s */
+            const double c10 = m0 - bm, c11 = m1 + bm; /* into s + 32 */
+            const int d0 = c01 > c00;
+            const int d1 = c11 > c10;
+            next[s] = d0 ? c01 : c00;
+            next[s + HALF] = d1 ? c11 : c10;
+            row[s] = (uint8_t)d0;
+            row[s + HALF] = (uint8_t)d1;
         }
         if ((t & (NORM_INTERVAL - 1)) == NORM_INTERVAL - 1) {
             double peak = next[0];
@@ -99,7 +119,9 @@ void viterbi_decode(
                 if (next[s] > peak) peak = next[s];
             for (s = 0; s < N_STATES; s++) metric[s] = next[s] - peak;
         } else {
-            for (s = 0; s < N_STATES; s++) metric[s] = next[s];
+            double *swap = metric;
+            metric = next;
+            next = swap;
         }
     }
 
@@ -109,9 +131,11 @@ void viterbi_decode(
         for (s = 0; s < N_STATES; s++)
             if (metric[s] > best) { best = metric[s]; state = s; }
     }
+    /* A state's MSB is the bit that entered it; its predecessor along
+     * branch d shifts d in at the bottom. */
     for (t = n_steps - 1; t >= 0; t--) {
-        bits_out[t] = input_bit[state];
-        state = (int)prev_state[2 * state + decisions[t * N_STATES + state]];
+        bits_out[t] = (uint8_t)(state >> 5);
+        state = ((state << 1) | decisions[t * N_STATES + state]) & (N_STATES - 1);
     }
 }
 """
@@ -150,20 +174,35 @@ def _cache_dir() -> str:
     return root
 
 
+#: Compiler arguments other than the file names.  No ``-march=native``:
+#: the ISA is chosen at load time by the dispatch in the source, so a
+#: cached artefact stays valid on any host; ``-ffp-contract=off`` keeps
+#: the branch metric's multiply and add unfused, as written.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _artifact_stem(compiler: str, flags: Sequence[str]) -> str:
+    """Cache name of the library ``compiler`` builds from ``_SOURCE`` with
+    ``flags``: a digest of all three, so that a new compiler (``CC``, or
+    the one ``cc`` resolves to) or new flags never reuse an old build."""
+    key = "\0".join([os.path.realpath(compiler), *flags, _SOURCE])
+    return "viterbi_" + hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
 def _build_library() -> Optional[ctypes.CDLL]:
     compiler = _find_compiler()
     if compiler is None:
         return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"viterbi_{digest}.so")
+    stem = os.path.join(cache, _artifact_stem(compiler, _FLAGS))
+    so_path = f"{stem}.so"
     if not os.path.exists(so_path):
-        src_path = os.path.join(cache, f"viterbi_{digest}.c")
+        src_path = f"{stem}.c"
         tmp_path = f"{so_path}.tmp{os.getpid()}"
         with open(src_path, "w") as fh:
             fh.write(_SOURCE)
         proc = subprocess.run(
-            [compiler, "-O3", "-fPIC", "-shared", "-o", tmp_path, src_path],
+            [compiler, *_FLAGS, "-o", tmp_path, src_path],
             capture_output=True,
             text=True,
         )
@@ -172,11 +211,9 @@ def _build_library() -> Optional[ctypes.CDLL]:
             return None
         os.replace(tmp_path, so_path)  # atomic: safe under concurrent builds
     lib = ctypes.CDLL(so_path)
-    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ptr = ctypes.c_void_p
     lib.viterbi_decode.argtypes = [
-        f64, ctypes.c_int64, i64, i64, u8, ctypes.c_int, u8, u8,
+        ptr, ctypes.c_int64, ptr, ptr, ctypes.c_int, ptr, ptr,
     ]
     lib.viterbi_decode.restype = None
     return lib
@@ -201,26 +238,39 @@ def ensure_built() -> bool:
     return _lib is not None
 
 
-_trellis_cache = None
+def _butterfly_signs() -> Tuple[np.ndarray, np.ndarray]:
+    """``(sign_a, sign_b)``: the ±1 pair-metric signs of each butterfly's
+    ``2s -> s`` branch, after checking that the shared trellis has the
+    butterfly layout the kernel hard-codes."""
+    trellis = shared_trellis()
+    ns = np.arange(N_STATES)
+    half = N_STATES // 2
+    pair = trellis.branch_pair
+    if not (
+        np.array_equal(trellis.prev_state[:, 0], (2 * ns) % N_STATES)
+        and np.array_equal(trellis.prev_state[:, 1], (2 * ns) % N_STATES + 1)
+        and np.array_equal(trellis.input_bit, ns >> 5)
+        and np.array_equal(pair[:, 1], 3 - pair[:, 0])
+        and np.array_equal(pair[half:, 0], 3 - pair[:half, 0])
+    ):
+        raise RuntimeError("trellis does not have the butterfly layout")
+    first = pair[:half, 0]
+    sign_a = np.ascontiguousarray(1.0 - 2.0 * (first >> 1), dtype=np.float64)
+    sign_b = np.ascontiguousarray(1.0 - 2.0 * (first & 1), dtype=np.float64)
+    return sign_a, sign_b
 
 
-def _trellis_args():
-    global _trellis_cache
-    if _trellis_cache is None:
-        trellis = shared_trellis()
-        _trellis_cache = (
-            np.ascontiguousarray(trellis.prev_state, dtype=np.int64),
-            np.ascontiguousarray(trellis.branch_pair, dtype=np.int64),
-            np.ascontiguousarray(trellis.input_bit, dtype=np.uint8),
-        )
-    return _trellis_cache
+_SIGN_A, _SIGN_B = _butterfly_signs()
+_SIGN_PTRS = (_SIGN_A.ctypes.data, _SIGN_B.ctypes.data)
 
 
 def decode_c(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
     """Decode one rate-1/2 LLR stream through the compiled kernel.
 
     Falls back to the blocked NumPy kernel (with a one-time warning) when
-    the library cannot be built — callers never need to care.
+    the library cannot be built — callers never need to care.  The kernel
+    takes raw pointers: this is the one place that makes the input a
+    C-contiguous float64 array and allocates the outputs.
     """
     global _warned_fallback
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
@@ -238,11 +288,10 @@ def decode_c(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
         from repro.kernels.viterbi_numpy import decode_blocked
 
         return decode_blocked(llrs, terminated)
-    prev_state, branch_pair, input_bit = _trellis_args()
     decisions = np.empty(n_steps * N_STATES, dtype=np.uint8)
     bits = np.empty(n_steps, dtype=np.uint8)
     _lib.viterbi_decode(
-        llrs, n_steps, prev_state, branch_pair, input_bit,
-        int(terminated), decisions, bits,
+        llrs.ctypes.data, n_steps, *_SIGN_PTRS,
+        int(terminated), decisions.ctypes.data, bits.ctypes.data,
     )
     return bits

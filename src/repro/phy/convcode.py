@@ -11,6 +11,7 @@ symbols.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -66,14 +67,18 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
 def _pattern_mask(code_rate: Fraction, n_pairs: int) -> np.ndarray:
+    """Flat keep-mask over ``n_pairs`` (A, B) pairs; built once, read-only."""
     try:
         pattern = PUNCTURE_PATTERNS[code_rate]
     except KeyError:
         valid = sorted(PUNCTURE_PATTERNS)
         raise ValueError(f"unsupported code rate {code_rate}; valid: {valid}") from None
     reps = -(-n_pairs // pattern.shape[0])
-    return np.tile(pattern, (reps, 1))[:n_pairs]
+    mask = np.tile(pattern, (reps, 1))[:n_pairs].reshape(-1)
+    mask.flags.writeable = False
+    return mask
 
 
 def puncture(coded: np.ndarray, code_rate: Fraction) -> np.ndarray:
@@ -81,8 +86,7 @@ def puncture(coded: np.ndarray, code_rate: Fraction) -> np.ndarray:
     coded = np.asarray(coded)
     if coded.size % 2 != 0:
         raise ValueError("coded stream must contain whole (A, B) pairs")
-    mask = _pattern_mask(code_rate, coded.size // 2).reshape(-1)
-    return coded[mask]
+    return coded[_pattern_mask(code_rate, coded.size // 2)]
 
 
 def depuncture(values: np.ndarray, code_rate: Fraction, fill: float = 0.0) -> np.ndarray:
@@ -101,7 +105,7 @@ def depuncture(values: np.ndarray, code_rate: Fraction, fill: float = 0.0) -> np
             f"puncture periods (period keeps {kept_per_period})"
         )
     n_pairs = (values.size // kept_per_period) * pattern.shape[0]
-    mask = _pattern_mask(code_rate, n_pairs).reshape(-1)
+    mask = _pattern_mask(code_rate, n_pairs)
     out = np.full(mask.size, fill, dtype=np.float64)
     out[mask] = values
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -105,9 +106,9 @@ class PhyRate:
         """Coded bits per OFDM symbol."""
         return self.n_bpsc * N_DATA_SUBCARRIERS
 
-    @property
+    @cached_property
     def n_dbps(self) -> int:
-        """Data bits per OFDM symbol."""
+        """Data bits per OFDM symbol (computed once per rate)."""
         value = Fraction(self.n_cbps) * self.code_rate
         assert value.denominator == 1
         return int(value)

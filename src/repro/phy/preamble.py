@@ -10,6 +10,7 @@ the pilot-aided noise-floor estimate (§III-C).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "generate_preamble",
     "estimate_channel",
     "estimate_channel_batch",
+    "estimate_channel_and_noise_batch",
     "estimate_noise_from_ltf",
     "estimate_noise_from_ltf_batch",
     "estimate_cfo",
@@ -59,30 +61,58 @@ _STF_NONZERO = {
 }
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=None)
 def ltf_frequency_symbol() -> np.ndarray:
-    """The known LTF values on FFT bins 0..63 (guards zero)."""
+    """The known LTF values on FFT bins 0..63 (guards zero; read-only)."""
     grid = np.zeros(N_FFT, dtype=np.complex128)
-    for offset, k in enumerate(range(-26, 27)):
-        grid[k % N_FFT] = _LTF_SEQ[offset]
-    return grid
+    grid[np.arange(-26, 27) % N_FFT] = _LTF_SEQ
+    return _read_only(grid)
 
 
+@lru_cache(maxsize=None)
 def stf_frequency_symbol() -> np.ndarray:
-    """The known STF values on FFT bins 0..63."""
+    """The known STF values on FFT bins 0..63 (read-only)."""
     grid = np.zeros(N_FFT, dtype=np.complex128)
     scale = np.sqrt(13.0 / 6.0)
     for k, value in _STF_NONZERO.items():
         grid[k % N_FFT] = scale * value
-    return grid
+    return _read_only(grid)
+
+
+@lru_cache(maxsize=None)
+def _ltf_time() -> np.ndarray:
+    """One 64-sample long training symbol in time (read-only)."""
+    return _read_only(np.fft.ifft(ltf_frequency_symbol()) * TIME_SCALE)
+
+
+@lru_cache(maxsize=None)
+def _ltf_used() -> Tuple[np.ndarray, np.ndarray]:
+    """The 52 bins the LTF occupies (a mask) and its values on them."""
+    known = ltf_frequency_symbol()
+    used = known != 0
+    return _read_only(used), _read_only(known[used])
+
+
+@lru_cache(maxsize=None)
+def _preamble() -> np.ndarray:
+    stf_time = np.fft.ifft(stf_frequency_symbol()) * TIME_SCALE
+    stf = np.tile(stf_time, 3)[:STF_SAMPLES]  # periodic with period 16
+    ltf_time = _ltf_time()
+    gi2 = ltf_time[-32:]
+    return _read_only(np.concatenate([stf, gi2, ltf_time, ltf_time]))
 
 
 def generate_preamble() -> np.ndarray:
-    """320 time-domain samples: 10 short symbols + GI2 + 2 long symbols."""
-    stf_time = np.fft.ifft(stf_frequency_symbol()) * TIME_SCALE
-    stf = np.tile(stf_time, 3)[:STF_SAMPLES]  # periodic with period 16
-    ltf_time = np.fft.ifft(ltf_frequency_symbol()) * TIME_SCALE
-    gi2 = ltf_time[-32:]
-    return np.concatenate([stf, gi2, ltf_time, ltf_time])
+    """320 time-domain samples: 10 short symbols + GI2 + 2 long symbols.
+
+    The waveform is built once; each call returns a fresh copy.
+    """
+    return _preamble().copy()
 
 
 def _ltf_ffts_batch(preambles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -95,6 +125,33 @@ def _ltf_ffts_batch(preambles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _checked_preambles(preambles: np.ndarray) -> np.ndarray:
+    preambles = np.asarray(preambles, dtype=np.complex128)
+    if preambles.ndim != 2:
+        raise ValueError("expected a (B, n_samples) preamble stack")
+    if preambles.shape[1] < PREAMBLE_SAMPLES:
+        raise ValueError("preamble slice too short")
+    return preambles
+
+
+def _channel_from_ffts(fft1: np.ndarray, fft2: np.ndarray) -> np.ndarray:
+    used, known = _ltf_used()
+    h = np.zeros((fft1.shape[0], N_FFT), dtype=np.complex128)
+    h[:, used] = 0.5 * (fft1[:, used] + fft2[:, used]) / known
+    return h
+
+
+def _noise_from_ffts(fft1: np.ndarray, fft2: np.ndarray) -> np.ndarray:
+    used, _ = _ltf_used()
+    energy = np.abs(fft1[:, used] - fft2[:, used]) ** 2
+    # The mean must reduce one row at a time: numpy's axis-1 reduction may
+    # split its pairwise summation differently than a 1-D reduction, which
+    # would make a row's estimate depend on the stack around it by an ulp.
+    # A row of a C-contiguous matrix reduces exactly like the standalone
+    # vector.
+    return np.array([float(np.mean(row)) for row in energy]) / 2.0
+
+
 def estimate_channel_batch(preambles: np.ndarray) -> np.ndarray:
     """Least-squares channel estimates from the two LTF repetitions.
 
@@ -104,17 +161,7 @@ def estimate_channel_batch(preambles: np.ndarray) -> np.ndarray:
     and the per-bin arithmetic are elementwise per packet, so row ``i``
     does not depend on the rest of the stack.
     """
-    preambles = np.asarray(preambles, dtype=np.complex128)
-    if preambles.ndim != 2:
-        raise ValueError("expected a (B, n_samples) preamble stack")
-    if preambles.shape[1] < PREAMBLE_SAMPLES:
-        raise ValueError("preamble slice too short")
-    fft1, fft2 = _ltf_ffts_batch(preambles)
-    known = ltf_frequency_symbol()
-    used = known != 0
-    h = np.zeros((preambles.shape[0], N_FFT), dtype=np.complex128)
-    h[:, used] = 0.5 * (fft1[:, used] + fft2[:, used]) / known[used]
-    return h
+    return _channel_from_ffts(*_ltf_ffts_batch(_checked_preambles(preambles)))
 
 
 def estimate_channel(preamble_samples: np.ndarray) -> np.ndarray:
@@ -131,23 +178,21 @@ def estimate_noise_from_ltf_batch(preambles: np.ndarray) -> np.ndarray:
     ``preambles`` is a ``(B, n_samples)`` stack; returns a ``(B,)`` float64
     vector.
     """
-    preambles = np.asarray(preambles, dtype=np.complex128)
-    if preambles.ndim != 2:
-        raise ValueError("expected a (B, n_samples) preamble stack")
-    fft1, fft2 = _ltf_ffts_batch(preambles)
-    used = ltf_frequency_symbol() != 0
-    energy = np.abs(fft1[:, used] - fft2[:, used]) ** 2
-    # The mean must reduce one row at a time: numpy's axis-1 reduction may
-    # split its pairwise summation differently than a 1-D reduction, which
-    # would make a row's estimate depend on the stack around it by an ulp.
-    # A row of a C-contiguous matrix reduces exactly like the standalone
-    # vector.
-    return np.array([float(np.mean(row)) for row in energy]) / 2.0
+    return _noise_from_ffts(*_ltf_ffts_batch(_checked_preambles(preambles)))
 
 
 def estimate_noise_from_ltf(preamble_samples: np.ndarray) -> float:
     """:func:`estimate_noise_from_ltf_batch` of one frame."""
     return float(estimate_noise_from_ltf_batch(np.asarray(preamble_samples)[None])[0])
+
+
+def estimate_channel_and_noise_batch(
+    preambles: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(estimate_channel_batch(p), estimate_noise_from_ltf_batch(p))``,
+    bit for bit, from one pair of LTF FFTs."""
+    ffts = _ltf_ffts_batch(_checked_preambles(preambles))
+    return _channel_from_ffts(*ffts), _noise_from_ffts(*ffts)
 
 
 def estimate_cfo(preamble_samples: np.ndarray) -> float:
@@ -186,8 +231,7 @@ def synchronize(samples: np.ndarray, search: int = 200) -> int:
     simulator the true offset is usually known; this implements the classic
     matched-filter acquisition for completeness and for the sync tests.
     """
-    ltf_time = np.fft.ifft(ltf_frequency_symbol()) * TIME_SCALE
-    template = np.conj(ltf_time[::-1])
+    template = np.conj(_ltf_time()[::-1])
     n = min(samples.size, search + PREAMBLE_SAMPLES + N_FFT)
     corr = np.abs(np.convolve(samples[:n], template, mode="valid"))
     if corr.size <= N_FFT:

@@ -19,7 +19,7 @@ travels in (``B = N`` equals ``N`` calls at ``B = 1``, bit for bit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,8 +45,7 @@ from repro.phy.preamble import (
     PREAMBLE_SAMPLES,
     SAMPLE_RATE_HZ,
     estimate_cfo,
-    estimate_channel_batch,
-    estimate_noise_from_ltf_batch,
+    estimate_channel_and_noise_batch,
     synchronize,
 )
 
@@ -111,17 +110,38 @@ class FrameObservation:
 
 @dataclass
 class RxResult:
-    """Stage-2 output: the decoded frame plus diagnostics."""
+    """Stage-2 output: the decoded frame plus diagnostics.
+
+    The receiver sets one of the two private fields behind
+    :attr:`pre_viterbi_bits`: the hard decisions themselves (hard-decision
+    mode demaps them anyway), or the equalised symbols and their
+    modulation's name, demapped on first read.
+    """
 
     mpdu: Mpdu
     signal: Optional[SignalField]
     observation: Optional[FrameObservation]
-    pre_viterbi_bits: Optional[np.ndarray] = None
     decoded: Optional[DecodedData] = None
+    _hard_bits: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _equalised: Optional[Tuple[str, np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
         return self.mpdu.fcs_ok
+
+    @property
+    def pre_viterbi_bits(self) -> Optional[np.ndarray]:
+        """Hard decisions on the equalised data symbols, one per coded bit
+        in transmit order — the uncoded BER reference (``None`` when no
+        DATA field was decoded).  Only BER studies read them, so they are
+        demapped on first access, not per packet."""
+        if self._hard_bits is None and self._equalised is not None:
+            name, symbols = self._equalised
+            self._hard_bits = get_modulation(name).demap_hard(symbols.reshape(-1))
+            self._equalised = None
+        return self._hard_bits
 
 
 class Receiver:
@@ -227,9 +247,9 @@ class Receiver:
                         -2j * np.pi * cfo * n / SAMPLE_RATE_HZ
                     )
 
-        preambles = batch[:, :PREAMBLE_SAMPLES]
-        h_est_b = estimate_channel_batch(preambles)
-        noise_ltf_b = estimate_noise_from_ltf_batch(preambles)
+        h_est_b, noise_ltf_b = estimate_channel_and_noise_batch(
+            batch[:, :PREAMBLE_SAMPLES]
+        )
 
         payload = batch[:, PREAMBLE_SAMPLES:]
         n_whole = payload.shape[1] // SYMBOL_SAMPLES
@@ -416,6 +436,7 @@ class Receiver:
             eq_g = np.stack(
                 [observations[i].eq_data_grid[:n_symbols] for i in members]
             )
+            hard_rows = None
             if self.decision == "soft":
                 csi_rows = np.stack(
                     [
@@ -435,6 +456,7 @@ class Receiver:
                 from repro.phy.viterbi import hard_bits_to_llrs
 
                 hard = modulation.demap_hard(eq_g.reshape(-1))
+                hard_rows = hard.reshape(len(members), -1)
                 llrs = hard_bits_to_llrs(hard)
             llrs = llrs.reshape(
                 len(members), n_symbols, N_DATA_SUBCARRIERS,
@@ -450,9 +472,6 @@ class Receiver:
                             f"({n_symbols}, {N_DATA_SUBCARRIERS})"
                         )
                     llrs[row, mask] = 0.0
-            pre_viterbi = modulation.demap_hard(eq_g.reshape(-1)).reshape(
-                len(members), -1
-            )
             decoded_rows = decode_data_fields(
                 llrs.reshape(len(members), -1), rate, length
             )
@@ -462,8 +481,11 @@ class Receiver:
                     mpdu=parse_mpdu(decoded_rows[row].psdu),
                     signal=obs.signal,
                     observation=obs,
-                    pre_viterbi_bits=pre_viterbi[row],
                     decoded=decoded_rows[row],
+                    _hard_bits=None if hard_rows is None else hard_rows[row],
+                    _equalised=(
+                        (rate.modulation, eq_g[row]) if hard_rows is None else None
+                    ),
                 )
         return out  # type: ignore[return-value]
 

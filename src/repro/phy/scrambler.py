@@ -14,6 +14,8 @@ against the bit-at-a-time LFSR of :func:`repro.kernels.oracle.scramble_oracle`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.kernels.scramble import prbs_sequence, prbs_state_table
@@ -74,11 +76,15 @@ class Scrambler:
         return int(hit[0]) + 1
 
 
+@lru_cache(maxsize=1024)
 def pilot_polarity_sequence(n_symbols: int) -> np.ndarray:
     """Pilot polarity p_n for ``n_symbols`` OFDM symbols as ±1 floats.
 
     Clause 18.3.5.10: p_n is the cyclic extension of the 127-bit scrambler
-    sequence seeded with all ones, mapped 0 -> +1 and 1 -> -1.
+    sequence seeded with all ones, mapped 0 -> +1 and 1 -> -1.  Built once
+    per length; the returned array is read-only.
     """
     seq = scrambler_sequence(n_symbols, 0b1111111)
-    return 1.0 - 2.0 * seq.astype(np.float64)
+    polarity = 1.0 - 2.0 * seq.astype(np.float64)
+    polarity.flags.writeable = False
+    return polarity

@@ -10,6 +10,7 @@ symbols "by simply feeding 0 instead of modulated data symbols" (§III-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,22 @@ from repro.phy.plcp import (
 from repro.phy.preamble import generate_preamble
 
 __all__ = ["TxFrame", "Transmitter"]
+
+
+@lru_cache(maxsize=1024)
+def _header_samples(rate: PhyRate, length: int) -> np.ndarray:
+    """Preamble + SIGNAL symbol samples (read-only).
+
+    Neither depends on the payload, only on the rate and the PSDU length,
+    so each pair is encoded, mapped and IFFT'd once.
+    """
+    signal_symbols = signal_bits_to_symbols(
+        encode_signal_bits(rate, length)
+    ).reshape(1, N_DATA_SUBCARRIERS)
+    signal_grid = map_to_grid(signal_symbols, symbol_offset=0)
+    header = np.concatenate([generate_preamble(), grid_to_time(signal_grid)])
+    header.flags.writeable = False
+    return header
 
 
 @dataclass(frozen=True)
@@ -108,16 +125,10 @@ class Transmitter:
                 )
 
         sent_symbols = np.where(silence_mask, 0.0 + 0.0j, data_symbols)
-
-        signal_symbols = signal_bits_to_symbols(
-            encode_signal_bits(rate, len(psdu))
-        ).reshape(1, N_DATA_SUBCARRIERS)
-
-        signal_grid = map_to_grid(signal_symbols, symbol_offset=0)
         data_grid = map_to_grid(sent_symbols, symbol_offset=1)
 
         waveform = np.concatenate(
-            [generate_preamble(), grid_to_time(signal_grid), grid_to_time(data_grid)]
+            [_header_samples(rate, len(psdu)), grid_to_time(data_grid)]
         )
         return TxFrame(
             waveform=waveform,

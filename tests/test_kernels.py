@@ -14,6 +14,9 @@ they are checked once against their scalar oracles.
 
 from __future__ import annotations
 
+import functools
+import os
+
 import numpy as np
 import pytest
 
@@ -51,15 +54,20 @@ needs_cc = pytest.mark.skipif(
 BACKENDS = ["numpy", pytest.param("cext", marks=needs_cc)]
 
 
-def _integer_llrs(rng, n_info: int, erasure_frac: float = 0.25) -> np.ndarray:
+def _integer_llrs(
+    rng, n_info: int, erasure_frac: float = 0.25, tail: bool = True
+) -> np.ndarray:
     """Exact-arithmetic LLR battery: integer scales + zeroed erasures.
 
     Integer-valued LLRs keep every partial path metric integral, so the
     exactness contract guarantees identical output (ties included) from
-    every backend regardless of summation order.
+    every backend regardless of summation order.  ``tail`` appends the six
+    zeros that terminate the trellis (``n_info + 6`` steps in all).
     """
     info = rng.integers(0, 2, n_info, dtype=np.uint8)
-    coded = conv_encode(np.concatenate([info, np.zeros(6, dtype=np.uint8)]))
+    if tail:
+        info = np.concatenate([info, np.zeros(6, dtype=np.uint8)])
+    coded = conv_encode(info)
     llrs = hard_bits_to_llrs(coded).astype(np.float64)
     llrs *= rng.integers(0, 4, llrs.size)  # scale 0 doubles as an erasure
     erase = rng.random(llrs.size) < erasure_frac
@@ -70,6 +78,21 @@ def _integer_llrs(rng, n_info: int, erasure_frac: float = 0.25) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Viterbi: every backend vs the scalar oracle
 # ---------------------------------------------------------------------------
+
+#: Stream lengths around the kernels' 256-step renormalisation interval,
+#: well past it, and one 512-B packet at 54 Mbps (4,350 steps).
+RENORM_STEPS = (255, 256, 257, 600, 4350)
+
+
+@functools.lru_cache(maxsize=None)
+def _renorm_case(n_steps: int, terminated: bool):
+    """An integer-LLR stream of ``n_steps`` steps and its oracle decode
+    (built once: the scalar oracle takes a while at 4,350 steps)."""
+    rng = np.random.default_rng([n_steps, terminated])
+    n_info = n_steps - 6 if terminated else n_steps
+    llrs = _integer_llrs(rng, n_info, tail=terminated)
+    return llrs, viterbi_decode_oracle(llrs, terminated)
+
 
 
 class TestViterbiBackendsVsOracle:
@@ -99,6 +122,18 @@ class TestViterbiBackendsVsOracle:
         expected = viterbi_decode_oracle(llrs, terminated=False)
         with use_backend(backend) as be:
             got = be.viterbi_decode(llrs, False)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("n_steps", RENORM_STEPS)
+    def test_streams_crossing_renormalisation(self, backend, terminated, n_steps):
+        """Both kernels re-centre their metrics every 256 steps (the oracle
+        every step): on either side of that boundary, well past it and
+        over one 512-B packet, the decoded bits must not move."""
+        llrs, expected = _renorm_case(n_steps, terminated)
+        with use_backend(backend) as be:
+            got = be.viterbi_decode(llrs, terminated)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -204,6 +239,45 @@ class TestDispatch:
     def test_warmup_is_idempotent_and_names_backend(self):
         assert warmup() == dispatch.backend_name()
         assert warmup() == dispatch.backend_name()
+
+
+class TestCextBuildCache:
+    """The cached library is named by compiler, flags and source together."""
+
+    def test_equal_inputs_share_a_name(self):
+        stem = cext._artifact_stem("/usr/bin/gcc", cext._FLAGS)
+        assert stem == cext._artifact_stem("/usr/bin/gcc", tuple(cext._FLAGS))
+
+    def test_compiler_changes_the_name(self):
+        assert cext._artifact_stem("/usr/bin/gcc", cext._FLAGS) != (
+            cext._artifact_stem("/usr/bin/clang", cext._FLAGS)
+        )
+
+    def test_flags_change_the_name(self):
+        base = cext._artifact_stem("/usr/bin/gcc", cext._FLAGS)
+        assert base != cext._artifact_stem("/usr/bin/gcc", cext._FLAGS[1:])
+        assert base != cext._artifact_stem(
+            "/usr/bin/gcc", (*cext._FLAGS, "-march=x86-64")
+        )
+        # Order matters to a compiler, so it matters to the name.
+        assert base != cext._artifact_stem("/usr/bin/gcc", cext._FLAGS[::-1])
+
+    def test_source_changes_the_name(self, monkeypatch):
+        base = cext._artifact_stem("/usr/bin/gcc", cext._FLAGS)
+        monkeypatch.setattr(cext, "_SOURCE", cext._SOURCE + "\n")
+        assert base != cext._artifact_stem("/usr/bin/gcc", cext._FLAGS)
+
+    @needs_cc
+    def test_new_flags_build_a_new_library(self, monkeypatch, tmp_path):
+        """A stale build must not be loaded after the flags change."""
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+        assert cext._build_library() is not None
+        monkeypatch.setattr(cext, "_FLAGS", ("-O1", *cext._FLAGS[1:]))
+        lib = cext._build_library()
+        assert lib is not None
+        built = sorted(p for p in os.listdir(tmp_path) if p.endswith(".so"))
+        assert len(built) == 2
+        assert os.path.basename(lib._name) in built
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,32 @@ class TestSpans:
         assert [e["name"] for e in events] == ["inner", "outer"]
         assert events[0]["labels"]["n"] == 5  # numpy scalar became JSON int
 
+    def test_jsonl_text_equals_converted_event(self):
+        """The sink encodes numpy values in place; its text must equal the
+        JSON of the fully converted event, numpy scalars, arrays, nested
+        containers and special floats included."""
+        import io
+
+        from repro.obs.sink import JsonlSink, _jsonable
+
+        events = [
+            {"a": np.float64(0.1), "b": np.float32(1.5), "c": np.int64(-3),
+             "d": np.bool_(True), "e": np.array([[1, 2], [3, 4]], dtype=np.uint8),
+             "f": (np.float64(2.0) / 3, [np.int32(7), {"g": np.array([0.5])}]),
+             "h": float("nan"), "i": np.float64("inf"), "j": None, "k": "x"},
+            {"mask": np.zeros((2, 3), dtype=bool), "n": np.array(np.float16(0.1))},
+        ]
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        for event in events:
+            sink.emit(event)
+        want = "".join(
+            json.dumps(_jsonable(e), separators=(",", ":")) + "\n" for e in events
+        )
+        assert buffer.getvalue() == want
+        with pytest.raises(TypeError):
+            sink.emit({"s": {1, 2}})
+
     def test_noop_fast_path_is_cheap(self):
         n = 50_000
         t0 = time.perf_counter()

@@ -29,6 +29,7 @@ from repro.kernels.oracle import deinterleave_rx_oracle
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
 from repro.phy.preamble import (
     estimate_channel,
+    estimate_channel_and_noise_batch,
     estimate_channel_batch,
     estimate_noise_from_ltf,
     estimate_noise_from_ltf_batch,
@@ -188,6 +189,9 @@ def test_batched_preamble_estimators_match_scalar():
     preambles = np.stack(waves)
     h_batch = estimate_channel_batch(preambles)
     noise_batch = estimate_noise_from_ltf_batch(preambles)
+    h_joint, noise_joint = estimate_channel_and_noise_batch(preambles)
+    assert np.array_equal(h_joint, h_batch)
+    assert np.array_equal(noise_joint, noise_batch)
     for i, wave in enumerate(waves):
         assert np.array_equal(h_batch[i], estimate_channel(wave))
         assert noise_batch[i] == estimate_noise_from_ltf(wave)
