@@ -32,9 +32,9 @@ Commands
     the summary JSON also gains ``ledger``/``profile`` sections).
     Trials go through the deterministic engine: serial and
     ``--workers N`` results are bit-for-bit identical.
-    ``--fidelity table|phy|surrogate`` overrides how CoS message
-    delivery is decided (analytic operating points, live PHY runs, or
-    the prebuilt measured-PHY surrogate table).  ``--controller NAME``
+    ``--fidelity table|surrogate`` overrides how CoS message delivery
+    is decided (analytic operating points or the measured-PHY surrogate
+    table).  ``--controller NAME``
     swaps the rate controller (:mod:`repro.ratectl`, default
     ``snr-threshold``;
     ``REPRO_CONTROLLER`` is the env fallback, ``net list`` prints the
@@ -130,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="network stage: contention model (fast = slotted "
                           "DCF, net = spatial SINR simulator)")
 
+    from repro.net import COS_FIDELITIES, ERROR_MODELS
+
     net = sub.add_parser(
         "net", help="run multi-node WLAN scenarios (repro.net)"
     )
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the first trial's net event trace as "
                               "JSONL ('-' for stdout; feed to "
                               "'repro obs timeline')")
-    net_run.add_argument("--fidelity", choices=["table", "phy", "surrogate"],
+    net_run.add_argument("--fidelity", choices=COS_FIDELITIES,
                          default=None,
                          help="override the scenario's CoS fidelity "
                               "(surrogate = measured-PHY tables, see "
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "minstrel, samplerate, snr-threshold; default: "
                               "REPRO_CONTROLLER or the scenario's "
                               "controller")
-    net_run.add_argument("--error-model", choices=["sigmoid", "surrogate"],
+    net_run.add_argument("--error-model", choices=ERROR_MODELS,
                          default=None, dest="error_model",
                          help="override how data-frame fates are drawn "
                               "(surrogate = measured-PHY PRR curves)")
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_cmp.add_argument("--workers", type=int, default=None, metavar="N",
                          help="trial-engine worker processes (0 = serial; "
                               "default: REPRO_WORKERS or serial)")
-    net_cmp.add_argument("--error-model", choices=["sigmoid", "surrogate"],
+    net_cmp.add_argument("--error-model", choices=ERROR_MODELS,
                          default="surrogate", dest="error_model",
                          help="frame-fate error model for every cell "
                               "(default: surrogate — measured-PHY curves)")
@@ -430,7 +432,7 @@ def _cmd_net_tables(args, log) -> int:
     print(
         f"CoS accuracy: {float(cos.min()):.2f}..{float(cos.max()):.2f} over "
         f"{int(table.cos_grid_db[0])}..{int(table.cos_grid_db[-1])} dB "
-        f"(phy-fidelity semantics: seed {table.spec.cos_seed}, "
+        f"(closed-loop measure_cos_point: seed {table.spec.cos_seed}, "
         f"{table.spec.cos_n_packets} packets)"
     )
     return 0

@@ -22,11 +22,11 @@ from repro.cos.silence import SilencePlanner
 from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
-    phy_pair,
     print_table,
     scaled,
+    send_probe_packets,
 )
-from repro.phy import RATE_TABLE, build_mpdu
+from repro.phy import RATE_TABLE
 from repro.phy.params import N_DATA_SUBCARRIERS
 
 __all__ = [
@@ -50,40 +50,31 @@ def _subcarrier_order(channel, strategy: str, rng: np.random.Generator) -> np.nd
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _prr_with_placement(
-    config: ExperimentConfig,
-    snr_db: float,
-    rate_mbps: int,
-    n_control: int,
-    groups: int,
-    strategy: str,
-    n_packets: int,
-    use_erasures: bool = True,
-) -> float:
-    """PRR with ``groups`` interval groups on subcarriers picked by strategy.
+def _trial(spec: engine.TrialSpec) -> float:
+    """One grid cell: PRR with ``groups`` interval groups on the 16
+    subcarriers ``strategy`` picks.
 
-    Detection is bypassed (the true silence mask is used) so the ablation
-    isolates the *decoding* cost of placement, not detector behaviour.
+    Detection is bypassed (the true silence mask is used, or no erasures
+    for error-only decoding) so the ablation isolates the *decoding*
+    cost of placement, not detector behaviour.
     """
-    rate = RATE_TABLE[rate_mbps]
-    tx, rx = phy_pair()
-    psdu = build_mpdu(config.payload)
+    config: ExperimentConfig = spec["config"]
+    rate = RATE_TABLE[spec["rate_mbps"]]
+    n_symbols = rate.n_symbols_for(len(config.payload) + 4)  # + FCS
     rng = np.random.default_rng(config.seed + 13)
-    channel = config.channel(snr_db)
-    ok = 0
-    for _ in range(n_packets):
-        order = _subcarrier_order(channel, strategy, rng)
-        planner = SilencePlanner(sorted(int(c) for c in order[:n_control]))
-        bits = rng.integers(0, 2, size=4 * groups, dtype=np.uint8)
-        plan = planner.plan(bits, rate.n_symbols_for(len(psdu)))
-        frame = tx.transmit(psdu, rate, silence_mask=plan.mask)
-        result = rx.receive(
-            channel.transmit(frame.waveform),
-            erasure_mask=frame.silence_mask if use_erasures else None,
-        )
-        ok += result.ok
-        channel.evolve(1e-3)
-    return ok / n_packets
+
+    def silence(channel) -> np.ndarray:
+        order = _subcarrier_order(channel, spec["strategy"], rng)
+        planner = SilencePlanner(sorted(int(c) for c in order[:16]))
+        bits = rng.integers(0, 2, size=4 * spec["groups"], dtype=np.uint8)
+        return planner.plan(bits, n_symbols).mask
+
+    results = send_probe_packets(
+        config.channel(spec["snr_db"]), rate, spec["n_packets"],
+        payload=config.payload, silence=silence,
+        erasures="true" if spec["use_erasures"] else "none",
+    )
+    return sum(result.ok for _, result in results) / spec["n_packets"]
 
 
 @dataclass
@@ -101,20 +92,6 @@ class PlacementResult:
             for s in self.prr
             if s != "weak"
         )
-
-
-def _trial(spec: engine.TrialSpec) -> float:
-    """One grid cell: PRR of one (strategy, insertion-rate) pair."""
-    return _prr_with_placement(
-        spec["config"],
-        spec["snr_db"],
-        spec["rate_mbps"],
-        16,
-        spec["groups"],
-        spec["strategy"],
-        spec["n_packets"],
-        use_erasures=spec["use_erasures"],
-    )
 
 
 def _default_groups_grid(config: ExperimentConfig, rate_mbps: int) -> List[int]:

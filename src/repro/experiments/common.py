@@ -11,18 +11,19 @@ module-level trial function plus a reduction, and ``workers``
 (``--workers`` / ``REPRO_WORKERS``) selects serial or process-pool
 execution with bit-identical results.  :func:`init_phy_worker` is the
 engine ``init`` hook that pre-builds one ``Transmitter``/``Receiver``
-pair per worker process; :func:`send_probe_packets` reuses that pair
-instead of reconstructing the PHY per call.
+pair per worker process; :func:`send_probe_packets`, the one packet
+probe of every open-loop harness, reuses that pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.channel import IndoorChannel
+from repro.cos.link import CosReceiver
 from repro.engine.worker import worker_state
-from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
+from repro.phy import Receiver, Transmitter, build_mpdu
 from repro.phy.params import PhyRate
 from repro.utils.env import env_bool
 
@@ -126,24 +127,39 @@ def send_probe_packets(
     n_packets: int,
     payload: bytes = DEFAULT_PAYLOAD,
     gap_s: float = 1e-3,
+    *,
+    silence: Optional[Callable] = None,
+    erasures: str = "none",
 ) -> List:
-    """Send ``n_packets`` plain (silence-free) packets, returning RxResults
-    paired with their TxFrames: ``[(tx_frame, rx_result), ...]``.
+    """Send ``n_packets`` packets at a fixed rate through ``channel``, then
+    receive them as one batch: ``[(tx_frame, rx_result), ...]``.
 
-    Uses the per-worker PHY pair from :func:`phy_pair` — call sites no
-    longer construct a fresh ``Transmitter``/``Receiver`` per batch.
+    Each packet carries the mask ``silence(channel)`` builds from the
+    channel it is sent through (silence-free without ``silence``); the
+    channel then evolves ``gap_s``.  ``erasures``: ``"none"``, ``"true"``
+    (the sent silence masks) or ``"detector"`` (``CosReceiver``'s energy
+    detector; results are then ``CosRxResult``).
     """
+    if n_packets < 1:
+        raise ValueError(f"n_packets must be >= 1, got {n_packets}")
+    if erasures not in ("none", "true", "detector"):
+        raise ValueError(f"unknown erasures {erasures!r}: none|true|detector")
     tx, rx = phy_pair()
     psdu = build_mpdu(payload)
-    frames = []
-    waves = []
+    frames, waves = [], []
     for _ in range(n_packets):
-        frame = tx.transmit(psdu, rate)
+        mask = silence(channel) if silence is not None else None
+        frame = tx.transmit(psdu, rate, silence_mask=mask)
         frames.append(frame)
         waves.append(channel.transmit(frame.waveform))
         channel.evolve(gap_s)
     # All channel randomness is consumed during the TX loop above (the
     # receiver never touches the channel), so receiving afterwards is
     # bit-exact with receiving each packet as it is sent — and the probes
-    # go through ``receive_many`` as one batch of FFTs/demaps/Viterbi calls.
-    return list(zip(frames, rx.receive_many(waves)))
+    # go through one batch of FFTs/demaps/Viterbi calls.
+    if erasures == "detector":
+        results = CosReceiver(phy_receiver=rx).receive_many(waves)
+    else:
+        masks = [f.silence_mask for f in frames] if erasures == "true" else None
+        results = rx.receive_many(waves, masks)
+    return list(zip(frames, results))

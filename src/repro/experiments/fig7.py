@@ -25,11 +25,11 @@ from repro.cos.evm import error_vector_magnitudes, nabla_evm
 from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
-    phy_pair,
     print_table,
     scaled,
+    send_probe_packets,
 )
-from repro.phy import RATE_TABLE, build_mpdu
+from repro.phy import RATE_TABLE
 
 __all__ = ["TemporalResult", "run", "print_result"]
 
@@ -69,11 +69,10 @@ def _snapshot(channel, rate, payload, n_avg: int = 12) -> Optional[np.ndarray]:
     reflects channel drift, as in the paper's trace-based measurement.
     The channel is *not* evolved between the averaging packets.
     """
-    tx, rx = phy_pair()
     snapshots = []
-    for _ in range(n_avg):
-        frame = tx.transmit(build_mpdu(payload), rate)
-        result = rx.receive(channel.transmit(frame.waveform))
+    for frame, result in send_probe_packets(
+        channel, rate, n_avg, payload=payload, gap_s=0.0
+    ):
         obs = result.observation
         if obs is None or obs.eq_data_grid.shape[0] < frame.n_data_symbols:
             continue

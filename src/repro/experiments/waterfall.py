@@ -20,11 +20,11 @@ from repro import engine
 from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
-    phy_pair,
     print_table,
     scaled,
+    send_probe_packets,
 )
-from repro.phy import RATE_TABLE, build_mpdu
+from repro.phy import RATE_TABLE
 
 __all__ = ["WaterfallResult", "run", "print_result"]
 
@@ -58,16 +58,14 @@ class WaterfallResult:
 def _trial(spec: engine.TrialSpec) -> float:
     """PER of one (rate, SNR) grid cell over its packet budget."""
     config: ExperimentConfig = spec["config"]
-    tx, rx = phy_pair()
-    psdu = build_mpdu(bytes(spec["payload_octets"]))
+    payload = bytes(spec["payload_octets"])
     rate = RATE_TABLE[spec["rate_mbps"]]
     n_packets = spec["n_packets"]
     failures = 0
     for i in range(n_packets):
         channel = config.channel(spec["snr_db"], seed_offset=13 * i)
-        frame = tx.transmit(psdu, rate)
-        if not rx.receive(channel.transmit(frame.waveform)).ok:
-            failures += 1
+        ((_, result),) = send_probe_packets(channel, rate, 1, payload=payload)
+        failures += not result.ok
     return failures / n_packets
 
 
@@ -86,6 +84,8 @@ def run(
     """
     config = config or ExperimentConfig(position="C")
     n_packets = n_packets if n_packets is not None else scaled(12, 100)
+    if n_packets < 1:
+        raise ValueError(f"n_packets must be >= 1, got {n_packets}")
     if snrs_db is None:
         snrs_db = np.arange(0.0, 26.0, 2.0)
 

@@ -45,7 +45,7 @@ from repro.net.sinr import (
 )
 from repro.net.medium import MEDIUM_MODES, Medium, Transmission
 from repro.net.mac import NetFrame, NodeMac
-from repro.net.control import ControlMessage, ControlPlane, ControlRouter
+from repro.net.control import COS_FIDELITIES, ControlMessage, ControlPlane, ControlRouter
 from repro.net.bss import BssRuntime
 from repro.net.traffic import TRAFFIC_MODELS, arrival_times
 from repro.net.scenario import (
@@ -107,6 +107,7 @@ __all__ = [
     "TrafficSpec",
     "ScenarioSpec",
     "ERROR_MODELS",
+    "COS_FIDELITIES",
     "EventProfiler",
     "NetLens",
     "BUILTIN_SCENARIOS",

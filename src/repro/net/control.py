@@ -19,15 +19,13 @@ The two delivery mechanisms are the heart of the paper's comparison:
   too — carry the silences (a modelling extension documented in
   docs/network.md).
 
-``cos_fidelity="phy"`` replaces the operating-point table with a
-delivery probability *measured* by running the real ``cos.link`` PHY
-stack at the carrier's SINR (cached per integer dB) — expensive, so
-meant for small scenarios.  ``cos_fidelity="surrogate"`` replays those
-same measurements from a prebuilt table
+``cos_fidelity="surrogate"`` replaces the operating-point table with a
+delivery probability *measured* on the real ``cos.link`` PHY stack
+(:func:`repro.phy.surrogate.measure_cos_point`, one closed-loop session
+per integer dB) and replayed from a prebuilt table
 (:class:`repro.net.sinr.SinrModel` over a
-:class:`repro.phy.surrogate.SurrogateTable`): identical values on the
-table's integer-dB grid, at table-lookup cost — measured fidelity at
-any scenario scale.
+:class:`repro.phy.surrogate.SurrogateTable`) at table-lookup cost —
+measured fidelity at any scenario scale.
 """
 
 from __future__ import annotations
@@ -46,36 +44,18 @@ __all__ = [
     "ControlMessage",
     "ControlPlane",
     "ControlRouter",
-    "measured_cos_delivery_prob",
+    "COS_FIDELITIES",
     "OVERHEAR_FLOOR_DB",
 ]
+
+#: How embedded CoS delivery is decided: operating points or surrogate.
+COS_FIDELITIES = ("table", "surrogate")
 
 #: Minimum SINR at which silence-level energy detection still works when
 #: the data payload does not decode (Tag-Spotting: control reaches beyond
 #: the data-communication range).  Matches the bottom of the measured
 #: CoS-accuracy grid (:class:`repro.phy.surrogate.SurrogateSpec`).
 OVERHEAR_FLOOR_DB = -2.0
-
-_PHY_PROB_CACHE: Dict[int, float] = {}
-
-
-def measured_cos_delivery_prob(snr_db: float) -> float:
-    """Estimate per-message CoS accuracy by running the full PHY link.
-
-    :func:`repro.phy.surrogate.measure_cos_point` at the default
-    :class:`~repro.phy.surrogate.SurrogateSpec`'s CoS position, seed and
-    packet count, cached per rounded dB (process-local), because a
-    ``CosLink`` session costs real OFDM modulation + Viterbi decoding.
-    """
-    key = int(round(snr_db))
-    if key not in _PHY_PROB_CACHE:
-        from repro.phy.surrogate import SurrogateSpec, measure_cos_point
-
-        spec = SurrogateSpec()
-        _PHY_PROB_CACHE[key] = measure_cos_point(
-            spec.cos_position, key, spec.cos_seed, spec.cos_n_packets
-        )
-    return _PHY_PROB_CACHE[key]
 
 
 @dataclass
@@ -110,7 +90,7 @@ class ControlPlane:
     ) -> None:
         if mode not in ("explicit", "cos"):
             raise ValueError(f"unknown control mode {mode!r}")
-        if cos_fidelity not in ("table", "phy", "surrogate"):
+        if cos_fidelity not in COS_FIDELITIES:
             raise ValueError(f"unknown cos_fidelity {cos_fidelity!r}")
         self.mode = mode
         self.rng = rng
@@ -268,9 +248,7 @@ class ControlPlane:
                          now: float) -> None:
         p = self.cos_delivery_prob
         if p is None:
-            if self.cos_fidelity == "phy":
-                p = measured_cos_delivery_prob(carrier_sinr_db)
-            elif self.cos_fidelity == "surrogate":
+            if self.cos_fidelity == "surrogate":
                 from repro.net.sinr import SinrModel
 
                 p = SinrModel.default().cos_delivery_prob(carrier_sinr_db)

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.net.control import COS_FIDELITIES
 from repro.net.medium import MEDIUM_MODES
 from repro.net.topology import RadioSpec, Topology, Waypoint
 from repro.net.traffic import TRAFFIC_MODELS
@@ -140,7 +141,7 @@ class ScenarioSpec:
     control_octets: int = 14
     data_rate_mbps: Optional[int] = None  # None = SINR-adaptive
     cos_delivery_prob: Optional[float] = None  # None = operating-point table
-    cos_fidelity: str = "table"  # "table" | "phy" | "surrogate"
+    cos_fidelity: str = "table"  # one of net.control.COS_FIDELITIES
     max_embed_per_frame: int = 4
     bsses: Tuple[BssSpec, ...] = ()
     traffic: Tuple[TrafficSpec, ...] = ()
@@ -224,11 +225,11 @@ class ScenarioSpec:
                 f'"controller" must name one (default "snr-threshold"); '
                 f"available: {', '.join(available_controllers())}"
             )
-        if self.error_model not in ERROR_MODELS:
-            raise ValueError(
-                f"unknown error_model {self.error_model!r}; available: "
-                f"{', '.join(ERROR_MODELS)}"
-            )
+        for name, known in (("error_model", ERROR_MODELS),
+                            ("cos_fidelity", COS_FIDELITIES)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"available: {', '.join(known)}")
 
     # ------------------------------------------------------------------
     # Derived objects

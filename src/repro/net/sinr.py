@@ -108,9 +108,9 @@ class SinrModel:
     * :meth:`prr` is drop-in compatible with
       :class:`SigmoidErrorModel.prr` (so a ``ReceptionModel`` can run on
       measured curves instead of the analytic waterfall);
-    * :meth:`cos_delivery_prob` replays the ``cos_fidelity="phy"``
-      measurement at table-lookup cost — identical values on the table's
-      integer-dB grid, clamped outside it.
+    * :meth:`cos_delivery_prob` replays the per-integer-dB CoS accuracy
+      :func:`repro.phy.surrogate.measure_cos_point` measured, clamped
+      outside the grid (``cos_fidelity="surrogate"``).
 
     Construct via :meth:`default` (the committed table, or the
     ``REPRO_SURROGATE_TABLE`` override) or :meth:`from_path`; the

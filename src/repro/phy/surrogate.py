@@ -2,12 +2,12 @@
 
 ``repro.net`` decides frame fates from SINR-keyed curves.  Its default
 :class:`~repro.net.sinr.SigmoidErrorModel` is an *analytic* stand-in;
-``cos_fidelity="phy"`` runs the full OFDM/Viterbi stack per SINR point —
-faithful but far too slow for hundreds of nodes.  This module closes the
-gap: it sweeps the **real** PHY over an SINR × rate grid (through the
-batched CoS receive path, via :func:`repro.engine.run_sweep`), fits a
-monotone PRR curve per rate, and serialises the result as a versioned
-JSON table keyed by a hash of the measurement spec.  The network layer
+running the full OFDM/Viterbi stack per frame would be faithful but far
+too slow for hundreds of nodes.  This module closes the gap: it sweeps
+the **real** PHY over an SINR × rate grid (one packet probe per point,
+via :func:`repro.engine.run_sweep`), fits a monotone PRR curve per
+rate, and serialises the result as a versioned JSON table keyed by a
+hash of the measurement spec.  The network layer
 (:class:`repro.net.sinr.SinrModel`, ``cos_fidelity="surrogate"``) then
 replays measured-PHY behaviour at table-lookup cost.
 
@@ -18,10 +18,9 @@ PHY:
   of the spec fields — re-measuring any grid node reproduces the stored
   raw value bit-for-bit.
 * The CoS accuracy curve is sampled at integer dB by
-  :func:`measure_cos_point`, the same function
-  :func:`repro.net.control.measured_cos_delivery_prob` calls with the
-  default spec's position, seed and packet count, so on grid nodes the
-  surrogate and ``cos_fidelity="phy"`` agree to the last bit.
+  :func:`measure_cos_point`, also pure in its arguments — re-running it
+  at the spec's CoS position, seed and packet count reproduces any
+  stored grid value to the last bit.
 
 Build via :func:`build_surrogate_table` or ``repro net tables build``.
 """
@@ -70,11 +69,9 @@ class SurrogateSpec:
     """Everything that determines a surrogate measurement, and nothing else.
 
     The spec is hashed (canonical JSON, sha256) into the table key; two
-    tables with equal hashes were measured identically.  The default
-    ``cos_position`` / ``cos_seed`` / ``cos_n_packets`` are the ones
-    :func:`repro.net.control.measured_cos_delivery_prob` measures with,
-    so the default spec's CoS curve is bit-compatible with
-    ``cos_fidelity="phy"``.
+    tables with equal hashes were measured identically.  The
+    ``cos_position`` / ``cos_seed`` / ``cos_n_packets`` fields are the
+    :func:`measure_cos_point` arguments of the CoS accuracy curve.
     """
 
     position: str = "A"
@@ -96,7 +93,7 @@ class SurrogateSpec:
         return [self.sinr_min_db + i * self.sinr_step_db for i in range(n + 1)]
 
     def cos_grid_db(self) -> List[int]:
-        """Integer-dB grid — the caching key of the phy fidelity mode."""
+        """Integer-dB grid of the CoS accuracy curve."""
         return list(
             range(int(round(self.sinr_min_db)), int(round(self.sinr_max_db)) + 1)
         )
@@ -151,33 +148,28 @@ def measure_prr_point(
     payload_octets: int,
     channel_seed: int,
 ) -> float:
-    """PRR of the real PHY at one (SINR, rate, seed) point, batched.
+    """PRR of the real PHY at one (SINR, rate, seed) point.
 
-    The probe is **open-loop**: the rate stays fixed and nothing feeds
-    back, so every silence-free packet is synthesised first (the channel
-    evolving :data:`_PRR_GAP_S` between them) and the batch then runs
-    through one :meth:`repro.cos.CosReceiver.receive_many` — the CoS
-    receive chain, detector erasures included.  Deterministic in its
-    arguments: the channel, transmitter and receiver draw from fixed
-    seeds, and the batched receive is bit-for-bit equal to the looped one.
+    One open-loop :func:`repro.experiments.common.send_probe_packets`
+    call: ``n_packets`` silence-free packets at the fixed rate, the
+    channel evolving :data:`_PRR_GAP_S` between them, received as one
+    batch through the CoS receive chain (``erasures="detector"``: energy
+    detection, its masks as erasures).  Deterministic in its arguments:
+    the channel draws from a fixed seed, and the batched receive is
+    bit-for-bit equal to the looped one.
     """
     from repro.channel import IndoorChannel
-    from repro.cos.link import CosReceiver
-    from repro.phy.frames import build_mpdu
-    from repro.phy.transmitter import Transmitter
+    from repro.experiments.common import send_probe_packets
 
     channel = IndoorChannel.position(
         position, snr_db=float(snr_db), seed=int(channel_seed)
     )
-    rate = RATE_TABLE[int(rate_mbps)]
-    psdu = build_mpdu(bytes(int(payload_octets)))
-    tx = Transmitter()
-    waves = []
-    for _ in range(int(n_packets)):
-        waves.append(channel.transmit(tx.transmit(psdu, rate).waveform))
-        channel.evolve(_PRR_GAP_S)
-    results = CosReceiver().receive_many(waves)
-    return float(np.mean([r.data_ok for r in results])) if results else 0.0
+    results = send_probe_packets(
+        channel, RATE_TABLE[int(rate_mbps)], int(n_packets),
+        payload=bytes(int(payload_octets)), gap_s=_PRR_GAP_S,
+        erasures="detector",
+    )
+    return float(np.mean([r.data_ok for _, r in results]))
 
 
 def measure_cos_point(
@@ -185,10 +177,9 @@ def measure_cos_point(
 ) -> float:
     """Closed-loop CoS message accuracy at one integer-dB point.
 
-    :func:`repro.net.control.measured_cos_delivery_prob` caches this
-    function at the default :class:`SurrogateSpec`'s CoS fields, so the
-    stored curve replays the phy fidelity mode exactly on its own
-    caching grid.
+    One ``CosLink`` session of ``n_packets`` exchanges; the surrogate's
+    CoS curve stores this value per :meth:`SurrogateSpec.cos_grid_db`
+    node.
     """
     from repro.channel import IndoorChannel
     from repro.cos import CosLink
@@ -251,9 +242,9 @@ class SurrogateTable:
     def cos_delivery_prob(self, sinr_db: float) -> float:
         """Per-message CoS accuracy at the carrier's SINR.
 
-        Rounds to integer dB and clamps to the measured range — the same
-        key discretisation ``measured_cos_delivery_prob`` caches by, so
-        inside the grid this *is* the phy fidelity mode's value.
+        Rounds to integer dB and clamps to the measured range, so inside
+        the grid this *is* :func:`measure_cos_point`'s value at the
+        spec's CoS fields.
         """
         key = int(round(float(sinr_db)))
         lo = int(self.cos_grid_db[0])
@@ -310,7 +301,7 @@ class SurrogateTable:
         rates = {
             int(r): entry for r, entry in data["rates"].items()
         }
-        return cls(
+        table = cls(
             spec=spec,
             spec_hash=stored_hash,
             sinr_grid_db=np.asarray(data["sinr_grid_db"], dtype=np.float64),
@@ -326,6 +317,31 @@ class SurrogateTable:
             cos_accuracy=np.asarray(data["cos_accuracy"], dtype=np.float64),
             version=version,
         )
+        table._check_data()
+        return table
+
+    def _check_data(self) -> None:
+        """Reject data that does not fit the spec, naming the field (the
+        hash covers only the spec; lookups would fail much later)."""
+        spec, n_sinr = self.spec, len(self.sinr_grid_db)
+        if self.sinr_grid_db.tolist() != spec.sinr_grid_db():
+            raise ValueError("surrogate table 'sinr_grid_db' is not the spec's grid")
+        if self.cos_grid_db.tolist() != spec.cos_grid_db():
+            raise ValueError("surrogate table 'cos_grid_db' is not the spec's grid")
+        if sorted(self.prr_raw) != sorted(spec.rates_mbps):
+            raise ValueError(f"surrogate table 'rates' holds {sorted(self.prr_raw)} "
+                             f"Mbps, the spec lists {sorted(spec.rates_mbps)}")
+        curves = [("cos_accuracy", self.cos_accuracy, len(self.cos_grid_db))]
+        for r in sorted(self.prr_raw):
+            curves += [(f"rates.{r}.prr_raw", self.prr_raw[r], n_sinr),
+                       (f"rates.{r}.prr_fit", self.prr_fit[r], n_sinr)]
+        for name, values, n in curves:
+            if values.shape != (n,):
+                raise ValueError(f"surrogate table {name!r} has shape "
+                                 f"{values.shape}, its grid has {n} nodes")
+            if not np.all((values >= 0.0) & (values <= 1.0)):
+                raise ValueError(f"surrogate table {name!r} holds a value "
+                                 "that is not finite or not in [0, 1]")
 
     def save(self, path) -> None:
         path = Path(path)
@@ -350,10 +366,10 @@ def build_surrogate_table(
     """Sweep the real PHY over the spec's grid and fit the surrogate.
 
     PRR points run through :func:`repro.engine.run_sweep` (parallel-safe:
-    every point is pure in its params), each probing the channel with the
-    batched receive path; seeds average into one raw curve per rate,
-    which PAVA then makes monotone.  The CoS accuracy curve is measured
-    per integer dB with the phy-fidelity semantics.
+    every point is pure in its params), each one
+    :func:`measure_prr_point` probe; seeds average into one raw curve per
+    rate, which PAVA then makes monotone.  The CoS accuracy curve is
+    :func:`measure_cos_point` per integer dB.
     """
     from repro.engine import run_sweep
     from repro.experiments.common import init_phy_worker

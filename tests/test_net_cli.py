@@ -94,6 +94,17 @@ class TestNetRun:
         path.write_text(json.dumps(data))
         assert main(["net", "run", str(path)]) == 2
 
+    def test_removed_phy_fidelity_in_file_errors(self, small_scenario_path,
+                                                 tmp_path, capsys):
+        data = json.loads(open(small_scenario_path).read())
+        data["cos_fidelity"] = "phy"
+        path = tmp_path / "phy_fidelity.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="cos_fidelity 'phy'"):
+            ScenarioSpec.load(str(path))
+        assert main(["net", "run", str(path)]) == 2
+        assert "table, surrogate" in capsys.readouterr().err
+
     def test_controller_env_fallback(self, small_scenario_path, capsys,
                                      monkeypatch):
         monkeypatch.setenv("REPRO_CONTROLLER", "samplerate")

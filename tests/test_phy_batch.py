@@ -11,8 +11,7 @@ same holds one layer up: ``CosReceiver.receive_many`` equals looped
 On top of that path sit the surrogate tables: real-PHY PRR sweeps,
 monotone-fitted and serialised.  Their contract is measured-value
 replay — on the grid, the table returns exactly what re-running the
-measurement returns, and the CoS curve is bit-compatible with
-``cos_fidelity="phy"``.
+measurement returns, for the PRR curves and the CoS curve alike.
 """
 
 from __future__ import annotations
@@ -382,6 +381,44 @@ def test_table_rejects_bad_version_and_hash(tiny_table):
         SurrogateTable.from_dict(forged)
 
 
+def _cut(n):
+    return lambda values: values[:-n]
+
+
+@pytest.mark.parametrize(
+    "path,mutate,match",
+    [
+        (("cos_accuracy",), _cut(5), "'cos_accuracy' has shape"),
+        (("rates", "24", "prr_fit"), _cut(3), "'rates.24.prr_fit' has shape"),
+        (("rates", "6", "prr_raw"), lambda v: [[x] for x in v],
+         "'rates.6.prr_raw' has shape"),
+        (("sinr_grid_db",), lambda v: [x + 1.0 for x in v], "'sinr_grid_db'"),
+        (("cos_grid_db",), _cut(1), "'cos_grid_db'"),
+        (("rates",), lambda r: {k: e for k, e in r.items() if k != "54"},
+         "'rates' holds"),
+        (("rates", "36", "prr_raw"), lambda v: [1.5] + v[1:],
+         "'rates.36.prr_raw' holds"),
+        (("cos_accuracy",), lambda v: v[:-1] + [float("nan")],
+         "'cos_accuracy' holds"),
+        (("rates", "12", "prr_fit"), lambda v: [-0.1] + v[1:],
+         "'rates.12.prr_fit' holds"),
+    ],
+    ids=["cos-cut", "fit-cut", "raw-2d", "sinr-grid", "cos-grid",
+         "rate-missing", "raw-above-1", "cos-nan", "fit-negative"],
+)
+def test_table_rejects_data_that_does_not_fit_its_spec(path, mutate, match):
+    """The hash covers only the spec: the grids and curves are checked
+    against it at load, naming the field, instead of failing at lookup."""
+    data = json.loads(json.dumps(load_default_table().to_dict()))
+    SurrogateTable.from_dict(data)  # the untouched copy loads
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = mutate(parent[path[-1]])
+    with pytest.raises(ValueError, match=match):
+        SurrogateTable.from_dict(data)
+
+
 def test_table_lookup_semantics(tiny_table):
     t = tiny_table
     # PRR: linear interpolation between grid nodes, clamped outside.
@@ -449,12 +486,15 @@ def test_sinr_model_wraps_table(tiny_table, tmp_path, monkeypatch):
 
 def test_surrogate_matches_phy_fidelity_on_grid():
     """The bit-compatibility anchor: cos_fidelity="surrogate" returns the
-    exact value cos_fidelity="phy" would measure, on the phy cache's own
-    integer-dB grid."""
-    from repro.net.control import measured_cos_delivery_prob
+    exact value the live closed-loop PHY measures at the table's CoS
+    fields, on its integer-dB grid."""
+    from repro.phy.surrogate import measure_cos_point
 
     table = load_default_table()
-    assert table.cos_delivery_prob(20.0) == measured_cos_delivery_prob(20.0)
+    spec = table.spec
+    assert table.cos_delivery_prob(20.0) == measure_cos_point(
+        spec.cos_position, 20, spec.cos_seed, spec.cos_n_packets
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +515,13 @@ def test_control_plane_fidelity_validation():
 
     rng = np.random.default_rng(0)
     controller = make_controller("snr-threshold")
-    for fidelity in ("table", "phy", "surrogate"):
+    for fidelity in ("table", "surrogate"):
         ControlPlane("cos", rng, _Collector(), controller=controller,
                      cos_fidelity=fidelity)
-    with pytest.raises(ValueError, match="cos_fidelity"):
-        ControlPlane("cos", rng, _Collector(), controller=controller,
-                     cos_fidelity="exact")
+    for removed in ("phy", "exact"):
+        with pytest.raises(ValueError, match="cos_fidelity"):
+            ControlPlane("cos", rng, _Collector(), controller=controller,
+                         cos_fidelity=removed)
 
 
 def test_scenario_with_fidelity():
@@ -492,6 +533,10 @@ def test_scenario_with_fidelity():
     assert surrogate.cos_fidelity == "surrogate"
     assert surrogate.name == spec.name
     assert spec.cos_fidelity == "table"  # original untouched
+    # An unknown mode fails when the spec is built, not inside a worker.
+    with pytest.raises(ValueError, match="cos_fidelity 'surogate'; "
+                                         "available: table, surrogate"):
+        spec.with_fidelity("surogate")
 
 
 def test_hidden_node_ordering_survives_surrogate_fidelity():
