@@ -293,30 +293,38 @@ DENSE_MAX_NODES = 256
 
 
 def _net_point(spec) -> Dict:
-    """One run under a profiling NetLens: events/s and where the time went."""
-    from repro.net import NetLens, run_scenario
+    """Events/s of one plain run, and where the time went in a traced one.
 
-    lens = NetLens(trace=False, ledger=False, profile=True)
-    result = run_scenario(spec, rng=0, lens=lens)
-    profile = result.profile
-    by_type = profile.get("by_type", {})
+    The rate is timed with no lens and no tracer.  The per-callback
+    detail comes from the ``net.*`` dispatch spans of a second, traced
+    run, read the way ``repro obs summarize`` reads them.
+    """
+    from repro.net import run_scenario
+    from repro.obs import MemorySink, summarize_events, tracing
+
+    wall_s, result = best_of(lambda: run_scenario(spec, rng=0))
+    sink = MemorySink()
+    with tracing(sink):
+        run_scenario(spec, rng=0)
+    # Every ``net.*`` span but ``net.scenario`` times one dispatched callback.
+    callbacks = [s for s in summarize_events(sink.events).stages
+                 if s.name.startswith("net.") and s.name != "net.scenario"]
     # The reception decision (SINR and carrier-state fan-out at each
     # transmission end): the per-attempt cost culling bounds.
-    rx_cost = next((stats for name, stats in by_type.items()
-                    if name.endswith("Medium._end")), {})
-    hottest = sorted(by_type.items(), key=lambda kv: -kv[1]["total_s"])[:3]
+    rx_cost = next((s for s in callbacks if s.name == "net.Medium._end"), None)
+    hottest = sorted(callbacks, key=lambda s: -s.total_s)[:3]
     return {
         "scenario": spec.name,
         "medium_mode": spec.medium_mode,
         "n_nodes": len(spec.nodes),
-        "n_events": profile["n_events"],
-        "wall_s": profile["wall_s"],
-        "events_per_sec": profile["events_per_sec"],
-        "sim_wall_ratio": profile["sim_wall_ratio"],
-        "rx_cost_mean_us": rx_cost.get("mean_us"),
-        "rx_cost_p95_us": rx_cost.get("p95_us"),
+        "n_events": result.n_events,
+        "wall_s": wall_s,
+        "events_per_sec": result.n_events / wall_s,
+        "sim_wall_ratio": result.duration_us / (wall_s * 1e6),
+        "rx_cost_mean_us": rx_cost.mean_s * 1e6 if rx_cost else None,
+        "rx_cost_p95_us": rx_cost.p95_s * 1e6 if rx_cost else None,
         "goodput_mbps": result.aggregate_goodput_mbps,
-        "hottest": {name: stats["total_s"] for name, stats in hottest},
+        "hottest": {s.name: s.total_s for s in hottest},
     }
 
 
@@ -498,7 +506,6 @@ class _CountingLens:
     number of ``is None`` checks the disabled path takes on the same run.
     """
 
-    trace = ledger = profile = False
     events = ()
 
     def __init__(self):
@@ -507,11 +514,11 @@ class _CountingLens:
     def bind(self, node_names, bss_of=None):
         pass
 
-    def on_run_start(self):
+    def finalize(self, end_us):
         pass
 
-    def finalize(self, end_us, n_sched_events, registry=None):
-        pass
+    def ledger_dict(self):
+        return None
 
     def _hook(self, *args):
         self.n_hooks += 1
@@ -569,11 +576,11 @@ def obs() -> Iterator[Reading]:
 
     spec = builtin_scenario("contention", n_stations=6, n_packets=40,
                             duration_us=200_000.0)
-    # Every counted hook is one ``lens is None`` site; the scheduler adds
-    # one ``profiler is None`` check per dispatched event.
+    # Every counted hook is one ``lens is None`` site; the scheduler's
+    # untraced loop checks nothing per event.
     counting = _CountingLens()
-    n_events = run_scenario(spec, rng=0, lens=counting).n_events
-    n_checks = counting.n_hooks + n_events
+    run_scenario(spec, rng=0, lens=counting)
+    n_checks = counting.n_hooks
     disabled_s = best_of(lambda: run_scenario(spec, rng=0), repeats=3)[0]
     n = 200_000
     per_check_s = best_of(lambda: _is_none_loop(n), warmup=3)[0] / n

@@ -24,13 +24,15 @@ Commands
     print per-node goodput, delivery, control latency, and fairness
     stats.  ``--medium`` switches between the grid-culled medium
     (default) and the all-pairs ``dense-exact`` debug mode.  ``--json PATH`` exports the
-    mean-over-trials summary (``-`` for stdout); ``--trace-out`` /
-    ``--metrics-out`` work as for ``link``.  ``--ledger-out`` writes the
-    first trial's per-node airtime ledger as JSON and ``--timeline-out``
-    its net event trace as JSONL (both accept ``-`` for stdout; either
-    flag attaches a :class:`repro.net.lens.NetLens` to every trial, so
-    the summary JSON also gains ``ledger``/``profile`` sections).
-    Trials go through the deterministic engine: serial and
+    mean-over-trials summary (``-`` for stdout); ``--metrics-out`` works
+    as for ``link``.  ``--trace-out`` and ``--ledger-out`` each attach a
+    :class:`repro.net.lens.NetLens` to every trial (so the summary JSON
+    also gains a ``ledger`` section).  ``--trace-out`` writes every
+    trial's ``net.*`` event records, stamped ``trial=i``, as JSONL, the
+    same records for serial and ``--workers N`` runs; a serial run adds
+    one ``net.<callback>`` span per dispatched event.  ``--ledger-out``
+    writes the first trial's per-node airtime ledger as JSON (``-`` for
+    stdout).  Trials go through the deterministic engine: serial and
     ``--workers N`` results are bit-for-bit identical.
     ``--fidelity table|surrogate`` overrides how CoS message delivery
     is decided (analytic operating points or the measured-PHY surrogate
@@ -53,12 +55,14 @@ Commands
     ``cos_fidelity="surrogate"`` replays; the active default honours
     the ``REPRO_SURROGATE_TABLE`` environment override.
 ``obs summarize trace.jsonl``
-    Analyse a recorded trace offline: per-stage latency percentiles,
-    exchange span coverage, the failure-cause breakdown, and — for
-    net-lens traces — event counts and net frame outcomes.
+    Analyse a recorded trace offline: per-stage latency percentiles
+    (for a net run, per scheduler callback), exchange span coverage,
+    the failure-cause breakdown, point-event counts by name, and the
+    frame outcomes of net traces.
 ``obs timeline trace.jsonl [--width N]``
     Render per-node ASCII airtime timelines and a channel-utilization
-    table from a net-lens event trace.
+    table from the ``net.*`` records of a ``net run --trace-out`` file
+    (its lowest trial).
 
 Global flags: ``--log-level debug|info|warning|error`` and ``--quiet``
 control the ``repro.*`` logger hierarchy (diagnostics go to stderr;
@@ -162,17 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the mean-over-trials summary as JSON "
                               "('-' for stdout)")
     net_run.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write span JSONL trace to PATH")
+                         help="write every trial's net event records (and, "
+                              "serially, per-callback spans) as JSONL to "
+                              "PATH; feed to 'repro obs summarize' or "
+                              "'repro obs timeline'")
     net_run.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="export the metrics registry (Prometheus text; "
                               "JSON if PATH ends with .json)")
     net_run.add_argument("--ledger-out", default=None, metavar="PATH",
                          help="write the first trial's per-node airtime "
                               "ledger as JSON ('-' for stdout)")
-    net_run.add_argument("--timeline-out", default=None, metavar="PATH",
-                         help="write the first trial's net event trace as "
-                              "JSONL ('-' for stdout; feed to "
-                              "'repro obs timeline')")
     net_run.add_argument("--fidelity", choices=COS_FIDELITIES,
                          default=None,
                          help="override the scenario's CoS fidelity "
@@ -267,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline", help="ASCII per-node airtime timelines from a net trace"
     )
     tl.add_argument("trace", help="path to a JSONL net event trace "
-                                  "(e.g. from 'repro net run --timeline-out')")
+                                  "(e.g. from 'repro net run --trace-out'); "
+                                  "its lowest trial is shown")
     tl.add_argument("--width", type=int, default=72, metavar="N",
                     help="timeline width in cells (default: 72)")
 
@@ -621,7 +625,7 @@ def _cmd_net(args) -> int:
             log.info("using REPRO_WORKERS=%d worker processes", workers)
 
     # Either observability export needs a NetLens riding every trial.
-    lens = True if (args.ledger_out or args.timeline_out) else None
+    lens = bool(args.ledger_out or args.trace_out)
     session = obs.configure(trace_out=args.trace_out) if args.trace_out else None
     try:
         results = run_scenario_sweep(
@@ -676,15 +680,6 @@ def _cmd_net(args) -> int:
             with open(args.ledger_out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             log.info("airtime ledger written to %s", args.ledger_out)
-    if args.timeline_out:
-        events = results[0].events or []
-        lines = "".join(json.dumps(ev) + "\n" for ev in events)
-        if args.timeline_out == "-":
-            sys.stdout.write(lines)
-        else:
-            with open(args.timeline_out, "w", encoding="utf-8") as fh:
-                fh.write(lines)
-            log.info("net event trace written to %s", args.timeline_out)
     if args.metrics_out:
         registry = obs.get_registry()
         if args.metrics_out.endswith(".json"):
@@ -738,12 +733,15 @@ def _cmd_link(args) -> int:
 def _cmd_obs(args) -> int:
     import repro.obs as obs
 
-    if args.obs_command == "timeline":
-        print(obs.render_timeline(obs.read_jsonl(args.trace),
-                                  width=args.width))
-        return 0
-
-    summary = obs.summarize_trace(args.trace)
+    try:
+        if args.obs_command == "timeline":
+            print(obs.render_timeline(obs.read_jsonl(args.trace),
+                                      width=args.width))
+            return 0
+        summary = obs.summarize_trace(args.trace)
+    except ValueError as exc:  # a corrupt record or another schema version
+        logging.getLogger("repro.cli").error("%s", exc)
+        return 2
     if args.json:
         import dataclasses
         import json
@@ -754,9 +752,8 @@ def _cmd_obs(args) -> int:
             "n_spans": summary.n_spans,
             "n_flights": summary.n_flights,
             "n_events": summary.n_events,
-            "n_net_events": summary.n_net_events,
-            "net_events": summary.net_events,
-            "net_causes": summary.net_causes,
+            "events": summary.events,
+            "event_causes": summary.event_causes,
             "exchange_total_s": summary.exchange_total_s,
             "exchange_coverage": summary.exchange_coverage,
         }, indent=2))

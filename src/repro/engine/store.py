@@ -96,7 +96,9 @@ __all__ = [
 log = logging.getLogger("repro.engine.store")
 
 #: Bump to invalidate every existing store entry (layout/semantics change).
-STORE_SCHEMA = 1
+#: 2: lensed ``NetResult`` events are schema-2 ``net.*`` records and the
+#: wall-clock ``profile`` field is gone.
+STORE_SCHEMA = 2
 
 #: Environment flag: a directory path enables the default store.
 STORE_ENV = "REPRO_STORE"

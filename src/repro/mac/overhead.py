@@ -52,10 +52,6 @@ def frame_airtime_us(n_octets: int, rate: PhyRate) -> float:
     return _PREAMBLE_SIGNAL_US + rate.n_symbols_for(n_octets) * 4.0
 
 
-# Backward-compatible private alias (pre-refactor name).
-_frame_airtime_us = frame_airtime_us
-
-
 @dataclass
 class OverheadResult:
     """Outcomes of one scheme's run."""
@@ -94,8 +90,8 @@ def run_overhead_comparison(
     """
     rng = make_rng(seed)
     rate = RATE_TABLE[data_rate_mbps]
-    data_airtime = _frame_airtime_us(payload_octets, rate)
-    control_airtime = _frame_airtime_us(control_octets, _BASE_RATE)
+    data_airtime = frame_airtime_us(payload_octets, rate)
+    control_airtime = frame_airtime_us(control_octets, _BASE_RATE)
 
     stations: List[Station] = []
     for i in range(n_stations):

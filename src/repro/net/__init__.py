@@ -22,7 +22,7 @@ equivalence testing).
 Layering (top to bottom)::
 
     simulator   NetSimulator / run_scenario / run_scenario_sweep
-    lens        NetLens: airtime ledger, event trace, dispatch profiler
+    lens        NetLens: airtime ledger and net.* event records
     bss         BssRuntime: beacons, association, strongest-AP roaming
     scenario    declarative ScenarioSpec (JSON-serialisable, picklable)
     traffic     arrival synthesis: Poisson / bursty on-off / CBR
@@ -58,7 +58,7 @@ from repro.net.scenario import (
     ScenarioSpec,
     TrafficSpec,
 )
-from repro.net.lens import EventProfiler, NetLens
+from repro.net.lens import NetLens
 from repro.net.scenarios import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
@@ -108,7 +108,6 @@ __all__ = [
     "ScenarioSpec",
     "ERROR_MODELS",
     "COS_FIDELITIES",
-    "EventProfiler",
     "NetLens",
     "BUILTIN_SCENARIOS",
     "builtin_scenario",

@@ -12,14 +12,20 @@ The contract the rest of :mod:`repro.net` relies on:
 
 Times are microseconds, matching the MAC constants in
 :mod:`repro.mac.dcf`.
+
+With a :mod:`repro.obs` tracer active, every dispatched callback runs
+inside a ``net.<callback qualname>`` span (``net.Medium._end``, …), so
+``repro obs summarize`` and the ``repro_span_seconds`` histogram report
+where the simulator's wall time goes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
+
+from repro.obs.trace import current_tracer
 
 __all__ = ["Event", "EventScheduler"]
 
@@ -51,10 +57,6 @@ class EventScheduler:
         self._seq = 0
         self.now_us: float = 0.0
         self.n_dispatched: int = 0
-        #: Optional dispatch profiler (``record(fn, dt_s)``) — installed
-        #: by a profiling :class:`repro.net.lens.NetLens`.  When ``None``
-        #: (the default) the loop pays one attribute load per event.
-        self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -96,25 +98,40 @@ class EventScheduler:
         Returns the final simulation time: the last dispatched event's
         time if the queue drained first, else ``until_us`` (events beyond
         the horizon stay queued, so ``run`` may be resumed).
+
+        The tracer is looked up once per call: with one active, each
+        dispatch runs inside a ``net.<callback qualname>`` span; without
+        one, the loop below carries no per-event check for it.
         """
-        while self._heap:
-            time_us, _priority, _seq, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if time_us > until_us:
-                self.now_us = until_us
-                return self.now_us
-            heapq.heappop(self._heap)
-            self.now_us = time_us
-            self.n_dispatched += 1
-            profiler = self.profiler
-            if profiler is None:
+        tracer = current_tracer()
+        heap = self._heap
+        if tracer is None:
+            while heap:
+                time_us, _priority, _seq, event = heap[0]
+                if event.cancelled:
+                    heapq.heappop(heap)
+                    continue
+                if time_us > until_us:
+                    self.now_us = until_us
+                    return self.now_us
+                heapq.heappop(heap)
+                self.now_us = time_us
+                self.n_dispatched += 1
                 event.fn(*event.args)
-            else:
-                t0 = time.perf_counter()
-                event.fn(*event.args)
-                profiler.record(event.fn, time.perf_counter() - t0)
+        else:
+            while heap:
+                time_us, _priority, _seq, event = heap[0]
+                if event.cancelled:
+                    heapq.heappop(heap)
+                    continue
+                if time_us > until_us:
+                    self.now_us = until_us
+                    return self.now_us
+                heapq.heappop(heap)
+                self.now_us = time_us
+                self.n_dispatched += 1
+                with tracer.span("net." + event.fn.__qualname__):
+                    event.fn(*event.args)
         if until_us != math.inf:
             self.now_us = max(self.now_us, until_us)
         return self.now_us

@@ -36,7 +36,7 @@ from repro.net.scheduler import EventScheduler
 from repro.net.sinr import ReceptionModel, SigmoidErrorModel, SinrModel
 from repro.net.traffic import arrival_times
 from repro.obs.metrics import get_registry
-from repro.obs.trace import span
+from repro.obs.trace import current_tracer, span
 from repro.ratectl import CONTROLLERS, make_controller
 from repro.utils.rng import RngLike, make_rng
 
@@ -119,9 +119,10 @@ def _f64(values: List[float]) -> np.ndarray:
 class NetResult:
     """Everything one scenario run produced.
 
-    ``ledger`` / ``profile`` / ``events`` are populated only when the run
-    was observed by a :class:`~repro.net.lens.NetLens` (all plain dicts,
-    so they survive pickling across process-pool sweep workers).
+    ``ledger`` / ``events`` are populated only when the run was observed
+    by a :class:`~repro.net.lens.NetLens` (plain dicts, so they survive
+    pickling across process-pool sweep workers; neither carries wall
+    time, so a cached or pooled result equals a fresh serial one).
     """
 
     scenario: str
@@ -135,7 +136,6 @@ class NetResult:
     n_roams: int = 0
     associations: Optional[Dict[str, str]] = None
     ledger: Optional[Dict] = None
-    profile: Optional[Dict] = None
     events: Optional[List[Dict]] = None
 
     def goodput_mbps(self, node: str) -> float:
@@ -213,8 +213,6 @@ class NetResult:
         out["controller"] = self.controller
         if self.ledger is not None:
             out["ledger"] = self.ledger
-        if self.profile is not None:
-            out["profile"] = self.profile
         return out
 
 
@@ -288,10 +286,10 @@ class NetSimulator:
     """One scenario, one RNG, one run.
 
     ``lens`` optionally attaches a :class:`~repro.net.lens.NetLens` for
-    airtime ledgers / event tracing / throughput profiling.  The lens
-    never consumes the RNG, so an observed run is bit-for-bit identical
-    to an unobserved one; when ``lens`` is ``None`` every hook site
-    degrades to a single attribute-is-None check.
+    the airtime ledger and event records.  The lens never consumes the
+    RNG, so an observed run is bit-for-bit identical to an unobserved
+    one; when ``lens`` is ``None`` every hook site degrades to a single
+    attribute-is-None check.
     """
 
     def __init__(self, spec: ScenarioSpec, rng: RngLike = None,
@@ -315,8 +313,6 @@ class NetSimulator:
         # "explicit"); None inherits the scenario's control mode.
         self.control_mode = (CONTROLLERS[spec.controller].transport
                              or spec.control)
-        if lens is not None and lens.profile:
-            self.scheduler.profiler = lens.profiler
         self.collector = _Collector([n.name for n in spec.nodes])
         self.medium = Medium(
             self.topology, self.scheduler, reception, self.rng,
@@ -451,9 +447,6 @@ class NetSimulator:
     # ------------------------------------------------------------------
 
     def run(self) -> NetResult:
-        lens = self.lens
-        if lens is not None:
-            lens.on_run_start()
         with span("net.scenario", scenario=self.spec.name,
                   control=self.control_mode, nodes=len(self.spec.nodes)):
             end_us = self.scheduler.run(until_us=self.spec.duration_us)
@@ -472,37 +465,37 @@ class NetSimulator:
                           if self.bss_runtime is not None else None),
             controller=self.spec.controller,
         )
+        lens = self.lens
         if lens is not None:
-            lens.finalize(end_us=self.scheduler.now_us,
-                          n_sched_events=self.scheduler.n_dispatched)
-            if lens.ledger:
-                result.ledger = lens.ledger_dict()
-            if lens.profile:
-                result.profile = lens.profile_dict()
-            if lens.trace:
-                result.events = lens.events
+            lens.finalize(self.scheduler.now_us)
+            result.ledger = lens.ledger_dict()
+            result.events = lens.events
         return result
+
+
+def _trace_events(result: NetResult, **stamp) -> None:
+    """Write ``result``'s event records, plus ``stamp``, to the active trace."""
+    tracer = current_tracer()
+    if tracer is not None and result.events:
+        for record in result.events:
+            tracer.emit({**record, **stamp})
 
 
 def run_scenario(spec: ScenarioSpec, rng: RngLike = 0,
                  lens: Optional[NetLens] = None) -> NetResult:
-    """Run one scenario once (deterministic in ``(spec, rng)``)."""
-    return NetSimulator(spec, rng=rng, lens=lens).run()
+    """Run one scenario once (deterministic in ``(spec, rng)``).
 
-
-def _make_lens(cfg) -> Optional[NetLens]:
-    """Build a lens from a sweep-param config (True or a kwargs dict)."""
-    if not cfg:
-        return None
-    if cfg is True:
-        return NetLens()
-    return NetLens(**cfg)
+    A lensed run's event records also go to the active trace, if any.
+    """
+    result = NetSimulator(spec, rng=rng, lens=lens).run()
+    _trace_events(result)
+    return result
 
 
 def _scenario_trial(trial: TrialSpec) -> NetResult:
     """Engine trial function: one independent realisation of the scenario."""
-    return run_scenario(trial["scenario"], rng=trial.rng(),
-                        lens=_make_lens(trial.get("lens")))
+    lens = NetLens() if trial.get("lens") else None
+    return NetSimulator(trial["scenario"], rng=trial.rng(), lens=lens).run()
 
 
 def run_scenario_sweep(
@@ -510,24 +503,29 @@ def run_scenario_sweep(
     n_trials: int = 1,
     seed: int = 0,
     workers: Optional[int] = None,
-    lens=None,
+    lens: bool = False,
 ) -> List[NetResult]:
     """N independent trials through the deterministic trial engine.
 
-    ``lens`` — ``None``/``False`` (default, free), ``True``, or a dict of
-    :class:`~repro.net.lens.NetLens` kwargs — attaches a fresh lens to
-    *every* trial; ledgers/profiles/events come back on each
+    ``lens=True`` attaches a fresh :class:`~repro.net.lens.NetLens` to
+    *every* trial; ledgers and events come back on each
     :class:`NetResult` (picklable, so this works across process pools,
     and the lens's registry metrics fold back into the parent through
-    the engine's worker-snapshot merge).
+    the engine's worker-snapshot merge).  Each trial's event records
+    then go to the active trace, if any, in trial order and stamped
+    ``trial=i`` — here, in the calling process, so a serial and a pooled
+    sweep write the same records.
     """
     params = [
         {"scenario": spec, "trial": i, "lens": lens} for i in range(n_trials)
     ]
-    return engine.run_sweep(
+    results = engine.run_sweep(
         params, _scenario_trial, seed=seed, workers=workers,
         label=f"net:{spec.name}",
     )
+    for i, result in enumerate(results):
+        _trace_events(result, trial=i)
+    return results
 
 
 def _combine_values(values: List) -> object:
@@ -601,7 +599,7 @@ def summarize_results(results: List[NetResult]) -> Dict:
 
     Derived field-by-field from :meth:`NetResult.to_dict`, so every
     surface that exports a result — single-trial CLI JSON, multi-trial
-    sweeps, ledger/profile extensions — carries exactly the same keys and
+    sweeps, the ledger extension — carries exactly the same keys and
     none can drift from the canonical shape.
     """
     if not results:

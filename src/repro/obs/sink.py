@@ -12,9 +12,10 @@ so instrumented code can hand over whatever it has.
 Every record carries a ``schema`` version field (:data:`SCHEMA_VERSION`,
 stamped at the emission sites in :mod:`repro.obs.trace`,
 :mod:`repro.obs.flight`, and :mod:`repro.net.lens`) so downstream
-tooling can evolve the formats without guessing.  :func:`read_jsonl`
-tolerates a truncated *final* line — the normal state of a trace whose
-producer crashed or was killed mid-write — instead of raising.
+tooling can evolve the formats without guessing; :func:`read_jsonl`
+rejects a record stamped with any other version rather than misread it.
+It tolerates a truncated *final* line — the normal state of a trace
+whose producer crashed or was killed mid-write — instead of raising.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ import numpy as np
 __all__ = ["SCHEMA_VERSION", "Sink", "JsonlSink", "MemorySink", "NullSink",
            "read_jsonl"]
 
-#: Version stamped into every emitted JSONL event record.
-SCHEMA_VERSION = 1
+#: Version stamped into every emitted JSONL event record.  Version 2:
+#: net-lens records became ``type="event"`` records named ``net.<event>``
+#: and lost their wall-clock ``wall_ts`` field.
+SCHEMA_VERSION = 2
 
 
 def _jsonable(value):
@@ -136,11 +139,13 @@ def read_jsonl(path: Union[str, Path], strict: bool = False) -> Iterator[Dict]:
     non-blank line of the file — the signature of a producer that died
     mid-write — so crashed-run traces stay readable.  A malformed line
     with valid records after it is real corruption and still raises
-    (always raises with ``strict=True``).
+    (always raises with ``strict=True``).  A record whose ``schema`` is
+    present and is not :data:`SCHEMA_VERSION` raises :class:`ValueError`
+    naming its line and version.
     """
     with open(path, "r", encoding="utf-8") as fh:
         pending: Optional[str] = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -154,4 +159,11 @@ def read_jsonl(path: Union[str, Path], strict: bool = False) -> Iterator[Dict]:
                     raise
                 pending = line
                 continue
+            if isinstance(record, dict) and record.get(
+                    "schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+                raise ValueError(
+                    f"{path}: line {lineno}: record has schema "
+                    f"{record['schema']!r}; this reader reads schema "
+                    f"{SCHEMA_VERSION}"
+                )
             yield record

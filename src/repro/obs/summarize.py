@@ -10,10 +10,14 @@ any simulation — reports:
   acceptance bar is ≥ 90 %);
 * a failure-cause breakdown from the flight records (CRC fail vs.
   detection miss vs. feedback loss, see :mod:`repro.obs.flight`);
-* for net-lens traces (``type == "net"``, see :mod:`repro.net.lens`):
-  event counts by type and a frame-outcome breakdown over the net-layer
-  failure-cause taxonomy (``ok`` / ``collision`` / ``channel_error`` /
-  ``rx_busy`` / ``retry_exhausted``).
+* point-event counts by name, and a frame-outcome breakdown over the
+  ``cause`` field some events carry (the net-lens ``net.tx_end`` /
+  ``net.drop`` records, see :mod:`repro.net.lens`, use the net-layer
+  taxonomy ``ok`` / ``collision`` / ``channel_error`` / ``rx_busy`` /
+  ``retry_exhausted``).
+
+A net run's per-callback cost needs nothing extra: its ``net.*``
+dispatch spans land in the per-stage table like any other span.
 
 Kept free of imports from higher layers (``repro.experiments`` etc.) so
 ``repro.obs`` stays at the bottom of the stack.
@@ -70,9 +74,8 @@ class TraceSummary:
     n_spans: int = 0
     n_flights: int = 0
     n_events: int = 0
-    n_net_events: int = 0
-    net_events: Dict[str, int] = field(default_factory=dict)
-    net_causes: Dict[str, int] = field(default_factory=dict)
+    events: Dict[str, int] = field(default_factory=dict)
+    event_causes: Dict[str, int] = field(default_factory=dict)
     exchange_total_s: float = 0.0
     exchange_covered_s: float = 0.0
 
@@ -94,10 +97,10 @@ def summarize_events(events: Iterable[dict]) -> TraceSummary:
     """Aggregate parsed trace events into a :class:`TraceSummary`."""
     durations: Dict[str, List[float]] = defaultdict(list)
     causes: Dict[str, int] = defaultdict(int)
-    net_events: Dict[str, int] = defaultdict(int)
-    net_causes: Dict[str, int] = defaultdict(int)
+    by_name: Dict[str, int] = defaultdict(int)
+    event_causes: Dict[str, int] = defaultdict(int)
     spans: List[dict] = []
-    n_flights = n_events = n_net = 0
+    n_flights = n_events = 0
 
     for ev in events:
         kind = ev.get("type")
@@ -107,16 +110,15 @@ def summarize_events(events: Iterable[dict]) -> TraceSummary:
         elif kind == "flight":
             n_flights += 1
             causes[ev.get("failure_cause", "unknown")] += 1
-        elif kind == "net":
-            n_net += 1
-            net_events[ev.get("event", "?")] += 1
-            # Addressed tx_end records and drops carry the net-layer
-            # failure-cause taxonomy; together they partition frame fates.
-            cause = ev.get("cause")
-            if cause is not None:
-                net_causes[cause] += 1
         else:
             n_events += 1
+            by_name[ev.get("name", "?")] += 1
+            # Addressed net.tx_end records and net.drop records carry the
+            # net-layer failure-cause taxonomy; together they partition
+            # frame fates.
+            cause = ev.get("cause")
+            if cause is not None:
+                event_causes[cause] += 1
 
     # Coverage needs two passes: child spans close (and are emitted)
     # *before* their parent exchange span appears in the stream.
@@ -151,9 +153,8 @@ def summarize_events(events: Iterable[dict]) -> TraceSummary:
         n_spans=n_spans,
         n_flights=n_flights,
         n_events=n_events,
-        n_net_events=n_net,
-        net_events=dict(net_events),
-        net_causes=dict(net_causes),
+        events=dict(by_name),
+        event_causes=dict(event_causes),
         exchange_total_s=exchange_total,
         exchange_covered_s=covered,
     )
@@ -216,26 +217,26 @@ def format_summary(summary: TraceSummary) -> str:
         lines += _table(["cause", "exchanges", "%"], rows,
                         title="Failure causes (flight records)")
 
-    if summary.net_events:
+    if summary.events:
         lines += _table(
             ["event", "count"],
-            [(name, str(summary.net_events[name]))
-             for name in sorted(summary.net_events)],
-            title="Net events",
+            [(name, str(summary.events[name]))
+             for name in sorted(summary.events)],
+            title="Events",
         )
-    net_total = sum(summary.net_causes.values())
-    if net_total:
-        known = [c for c in NET_FAILURE_CAUSES if c in summary.net_causes]
-        extra = sorted(set(summary.net_causes) - set(known))
+    frames = sum(summary.event_causes.values())
+    if frames:
+        known = [c for c in NET_FAILURE_CAUSES if c in summary.event_causes]
+        extra = sorted(set(summary.event_causes) - set(known))
         lines += _table(
             ["cause", "frames", "%"],
-            [(cause, str(summary.net_causes[cause]),
-              f"{summary.net_causes[cause] / net_total * 100:.1f}")
+            [(cause, str(summary.event_causes[cause]),
+              f"{summary.event_causes[cause] / frames * 100:.1f}")
              for cause in known + extra],
-            title="Net frame outcomes",
+            title="Frame outcomes",
         )
     lines.append(
         f"\n{summary.n_spans} spans, {summary.n_flights} flight records, "
-        f"{summary.n_net_events} net events, {summary.n_events} events"
+        f"{summary.n_events} events"
     )
     return "\n".join(lines)

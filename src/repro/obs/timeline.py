@@ -15,13 +15,16 @@ Characters: ``D`` data, ``C`` explicit control, ``a`` ACK, ``B``
 beacon, ``!`` interferer burst; the ``channel`` row marks the union of
 all transmissions (``#``).  A cell covering several kinds shows the
 highest-priority one (data > control > ack > beacon > interference).
-Multi-BSS traces (``tx_start`` records stamped with a ``bss`` field by
-:class:`repro.net.lens.NetLens`) group the per-node rows by serving AP,
-separated by ``-- bss <ap> --`` headers.
+Multi-BSS traces (``net.tx_start`` records stamped with a ``bss`` field
+by :class:`repro.net.lens.NetLens`) group the per-node rows by serving
+AP, separated by ``-- bss <ap> --`` headers.
 
-Only ``type == "net"`` / ``event == "tx_start"`` records are consumed
-(they carry start time, duration, source, and kind), so any trace file
-that interleaves spans, flight records, and net events works unchanged.
+Only ``net.*`` point events are read — ``net.tx_start`` records carry
+start time, duration, source, and kind — so any trace file that
+interleaves spans, flight records, and net events works unchanged.  A
+sweep's trace holds one set of records per trial, stamped ``trial=i``;
+the timeline shows the lowest trial (records without a stamp, as a
+single ``run_scenario`` writes them, count as one trial of their own).
 Kept import-free of higher layers: ``repro.obs`` stays at the bottom of
 the stack, and net traces arrive here as plain parsed dicts.
 """
@@ -48,7 +51,7 @@ _PRIORITY = {kind: i for i, (kind, _c) in enumerate(KIND_CHARS)}
 
 @dataclass
 class TxInterval:
-    """One on-air interval reconstructed from a ``tx_start`` record."""
+    """One on-air interval reconstructed from a ``net.tx_start`` record."""
 
     src: str
     kind: str
@@ -58,19 +61,22 @@ class TxInterval:
 
 
 def extract_intervals(events: Iterable[dict]) -> Tuple[List[TxInterval], float]:
-    """Pull transmission intervals (and the time horizon) out of a trace.
+    """Pull the lowest trial's transmission intervals and time horizon.
 
     The horizon is the latest simulation time mentioned by *any* net
-    record, so trailing silence (e.g. a drained scenario) still shows.
+    record of that trial, so trailing silence (e.g. a drained scenario)
+    still shows.
     """
-    intervals: List[TxInterval] = []
-    horizon = 0.0
+    intervals: Dict[int, List[TxInterval]] = {}
+    horizons: Dict[int, float] = {}
     for ev in events:
-        if ev.get("type") != "net":
+        name = ev.get("name")
+        if ev.get("type") != "event" or not str(name).startswith("net."):
             continue
+        trial = ev.get("trial", -1)  # unstamped: one trial of their own
         t_us = float(ev.get("t_us", 0.0))
-        horizon = max(horizon, t_us)
-        if ev.get("event") != "tx_start":
+        horizons[trial] = max(horizons.get(trial, 0.0), t_us)
+        if name != "net.tx_start":
             continue
         kind = ev.get("kind", "data")
         if ev.get("dst") is None and kind not in _CHAR_FOR:
@@ -78,12 +84,15 @@ def extract_intervals(events: Iterable[dict]) -> Tuple[List[TxInterval], float]:
         elif kind not in _CHAR_FOR:
             kind = "data"
         end = t_us + float(ev.get("duration_us", 0.0))
-        horizon = max(horizon, end)
-        intervals.append(TxInterval(
+        horizons[trial] = max(horizons[trial], end)
+        intervals.setdefault(trial, []).append(TxInterval(
             src=str(ev.get("src", "?")), kind=kind,
             start_us=t_us, end_us=end, bss=ev.get("bss"),
         ))
-    return intervals, horizon
+    if not horizons:
+        return [], 0.0
+    first = min(horizons)
+    return intervals.get(first, []), horizons[first]
 
 
 def _paint(row: List[Optional[str]], iv: TxInterval, t0: float,
@@ -151,7 +160,7 @@ def render_timeline(events: Iterable[dict], width: int = 72) -> str:
     """Render per-node ASCII timelines + the channel-utilization table."""
     intervals, horizon = extract_intervals(events)
     if not intervals:
-        return "no net tx_start events in trace"
+        return "no net.tx_start events in trace"
     width = max(int(width), 8)
     t0 = 0.0
     us_per_cell = (horizon - t0) / width if horizon > t0 else 1.0

@@ -424,7 +424,7 @@ class TestSpecSerialisation:
 class TestBssObservability:
     def test_beacon_airtime_and_assoc_events(self):
         spec = builtin_scenario("campus-roaming", duration_us=200_000.0)
-        result = run_scenario(spec, rng=1, lens=NetLens(wall_clock=False))
+        result = run_scenario(spec, rng=1, lens=NetLens())
         ledger = result.ledger
         # APs spend airtime beaconing; it is accounted as its own kind.
         assert ledger["per_node"]["ap0"]["tx_beacon_us"] > 0
@@ -435,7 +435,7 @@ class TestBssObservability:
         assert total_nodes == len(spec.nodes)
         # Roams show up as assoc trace events with prev set.
         roams = [ev for ev in result.events
-                 if ev["event"] == "assoc" and ev["roam"]]
+                 if ev["name"] == "net.assoc" and ev["roam"]]
         assert len(roams) == result.n_roams
         for ev in roams:
             assert ev["prev"] is not None and ev["dst"] != ev["prev"]
@@ -444,7 +444,7 @@ class TestBssObservability:
         from repro.obs.timeline import render_timeline
 
         spec = builtin_scenario("campus-roaming", duration_us=120_000.0)
-        result = run_scenario(spec, rng=0, lens=NetLens(wall_clock=False))
+        result = run_scenario(spec, rng=0, lens=NetLens())
         art = render_timeline(result.events)
         assert "-- bss ap0 --" in art
         assert "B" in art  # beacon paint character

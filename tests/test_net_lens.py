@@ -1,15 +1,18 @@
-"""Tests for the net-lens: airtime ledger, event trace, profiler, CLI.
+"""Tests for the net-lens: airtime ledger, event records, dispatch spans, CLI.
 
 The load-bearing guarantees:
 
 * **Conservation** — per node, the four ledger states (tx / busy /
   backoff / idle) telescope to exactly the simulation duration, and the
   transmit time splits exactly into data / control / ack.
-* **Determinism** — with ``wall_clock=False`` the event stream is
-  byte-identical between serial and process-pool sweeps.
-* **Schema** — every trace record is a versioned ``type="net"`` event
-  with a name from the pinned vocabulary; failure causes come from the
-  net taxonomy.
+* **Determinism** — the event records carry no wall time, so they are
+  byte-identical between serial and process-pool sweeps, in results and
+  in ``--trace-out`` files alike.
+* **Schema** — every record is a versioned ``type="event"`` obs record
+  named from the pinned ``net.*`` vocabulary; failure causes come from
+  the net taxonomy.
+* **Timing is spans** — a traced run wraps each dispatched event in one
+  ``net.<callback>`` span.
 * The paper's headline, as an observable: the CoS run's control airtime
   fraction sits strictly below the explicit run's.
 """
@@ -18,13 +21,14 @@ import json
 
 import pytest
 
+import repro.net.lens as lens_mod
 import repro.obs as obs
 from repro.cli import main
 from repro.net import NetLens, builtin_scenario, run_scenario, run_scenario_sweep
 from repro.net.lens import NET_EVENT_NAMES, NODE_STATES
 from repro.obs.flight import NET_FAILURE_CAUSES, classify_net_failure
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
-from repro.obs.sink import SCHEMA_VERSION, read_jsonl
+from repro.obs.sink import SCHEMA_VERSION, MemorySink, read_jsonl
 from repro.obs.summarize import summarize_events
 from repro.obs.timeline import extract_intervals, render_timeline
 
@@ -115,12 +119,11 @@ class TestLedgerConservation:
         result = run_scenario(_small_spec(), rng=0, lens=NetLens())
         d = result.to_dict()
         assert set(d["ledger"]["per_node"]) == {"ap", "sta_near", "sta_hidden"}
-        assert set(d["profile"]) >= {"events_per_sec", "sim_wall_ratio"}
+        assert "profile" not in d  # wall time has no place in a result
 
     def test_disabled_lens_attaches_nothing(self):
         result = run_scenario(_small_spec(), rng=0)
-        assert result.ledger is None and result.profile is None
-        assert result.events is None
+        assert result.ledger is None and result.events is None
         assert "ledger" not in result.to_dict()
 
 
@@ -129,10 +132,10 @@ class TestControlAirtime:
         kw = dict(n_packets=40, duration_us=60_000.0)
         explicit = run_scenario(
             builtin_scenario("hidden-node", control="explicit", **kw),
-            rng=0, lens=NetLens(trace=False, profile=False))
+            rng=0, lens=NetLens())
         cos = run_scenario(
             builtin_scenario("hidden-node", control="cos", **kw),
-            rng=0, lens=NetLens(trace=False, profile=False))
+            rng=0, lens=NetLens())
         frac_explicit = explicit.ledger["control_airtime_fraction"]
         frac_cos = cos.ledger["control_airtime_fraction"]
         assert frac_explicit > 0.0
@@ -149,13 +152,14 @@ class TestTraceSchema:
     def test_golden_record_shape(self):
         result = run_scenario(_small_spec(), rng=0, lens=NetLens())
         assert result.events
+        assert SCHEMA_VERSION == 2
         for ev in result.events:
-            assert ev["type"] == "net"
+            assert ev["type"] == "event"
             assert ev["schema"] == SCHEMA_VERSION
-            assert ev["event"] in NET_EVENT_NAMES
+            assert ev["name"] in NET_EVENT_NAMES
             assert isinstance(ev["seq"], int)
             assert ev["t_us"] >= 0.0
-            assert "wall_ts" in ev  # wall_clock=True is the default
+            assert "event" not in ev and "wall_ts" not in ev
 
     def test_seq_is_emission_order(self):
         result = run_scenario(_small_spec(), rng=0, lens=NetLens())
@@ -165,20 +169,23 @@ class TestTraceSchema:
     def test_tx_end_carries_cause_taxonomy(self):
         result = run_scenario(_small_spec(), rng=0, lens=NetLens())
         causes = [ev["cause"] for ev in result.events
-                  if ev["event"] == "tx_end" and "cause" in ev]
+                  if ev["name"] == "net.tx_end" and "cause" in ev]
         assert causes, "no addressed tx_end records"
         assert set(causes) <= set(NET_FAILURE_CAUSES)
 
-    def test_wall_clock_off_removes_wall_ts(self):
-        result = run_scenario(_small_spec(), rng=0,
-                              lens=NetLens(wall_clock=False))
-        assert all("wall_ts" not in ev for ev in result.events)
+    def test_records_are_deterministic(self):
+        """No record carries wall time: two runs give identical bytes."""
+        first = run_scenario(_small_spec(), rng=0, lens=NetLens())
+        again = run_scenario(_small_spec(), rng=0, lens=NetLens())
+        assert json.dumps(first.events) == json.dumps(again.events)
 
-    def test_max_events_cap(self):
-        lens = NetLens(max_events=10)
+    def test_max_events_cap(self, monkeypatch):
+        full = run_scenario(_small_spec(), rng=0, lens=NetLens()).events
+        monkeypatch.setattr(lens_mod, "MAX_EVENTS", 10)
+        lens = NetLens()
         run_scenario(_small_spec(), rng=0, lens=lens)
-        assert len(lens.events) == 10
-        assert lens.n_events_dropped > 0
+        assert lens.events == full[:10]
+        assert lens.n_events_dropped == len(full) - 10
 
     def test_classify_net_failure(self):
         assert classify_net_failure(True, "ok") == "ok"
@@ -191,26 +198,23 @@ class TestTraceSchema:
 class TestTraceDeterminism:
     def test_serial_vs_pool_byte_identical(self):
         spec = _small_spec()
-        lens_cfg = {"wall_clock": False, "profile": False}
         serial = run_scenario_sweep(spec, n_trials=2, seed=5, workers=0,
-                                    lens=lens_cfg)
+                                    lens=True)
         pooled = run_scenario_sweep(spec, n_trials=2, seed=5, workers=2,
-                                    lens=lens_cfg)
+                                    lens=True)
         for a, b in zip(serial, pooled):
-            ev_a = sorted(a.events, key=lambda e: (e["t_us"], e["seq"]))
-            ev_b = sorted(b.events, key=lambda e: (e["t_us"], e["seq"]))
-            assert json.dumps(ev_a) == json.dumps(ev_b)
+            assert a.events
+            assert json.dumps(a.events) == json.dumps(b.events)
             assert a.ledger == b.ledger
 
     def test_multi_bss_serial_vs_pool_byte_identical(self):
         """The roaming scenario (beacons, hand-offs, traffic generators,
         grid-culled medium) replays byte-for-byte across executors."""
         spec = builtin_scenario("campus-roaming", duration_us=150_000.0)
-        lens_cfg = {"wall_clock": False, "profile": False}
         serial = run_scenario_sweep(spec, n_trials=2, seed=3, workers=0,
-                                    lens=lens_cfg)
+                                    lens=True)
         pooled = run_scenario_sweep(spec, n_trials=2, seed=3, workers=2,
-                                    lens=lens_cfg)
+                                    lens=True)
         for a, b in zip(serial, pooled):
             assert json.dumps(a.events) == json.dumps(b.events)
             assert a.ledger == b.ledger
@@ -219,27 +223,59 @@ class TestTraceDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Profiler
+# Trace routing: dispatch spans, and records emitted by the caller
 # ---------------------------------------------------------------------------
 
 
-class TestProfiler:
-    def test_profile_reports_throughput(self):
-        result = run_scenario(_small_spec(), rng=0, lens=NetLens())
-        prof = result.profile
-        assert prof["n_events"] == result.n_events > 0
-        assert prof["events_per_sec"] > 0
-        assert prof["sim_wall_ratio"] > 0
-        assert prof["by_type"]
-        for stats in prof["by_type"].values():
-            assert stats["count"] > 0
-            assert stats["p95_us"] >= stats["p50_us"] >= 0.0
+def _net_records(events):
+    return [ev for ev in events
+            if ev.get("type") == "event" and ev["name"].startswith("net.")]
 
-    def test_profiler_uninstalled_after_disabled_run(self):
-        from repro.net.simulator import NetSimulator
 
-        sim = NetSimulator(_small_spec(), rng=0)
-        assert sim.scheduler.profiler is None
+class TestDispatchSpans:
+    def test_one_span_per_dispatched_event(self):
+        sink = MemorySink()
+        with obs.tracing(sink):
+            result = run_scenario(_small_spec(), rng=0)
+        spans = [ev for ev in sink.events if ev["type"] == "span"]
+        (scenario,) = [sp for sp in spans if sp["name"] == "net.scenario"]
+        dispatch = [sp for sp in spans if sp["parent"] == scenario["id"]]
+        assert len(dispatch) == result.n_events > 0
+        assert all(sp["name"].startswith("net.") for sp in dispatch)
+        names = {sp["name"] for sp in dispatch}
+        assert "net.Medium._end" in names
+        # Per-callback cost reaches the stage table and the histogram.
+        summary = summarize_events(sink.events)
+        assert summary.stage("net.Medium._end").count > 0
+        hist = get_registry().histogram("repro_span_seconds")
+        assert hist.labels(name="net.Medium._end").count > 0
+
+    def test_traced_run_equals_untraced(self):
+        """Dispatch spans time the run without changing it."""
+        plain = run_scenario(_small_spec(), rng=0, lens=NetLens())
+        with obs.tracing(MemorySink()):
+            traced = run_scenario(_small_spec(), rng=0, lens=NetLens())
+        assert traced.to_dict() == plain.to_dict()
+        assert traced.events == plain.events
+
+
+class TestTraceRouting:
+    def test_run_scenario_emits_its_records(self):
+        sink = MemorySink()
+        with obs.tracing(sink):
+            result = run_scenario(_small_spec(), rng=0, lens=NetLens())
+        assert _net_records(sink.events) == result.events
+
+    def test_sweep_emits_every_trial_in_order(self):
+        sink = MemorySink()
+        with obs.tracing(sink):
+            results = run_scenario_sweep(_small_spec(), n_trials=2, seed=5,
+                                         workers=0, lens=True)
+        expected = [dict(ev, trial=i)
+                    for i, r in enumerate(results) for ev in r.events]
+        assert _net_records(sink.events) == expected
+        # The results themselves stay unstamped.
+        assert all("trial" not in ev for r in results for ev in r.events)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +297,13 @@ class TestMetricsFold:
         n_nodes = len(result.ledger["per_node"])
         assert total == pytest.approx(
             n_nodes * result.ledger["duration_us"], abs=1e-6)
-        assert reg.gauge("repro_net_events_per_sec").value > 0
+        events = reg.counter("repro_net_lens_events_total")
+        assert events.labels(event="tx_start").value == sum(
+            ev["name"] == "net.tx_start" for ev in result.events)
 
     def test_sweep_merges_worker_metrics(self):
         spec = _small_spec()
-        run_scenario_sweep(spec, n_trials=2, seed=5, workers=2,
-                           lens={"wall_clock": False})
+        run_scenario_sweep(spec, n_trials=2, seed=5, workers=2, lens=True)
         fam = get_registry().counter("repro_net_channel_busy_us_total")
         assert fam.value > 0
 
@@ -294,6 +331,13 @@ class TestReadJsonlTruncation:
         with pytest.raises(json.JSONDecodeError):
             list(read_jsonl(path))
 
+    def test_other_schema_version_raises(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"a": 1}\n{"type": "event", "schema": 2}\n'
+                        '{"type": "net", "schema": 1, "event": "tx_start"}\n')
+        with pytest.raises(ValueError, match="line 3.*schema 1"):
+            list(read_jsonl(path))
+
 
 # ---------------------------------------------------------------------------
 # Summarize + timeline over net traces
@@ -304,9 +348,10 @@ class TestNetSummaries:
     def test_summarize_counts_net_events(self):
         result = run_scenario(_small_spec(), rng=0, lens=NetLens())
         summary = summarize_events(result.events)
-        assert summary.n_net_events == len(result.events)
-        assert summary.net_events["tx_start"] > 0
-        assert set(summary.net_causes) <= set(NET_FAILURE_CAUSES)
+        assert summary.n_events == len(result.events)
+        assert sum(summary.events.values()) == len(result.events)
+        assert summary.events["net.tx_start"] > 0
+        assert set(summary.event_causes) <= set(NET_FAILURE_CAUSES)
         assert summary.n_spans == 0
 
     def test_render_timeline(self):
@@ -318,7 +363,17 @@ class TestNetSummaries:
         assert "airtime %" in text
 
     def test_render_timeline_empty(self):
-        assert "no net tx_start events" in render_timeline([])
+        assert "no net.tx_start events" in render_timeline([])
+
+    def test_timeline_renders_lowest_trial(self):
+        results = run_scenario_sweep(_small_spec(), n_trials=2, seed=5,
+                                     lens=True)
+        stamped = [dict(ev, trial=i) for i in (1, 0)
+                   for ev in results[i].events]
+        assert extract_intervals(stamped) == extract_intervals(
+            results[0].events)
+        assert extract_intervals(stamped) != extract_intervals(
+            results[1].events)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +395,7 @@ class TestLensCli:
     def test_timeline_roundtrip(self, tmp_path, capsys):
         trace = tmp_path / "net.jsonl"
         assert main(["--quiet", "net", "run", "hidden-node",
-                     "--timeline-out", str(trace)]) == 0
+                     "--trace-out", str(trace)]) == 0
         capsys.readouterr()
         assert main(["--quiet", "obs", "timeline", str(trace),
                      "--width", "50"]) == 0
@@ -351,14 +406,15 @@ class TestLensCli:
     def test_summarize_json_includes_net_fields(self, tmp_path, capsys):
         trace = tmp_path / "net.jsonl"
         assert main(["--quiet", "net", "run", "hidden-node",
-                     "--timeline-out", str(trace)]) == 0
+                     "--trace-out", str(trace)]) == 0
         capsys.readouterr()
         assert main(["--quiet", "obs", "summarize", str(trace),
                      "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["n_net_events"] > 0
-        assert summary["net_events"]["tx_start"] > 0
-        assert "ok" in summary["net_causes"]
+        assert summary["events"]["net.tx_start"] > 0
+        assert "ok" in summary["event_causes"]
+        stages = {s["name"] for s in summary["stages"]}
+        assert "net.scenario" in stages and "net.Medium._end" in stages
 
     def test_summary_json_carries_ledger_when_lens_on(self, tmp_path,
                                                       capsys):
@@ -368,8 +424,41 @@ class TestLensCli:
                      "--json", "-"]) == 0
         out = capsys.readouterr().out
         summary = json.loads(out[out.index("{"):])
-        assert "ledger" in summary and "profile" in summary
+        assert "ledger" in summary and "profile" not in summary
         assert summary["ledger"]["channel_busy_fraction"] > 0
+
+    def test_obs_commands_reject_other_schema(self, tmp_path, capsys):
+        trace = tmp_path / "old.jsonl"
+        trace.write_text('{"type": "net", "schema": 1, "event": "tx_start"}\n')
+        for command in ("summarize", "timeline"):
+            assert main(["obs", command, str(trace)]) == 2
+            assert "line 1: record has schema 1" in capsys.readouterr().err
+
+    def test_trace_out_serial_equals_pool(self, tmp_path):
+        """Every trial's net records reach the trace, pool or not."""
+        records = {}
+        for workers in ("0", "2"):
+            trace = tmp_path / f"net-{workers}.jsonl"
+            assert main(["--quiet", "net", "run", "hidden-node", "--no-store",
+                         "--trials", "2", "--workers", workers,
+                         "--trace-out", str(trace)]) == 0
+            records[workers] = _net_records(read_jsonl(trace))
+        assert records["0"] == records["2"]
+        assert {ev["trial"] for ev in records["0"]} == {0, 1}
+
+    def test_json_serial_equals_pool_with_ledger(self, tmp_path):
+        """A lensed summary holds no wall time: serial and pooled runs
+        export the same bytes."""
+        texts = {}
+        for workers in ("0", "2"):
+            out = tmp_path / f"summary-{workers}.json"
+            assert main(["--quiet", "net", "run", "hidden-node", "--no-store",
+                         "--trials", "2", "--workers", workers,
+                         "--ledger-out", str(tmp_path / "ledger.json"),
+                         "--json", str(out)]) == 0
+            texts[workers] = out.read_bytes()
+        assert texts["0"] == texts["2"]
+        assert b'"ledger"' in texts["0"]
 
 
 # ---------------------------------------------------------------------------

@@ -223,9 +223,10 @@ class TestScenarioIntegration:
         from repro.obs.metrics import get_registry
 
         spec = small_spec(controller="minstrel")
-        lens = NetLens(trace=True)
+        lens = NetLens()
         run_scenario(spec, rng=1, lens=lens)
-        rate_events = [e for e in lens.events if e["event"] == "rate_selected"]
+        rate_events = [e for e in lens.events
+                       if e["name"] == "net.rate_selected"]
         assert rate_events
         assert all(e["controller"] == "minstrel" for e in rate_events)
         metrics = get_registry().to_json()
@@ -234,9 +235,8 @@ class TestScenarioIntegration:
     def test_lens_does_not_perturb_run(self):
         spec = small_spec(controller="minstrel", error_model="surrogate")
         bare = run_scenario(spec, rng=3).to_dict()
-        observed = run_scenario(spec, rng=3, lens=NetLens(trace=True)).to_dict()
-        for lens_only in ("ledger", "profile", "events"):
-            observed.pop(lens_only, None)
+        observed = run_scenario(spec, rng=3, lens=NetLens()).to_dict()
+        observed.pop("ledger")
         assert observed == bare
 
 
