@@ -565,7 +565,7 @@ def obs() -> Iterator[Reading]:
     per_span_s = best_of(lambda: _span_loop(n), warmup=3)[0] / n
     yield Reading("noop_span", per_span_s * 1e6, {"n_spans": n})
 
-    session = repro_obs.configure(trace_out=repro_obs.NullSink(), enable_flight=False)
+    session = repro_obs.configure(trace_out=repro_obs.NullSink())
     try:
         n = 20_000
         per_span_s = best_of(lambda: _span_loop(n), warmup=3)[0] / n

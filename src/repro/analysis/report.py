@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 __all__ = ["generate_report", "write_report"]
 
@@ -27,48 +27,16 @@ def generate_report(stages: Optional[List[str]] = None,
                     workers: Optional[int] = None) -> str:
     """Run the requested experiment stages and return a markdown report.
 
-    ``workers`` selects the trial engine's executor (see
-    :mod:`repro.engine`); the rendered results are identical either way.
+    ``stages`` names entries of :data:`repro.experiments.runner.STAGES`
+    (None: all of them); an unknown name raises :class:`ValueError`
+    before anything runs.  ``workers`` selects the trial engine's
+    executor (see :mod:`repro.engine`); the rendered results are
+    identical either way.
     """
-    from repro.experiments import (
-        ablations,
-        fig2,
-        fig3,
-        fig5,
-        fig6,
-        fig7,
-        fig9,
-        fig10,
-        network,
-        waterfall,
-    )
     from repro.experiments.common import full_mode
+    from repro.experiments.runner import select_stages
 
-    w = workers
-    catalogue: List[Tuple[str, str, Callable[[], None]]] = [
-        ("fig2", "Fig. 2 — SNR gap", lambda: fig2.print_result(fig2.run(workers=w))),
-        ("fig3", "Fig. 3 — decoder-input BER", lambda: fig3.print_result(fig3.run(workers=w))),
-        ("fig5", "Fig. 5 — per-subcarrier EVM", lambda: fig5.print_result(fig5.run(workers=w))),
-        ("fig6", "Fig. 6 — symbol error pattern", lambda: fig6.print_result(fig6.run(workers=w))),
-        ("fig7", "Fig. 7 — temporal stability", lambda: fig7.print_result(fig7.run(workers=w))),
-        ("fig9", "Fig. 9 — control capacity", lambda: fig9.print_result(fig9.run(workers=w))),
-        ("fig10", "Fig. 10 — detection accuracy", lambda: fig10.print_result(fig10.run(workers=w))),
-        (
-            "ablations",
-            "Ablations — placement and EVD",
-            lambda: (
-                ablations.print_placement(ablations.run_placement(workers=w)),
-                ablations.print_evd(ablations.run_evd(workers=w)),
-            ),
-        ),
-        ("network", "Network — explicit vs CoS control",
-         lambda: network.print_result(network.run(workers=w))),
-        ("waterfall", "PHY waterfall validation",
-         lambda: waterfall.print_result(waterfall.run(workers=w))),
-    ]
-    selected = [
-        entry for entry in catalogue if stages is None or entry[0] in stages
-    ]
+    selected = select_stages(stages)
 
     scale = "paper scale (REPRO_FULL=1)" if full_mode() else "quick scale"
     parts = [
@@ -78,11 +46,11 @@ def generate_report(stages: Optional[List[str]] = None,
         "`python -m repro.cli report`.",
         "",
     ]
-    for key, title, fn in selected:
+    for _name, title, stage in selected:
         parts.append(f"## {title}")
         parts.append("")
         parts.append("```")
-        parts.append(_capture(fn))
+        parts.append(_capture(lambda: stage(workers, {})))
         parts.append("```")
         parts.append("")
     return "\n".join(parts)

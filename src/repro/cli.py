@@ -6,16 +6,18 @@ Commands
     Print the 802.11a rate table, rate-adaptation thresholds, channel
     severity profiles, and the default control-rate table.
 ``experiments [fig2 fig3 ...] [--workers N]``
-    Run the figure harnesses (all by default) and print their tables.
+    Run the figure harnesses (all by default) and print their tables;
+    an unknown stage name exits 2 and lists the valid ones (as does
+    ``report --stages``).
     ``--workers N`` executes trials on an N-process pool via
     :mod:`repro.engine` (default: the ``REPRO_WORKERS`` environment
     flag, else serial); results are bit-for-bit identical either way.
 ``link --snr DB --position P --packets N``
     Run a closed-loop CoS session and print its statistics.  With
-    ``--trace-out trace.jsonl`` every stage span and per-exchange flight
-    record is written as JSONL; with ``--metrics-out metrics.prom`` the
-    metrics registry is exported (Prometheus text, or JSON when the path
-    ends in ``.json``).
+    ``--trace-out trace.jsonl`` every stage span and one ``cos.exchange``
+    point event per exchange are written as JSONL; with ``--metrics-out
+    metrics.prom`` the metrics registry is exported (Prometheus text, or
+    JSON when the path ends in ``.json``).
 ``net run <scenario> [--control cos|explicit] [--medium culled|dense-exact]
 [--trials N] [--workers N]``
     Run a multi-node scenario (a ``ScenarioSpec`` JSON file or a
@@ -23,17 +25,17 @@ Commands
     the offered traffic) on the event-driven spatial simulator and
     print per-node goodput, delivery, control latency, and fairness
     stats.  ``--medium`` switches between the grid-culled medium
-    (default) and the all-pairs ``dense-exact`` debug mode.  ``--json PATH`` exports the
-    mean-over-trials summary (``-`` for stdout); ``--metrics-out`` works
-    as for ``link``.  ``--trace-out`` and ``--ledger-out`` each attach a
+    (default) and the all-pairs ``dense-exact`` debug mode.  ``--json PATH``
+    exports the mean-over-trials summary; ``--metrics-out`` works as for
+    ``link``.  ``--trace-out`` and ``--ledger-out`` each attach a
     :class:`repro.net.lens.NetLens` to every trial (so the summary JSON
     also gains a ``ledger`` section).  ``--trace-out`` writes every
     trial's ``net.*`` event records, stamped ``trial=i``, as JSONL, the
     same records for serial and ``--workers N`` runs; a serial run adds
     one ``net.<callback>`` span per dispatched event.  ``--ledger-out``
-    writes the first trial's per-node airtime ledger as JSON (``-`` for
-    stdout).  Trials go through the deterministic engine: serial and
-    ``--workers N`` results are bit-for-bit identical.
+    writes the first trial's per-node airtime ledger as JSON.  Trials go
+    through the deterministic engine: serial and ``--workers N`` results
+    are bit-for-bit identical.
     ``--fidelity table|surrogate`` overrides how CoS message delivery
     is decided (analytic operating points or the measured-PHY surrogate
     table).  ``--controller NAME``
@@ -57,8 +59,9 @@ Commands
 ``obs summarize trace.jsonl``
     Analyse a recorded trace offline: per-stage latency percentiles
     (for a net run, per scheduler callback), exchange span coverage,
-    the failure-cause breakdown, point-event counts by name, and the
-    frame outcomes of net traces.
+    point-event counts by name, and one outcomes table: event counts by
+    (name, ``cause``) — CoS exchange failure causes and net frame fates
+    alike.
 ``obs timeline trace.jsonl [--width N]``
     Render per-node ASCII airtime timelines and a channel-utilization
     table from the ``net.*`` records of a ``net run --trace-out`` file
@@ -67,6 +70,10 @@ Commands
 Global flags: ``--log-level debug|info|warning|error`` and ``--quiet``
 control the ``repro.*`` logger hierarchy (diagnostics go to stderr;
 result tables always go to stdout).
+
+Every output-path flag (``--json``, ``--trace-out``, ``--metrics-out``,
+``--ledger-out``) takes ``-`` for stdout; ``--trace-out -`` streams the
+JSONL records there as they are emitted.
 
 Sweep-running commands (``experiments``, ``report``, ``net run``) accept
 ``--store [DIR]`` to cache trial results in a content-addressed store
@@ -79,6 +86,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from typing import List, Optional
 
@@ -168,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     net_run.add_argument("--trace-out", default=None, metavar="PATH",
                          help="write every trial's net event records (and, "
                               "serially, per-callback spans) as JSONL to "
-                              "PATH; feed to 'repro obs summarize' or "
-                              "'repro obs timeline'")
+                              "PATH ('-' for stdout); feed to 'repro obs "
+                              "summarize' or 'repro obs timeline'")
     net_run.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="export the metrics registry (Prometheus text; "
-                              "JSON if PATH ends with .json)")
+                              "JSON if PATH ends with .json; '-' for stdout)")
     net_run.add_argument("--ledger-out", default=None, metavar="PATH",
                          help="write the first trial's per-node airtime "
                               "ledger as JSON ('-' for stdout)")
@@ -253,15 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--seed", type=int, default=5)
     link.add_argument("--predictor", action="store_true", help="enable EVM smoothing")
     link.add_argument("--trace-out", default=None, metavar="PATH",
-                      help="write span + flight-record JSONL trace to PATH")
+                      help="write the span + cos.exchange event JSONL trace "
+                           "to PATH ('-' for stdout)")
     link.add_argument("--metrics-out", default=None, metavar="PATH",
                       help="export the metrics registry (Prometheus text; "
-                           "JSON if PATH ends with .json)")
+                           "JSON if PATH ends with .json; '-' for stdout)")
 
     obs_p = sub.add_parser("obs", help="observability utilities")
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)
     summ = obs_sub.add_parser(
-        "summarize", help="per-stage latency + failure causes from a trace"
+        "summarize", help="per-stage latency + outcomes from a trace"
     )
     summ.add_argument("trace", help="path to a trace.jsonl produced by --trace-out")
     summ.add_argument("--json", action="store_true",
@@ -297,6 +306,42 @@ def setup_logging(level: str = "info", quiet: bool = False) -> None:
         logger.addHandler(handler)
         logger.propagate = False
     logger.setLevel(logging.ERROR if quiet else getattr(logging, level.upper()))
+
+
+def _write_out(path: str, text: str, what: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    logging.getLogger("repro.cli").info("%s written to %s", what, path)
+
+
+def _write_metrics(path: str) -> None:
+    """Export the metrics registry: JSON for a ``.json`` path, else
+    Prometheus text."""
+    from repro.obs import get_registry
+
+    registry = get_registry()
+    text = registry.to_json() if path.endswith(".json") else registry.to_prometheus()
+    _write_out(path, text, "metrics")
+
+
+def _open_trace(path: Optional[str]):
+    """An :class:`repro.obs.ObsSession` tracing to ``path`` (stdout for
+    ``-``, left open on close), or None when ``path`` is None."""
+    import repro.obs as obs
+
+    if path is None:
+        return None
+    return obs.configure(trace_out=sys.stdout if path == "-" else path)
+
+
+def _close_trace(session, path: Optional[str]) -> None:
+    if session is not None:
+        session.close()
+        logging.getLogger("repro.cli").info("trace written to %s", path)
 
 
 def _cmd_info() -> int:
@@ -352,22 +397,10 @@ def _apply_store_flags(args) -> None:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.experiments.runner import main as run_experiments
+    from repro.experiments import runner
 
     _apply_store_flags(args)
-
-    argv = list(args.figures)
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    for flag, value in (
-        ("--payload-octets", args.payload_octets),
-        ("--data-rate-mbps", args.data_rate_mbps),
-        ("--packets-per-station", args.packets_per_station),
-        ("--network-backend", args.network_backend),
-    ):
-        if value is not None:
-            argv += [flag, str(value)]
-    return run_experiments(argv)
+    return runner.run(args.figures, args.workers, runner.network_options(args))
 
 
 def _cmd_net_tables(args, log) -> int:
@@ -444,7 +477,6 @@ def _cmd_net_tables(args, log) -> int:
 
 def _cmd_net_compare(args, log) -> int:
     import json
-    import os
 
     from repro.experiments.common import print_table
     from repro.net import BUILTIN_SCENARIOS, ScenarioSpec, builtin_scenario
@@ -508,21 +540,14 @@ def _cmd_net_compare(args, log) -> int:
         )
     if args.json:
         payload = reports[0] if len(reports) == 1 else reports
-        text = json.dumps(payload, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            log.info("comparison written to %s", args.json)
+        _write_out(args.json, json.dumps(payload, indent=2) + "\n",
+                   "comparison")
     return 0
 
 
 def _cmd_net(args) -> int:
     import json
-    import os
 
-    import repro.obs as obs
     from repro.experiments.common import print_table
     from repro.net import (
         BUILTIN_SCENARIOS,
@@ -626,16 +651,14 @@ def _cmd_net(args) -> int:
 
     # Either observability export needs a NetLens riding every trial.
     lens = bool(args.ledger_out or args.trace_out)
-    session = obs.configure(trace_out=args.trace_out) if args.trace_out else None
+    session = _open_trace(args.trace_out)
     try:
         results = run_scenario_sweep(
             spec, n_trials=args.trials, seed=args.seed, workers=workers,
             lens=lens,
         )
     finally:
-        if session is not None:
-            session.close()
-            log.info("trace written to %s", args.trace_out)
+        _close_trace(session, args.trace_out)
 
     summary = summarize_results(results)
     print_table(
@@ -662,43 +685,23 @@ def _cmd_net(args) -> int:
         ),
     )
     if args.json:
-        text = json.dumps(summary, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            log.info("summary written to %s", args.json)
+        _write_out(args.json, json.dumps(summary, indent=2) + "\n", "summary")
     if args.ledger_out:
         ledger = dict(results[0].ledger or {})
         ledger["scenario"] = summary["scenario"]
         ledger["control"] = summary["control"]
-        text = json.dumps(ledger, indent=2)
-        if args.ledger_out == "-":
-            print(text)
-        else:
-            with open(args.ledger_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            log.info("airtime ledger written to %s", args.ledger_out)
+        _write_out(args.ledger_out, json.dumps(ledger, indent=2) + "\n",
+                   "airtime ledger")
     if args.metrics_out:
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = registry.to_json()
-        else:
-            text = registry.to_prometheus()
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log.info("metrics written to %s", args.metrics_out)
+        _write_metrics(args.metrics_out)
     return 0
 
 
 def _cmd_link(args) -> int:
-    import repro.obs as obs
     from repro.channel import IndoorChannel
     from repro.cos import CosLink, EvmPredictor
 
-    log = logging.getLogger("repro.cli")
-    session = obs.configure(trace_out=args.trace_out) if args.trace_out else None
+    session = _open_trace(args.trace_out)
 
     channel = IndoorChannel.position(args.position, snr_db=args.snr, seed=args.seed)
     link = CosLink(channel=channel)
@@ -707,9 +710,7 @@ def _cmd_link(args) -> int:
     try:
         stats = link.run(n_packets=args.packets, payload=bytes(args.payload))
     finally:
-        if session is not None:
-            session.close()
-            log.info("trace written to %s", args.trace_out)
+        _close_trace(session, args.trace_out)
     print(f"position {args.position} @ measured {args.snr} dB "
           f"(actual {channel.actual_snr_db:.1f} dB), {args.packets} packets")
     print(f"  data PRR:                 {stats.prr * 100:6.2f} %")
@@ -717,16 +718,8 @@ def _cmd_link(args) -> int:
     print(f"  control (per message):    {stats.message_accuracy * 100:6.2f} %")
     print(f"  control bits delivered:   {stats.control_bits_delivered}")
     print(f"  silence symbols inserted: {stats.total_silences}")
-
     if args.metrics_out:
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = registry.to_json()
-        else:
-            text = registry.to_prometheus()
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log.info("metrics written to %s", args.metrics_out)
+        _write_metrics(args.metrics_out)
     return 0
 
 
@@ -750,10 +743,8 @@ def _cmd_obs(args) -> int:
             "stages": [dataclasses.asdict(s) for s in summary.stages],
             "causes": summary.causes,
             "n_spans": summary.n_spans,
-            "n_flights": summary.n_flights,
             "n_events": summary.n_events,
             "events": summary.events,
-            "event_causes": summary.event_causes,
             "exchange_total_s": summary.exchange_total_s,
             "exchange_coverage": summary.exchange_coverage,
         }, indent=2))
@@ -765,6 +756,17 @@ def _cmd_obs(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     setup_logging(args.log_level, quiet=args.quiet)
+    try:
+        return _dispatch(args)
+    except BrokenPipeError:
+        # stdout's reader went away (``repro link --trace-out - | head``):
+        # stop quietly, with stdout on devnull so the exit flush cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(args) -> int:
     if args.command == "info":
         return _cmd_info()
     if args.command == "experiments":
@@ -777,7 +779,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_obs(args)
     if args.command == "report":
         from repro.analysis.report import write_report
+        from repro.experiments.runner import select_stages
 
+        try:
+            select_stages(args.stages)
+        except ValueError as exc:
+            logging.getLogger("repro.cli").error("%s", exc)
+            return 2
         _apply_store_flags(args)
         path = write_report(args.path, stages=args.stages, workers=args.workers)
         print(f"wrote {path}")

@@ -30,9 +30,8 @@ import numpy as np
 
 from repro.channel.link import IndoorChannel
 from repro.cos.energy import DetectionReport, EnergyDetector
-from repro.obs.flight import current_recorder
 from repro.obs.metrics import get_registry
-from repro.obs.trace import span
+from repro.obs.trace import current_tracer, event, span
 from repro.cos.evm import per_subcarrier_evm
 from repro.cos.intervals import IntervalCodec
 from repro.cos.predictor import EvmPredictor
@@ -56,8 +55,47 @@ __all__ = [
     "CosReceiver",
     "ExchangeOutcome",
     "CosLink",
+    "FAILURE_CAUSES",
+    "MAX_EVENT_POSITIONS",
+    "classify_failure",
     "control_group_accuracy",
 ]
+
+#: Why an exchange succeeded or failed (the ``cause`` of its
+#: ``cos.exchange`` event and the label of ``repro_flight_total``):
+#:
+#: * ``ok`` — CRC clean and every control bit recovered;
+#: * ``signal_loss`` — the SIGNAL field was undecodable (nothing
+#:   downstream could run);
+#: * ``crc_fail`` — the data field failed CRC (EVD could not recover the
+#:   erasures/noise);
+#: * ``feedback_loss`` — data fine but the control message was declared
+#:   lost (faded control subcarriers or interval-decode error);
+#: * ``detection_miss`` — data fine, recovery ran, but the recovered
+#:   control bits differ from what was embedded (missed/spurious
+#:   silences).
+FAILURE_CAUSES = ("ok", "signal_loss", "crc_fail", "feedback_loss", "detection_miss")
+
+#: Cap on the silence positions and per-symbol energies one
+#: ``cos.exchange`` event carries, bounding its size on long packets.
+MAX_EVENT_POSITIONS = 512
+
+
+def classify_failure(
+    signal_ok: bool,
+    crc_ok: bool,
+    control_sent: int,
+    control_ok: bool,
+    control_error: Optional[str],
+) -> str:
+    """Collapse an exchange outcome into one of :data:`FAILURE_CAUSES`."""
+    if not signal_ok:
+        return "signal_loss"
+    if not crc_ok:
+        return "crc_fail"
+    if control_sent and not control_ok:
+        return "feedback_loss" if control_error else "detection_miss"
+    return "ok"
 
 
 def control_group_accuracy(
@@ -488,8 +526,8 @@ class CosLink:
 
         The exchange is fully instrumented: every stage runs under a
         :func:`repro.obs.trace.span` (root span ``cos.exchange``), and
-        when a flight recorder is configured the complete decision chain
-        is emitted as one :class:`repro.obs.flight.FlightRecord`.
+        when a tracer is active the complete decision chain is emitted as
+        one ``cos.exchange`` point event (see :meth:`_account`).
         """
         with span("cos.exchange") as root:
             with span("cos.rate_select"):
@@ -571,7 +609,15 @@ class CosLink:
         fallback_before: bool,
         fallback_after: bool,
     ) -> None:
-        """Update the metrics registry and emit the flight record."""
+        """Update the metrics registry and, when tracing, emit the exchange.
+
+        The ``cos.exchange`` point event carries the whole decision chain:
+        the selected rate and the SNR gap it left, the control-rate
+        allocation, where silences were placed, what the energy detector
+        saw, how many bit metrics EVD zeroed, the CRC outcome, the
+        EVM-selected subcarriers fed back, the fallback transition, and
+        its :data:`FAILURE_CAUSES` ``cause``.
+        """
         registry = get_registry()
         registry.counter(
             "repro_exchanges_total", help="Closed-loop CoS exchanges."
@@ -586,42 +632,75 @@ class CosLink:
                 help="Control bits recovered exactly.",
             ).inc(int(outcome.control_sent.size))
 
-        recorder = current_recorder()
-        if recorder is None:
+        if current_tracer() is None:
             return
         if fallback_after != fallback_before:
             transition: Optional[str] = "enter" if fallback_after else "exit"
         else:
             transition = None
-        evd_erasures = (
-            int(np.count_nonzero(result.detection.mask))
-            if result.detection is not None
-            else 0
-        )
-        recorder.record(
-            rate_mbps=outcome.rate_mbps,
-            measured_snr_db=outcome.measured_snr_db,
-            actual_snr_db=outcome.actual_snr_db,
-            min_required_snr_db=self.adapter.min_required_snr_db(
-                record.frame.rate
-            ),
-            in_fallback=fallback_after,
+        cap = MAX_EVENT_POSITIONS
+        silence_mask = record.frame.silence_mask
+        if silence_mask is not None:
+            positions = np.argwhere(np.asarray(silence_mask, dtype=bool))
+            n_silences = int(positions.shape[0])
+            positions = positions[:cap].tolist()
+        else:
+            positions, n_silences = [], 0
+        detection = result.detection
+        nan = float("nan")
+        threshold = energy_min = energy_mean = energy_max = nan
+        symbol_min: List[float] = []
+        if detection is not None:
+            threshold = float(detection.threshold)
+            energies = np.asarray(detection.energies, dtype=np.float64)
+            if energies.size:
+                energy_min = float(energies.min())
+                energy_mean = float(energies.mean())
+                energy_max = float(energies.max())
+                symbol_min = energies.min(axis=1)[:cap].tolist()
+        signal_ok = result.phy.signal is not None
+        control_sent = int(outcome.control_sent.size)
+        cause = classify_failure(signal_ok, outcome.data_ok, control_sent,
+                                 outcome.control_ok, outcome.control_error)
+        registry.counter(
+            "repro_flight_total",
+            help="CoS exchanges recorded, by failure cause.",
+        ).labels(cause=cause).inc()
+        allocation = record.allocation
+        event(
+            "cos.exchange",
+            cause=cause,
+            rate_mbps=int(outcome.rate_mbps),
+            measured_snr_db=float(outcome.measured_snr_db),
+            actual_snr_db=float(outcome.actual_snr_db),
+            snr_gap_db=float(outcome.actual_snr_db
+                             - self.adapter.min_required_snr_db(record.frame.rate)),
+            in_fallback=bool(fallback_after),
             fallback_transition=transition,
-            allocation=record.allocation,
-            control_subcarriers=record.control_subcarriers,
-            silence_mask=record.frame.silence_mask,
-            detection=result.detection,
-            evd_erasures=evd_erasures,
-            signal_ok=result.phy.signal is not None,
-            crc_ok=outcome.data_ok,
-            control_sent=outcome.control_sent,
-            control_received=outcome.control_received,
-            control_ok=outcome.control_ok,
+            n_control_subcarriers=int(allocation.n_control_subcarriers),
+            max_control_bits=int(allocation.max_control_bits),
+            target_silences=int(allocation.target_silences),
+            control_subcarriers=[int(c) for c in record.control_subcarriers],
+            n_silences=n_silences,
+            silence_positions=positions,
+            detection_threshold=threshold,
+            energy_min=energy_min,
+            energy_mean=energy_mean,
+            energy_max=energy_max,
+            symbol_min_energy=symbol_min,
+            evd_erasures=(int(np.count_nonzero(detection.mask))
+                          if detection is not None else 0),
+            signal_ok=signal_ok,
+            crc_ok=bool(outcome.data_ok),
+            control_sent_bits=control_sent,
+            control_received_bits=int(outcome.control_received.size),
+            control_ok=bool(outcome.control_ok),
             control_error=outcome.control_error,
-            detection_fp=outcome.detection_fp,
-            detection_fn=outcome.detection_fn,
-            evm_selected=(
-                result.selection.subcarriers if result.selection is not None else None
+            detection_fp=float(outcome.detection_fp),
+            detection_fn=float(outcome.detection_fn),
+            evm_selected_subcarriers=(
+                [int(c) for c in result.selection.subcarriers]
+                if result.selection is not None else []
             ),
         )
 

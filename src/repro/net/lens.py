@@ -35,8 +35,7 @@ run keeps both of the following.
   a tracer: :func:`~repro.net.simulator.run_scenario` and
   :func:`~repro.net.simulator.run_scenario_sweep` emit a result's
   records into the caller's active trace.  ``tx_end`` records carry the
-  net-layer failure-cause taxonomy
-  (:func:`repro.obs.flight.classify_net_failure`).
+  net-layer failure-cause taxonomy (:func:`classify_net_failure`).
 
 Where the simulator's wall time goes is not the lens's business: with a
 tracer active, :meth:`repro.net.scheduler.EventScheduler.run` wraps each
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.flight import classify_net_failure
 from repro.obs.metrics import get_registry
 from repro.obs.sink import SCHEMA_VERSION
 
@@ -62,8 +60,10 @@ __all__ = [
     "LEDGER_SCHEMA",
     "MAX_EVENTS",
     "NET_EVENT_NAMES",
+    "NET_FAILURE_CAUSES",
     "NODE_STATES",
     "NetLens",
+    "classify_net_failure",
 ]
 
 #: Every record name a lens may emit (golden-schema tests pin this).
@@ -78,6 +78,33 @@ NET_EVENT_NAMES = (
     "net.rate_selected",
     "net.assoc",
 )
+
+#: Why a *frame* lived or died in the multi-node simulator (the ``cause``
+#: of ``net.tx_end`` / ``net.drop`` records).  ``collision`` is a
+#: capture-gate loss (SINR below the capture threshold — a concurrent
+#: transmission won), ``channel_error`` is a noise-floor loss (SINR
+#: cleared capture but the rate-dependent error draw failed),
+#: ``rx_busy`` is a half-duplex loss (the destination was itself
+#: transmitting), and ``retry_exhausted`` is the MAC giving up after
+#: MAX_RETRIES failed exchanges.
+NET_FAILURE_CAUSES = ("ok", "collision", "channel_error", "rx_busy",
+                      "retry_exhausted")
+
+
+def classify_net_failure(ok: bool, reason: str) -> str:
+    """Map a medium-level reception outcome onto :data:`NET_FAILURE_CAUSES`.
+
+    ``reason`` is what :meth:`repro.net.sinr.ReceptionModel.decide` (or
+    the medium's half-duplex gate) reported.  Unknown reasons collapse to
+    ``channel_error`` rather than raising, so the trace stays writable
+    when new loss modes are added below this layer.
+    """
+    if ok:
+        return "ok"
+    if reason in NET_FAILURE_CAUSES:
+        return reason
+    return "channel_error"
+
 
 #: Mutually exclusive per-node airtime states (priority order).
 NODE_STATES = ("tx", "busy", "backoff", "idle")

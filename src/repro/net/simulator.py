@@ -478,7 +478,7 @@ def _trace_events(result: NetResult, **stamp) -> None:
     tracer = current_tracer()
     if tracer is not None and result.events:
         for record in result.events:
-            tracer.emit({**record, **stamp})
+            tracer.sink.emit({**record, **stamp})
 
 
 def run_scenario(spec: ScenarioSpec, rng: RngLike = 0,

@@ -1,15 +1,19 @@
 """``repro.obs`` — observability for the CoS pipeline.
 
-Three cooperating pieces, all optional and all off by default:
+Two cooperating pieces, both optional and off by default:
 
 * :mod:`repro.obs.metrics` — process-wide counters / gauges / histograms,
   exportable as Prometheus text or JSON;
 * :mod:`repro.obs.trace` — ``span("rx.evd")`` nested wall-clock tracing
-  with a sub-microsecond no-op path when disabled;
-* :mod:`repro.obs.flight` — per-exchange flight records explaining every
-  CoS decision (rate, silences, detection, EVD, CRC, feedback).
+  with a sub-microsecond no-op path when disabled, and ``event(name,
+  **fields)`` point events.  A trace holds only these two record kinds:
+  ``type="span"`` and ``type="event"``.  Each layer names its own events
+  and, where it has one, its own outcome taxonomy in a ``cause`` field —
+  ``cos.exchange`` (:mod:`repro.cos.link`) explains every CoS decision
+  (rate, silences, detection, EVD, CRC, feedback), ``net.*``
+  (:mod:`repro.net.lens`) every frame's fate.
 
-:func:`configure` wires all three to one sink::
+:func:`configure` is the one switch::
 
     import repro.obs as obs
 
@@ -18,23 +22,16 @@ Three cooperating pieces, all optional and all off by default:
     print(session.registry.to_prometheus())
 
 and ``repro obs summarize trace.jsonl`` renders the per-stage latency
-and failure-cause tables offline (:mod:`repro.obs.summarize`).
+and outcome tables offline (:mod:`repro.obs.summarize`).
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-from repro.obs import flight as _flight
 from repro.obs import trace as _trace
-from repro.obs.flight import (
-    FlightRecord,
-    FlightRecorder,
-    classify_failure,
-    classify_net_failure,
-)
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     Counter,
@@ -80,10 +77,6 @@ __all__ = [
     "event",
     "tracing",
     "current_tracer",
-    "FlightRecord",
-    "FlightRecorder",
-    "classify_failure",
-    "classify_net_failure",
     "TraceSummary",
     "summarize_events",
     "summarize_trace",
@@ -99,24 +92,20 @@ __all__ = [
 class ObsSession:
     """A live observability configuration (use as a context manager)."""
 
-    def __init__(self, sink: Sink, tracer: Optional[Tracer],
-                 recorder: Optional[FlightRecorder],
+    def __init__(self, sink: Sink, tracer: Tracer,
                  registry: MetricsRegistry) -> None:
         self.sink = sink
         self.tracer = tracer
-        self.recorder = recorder
         self.registry = registry
         self._closed = False
 
     def close(self) -> None:
-        """Disable tracing/flight recording and close the sink."""
+        """Disable tracing and close the sink."""
         if self._closed:
             return
         self._closed = True
         if _trace.current_tracer() is self.tracer:
             _trace.disable()  # closes the sink
-        if _flight.current_recorder() is self.recorder:
-            _flight.disable()
         self.sink.close()
 
     def __enter__(self) -> "ObsSession":
@@ -128,29 +117,24 @@ class ObsSession:
 
 def configure(
     trace_out: Union[str, Path, io.TextIOBase, Sink, None] = None,
-    registry: Optional[MetricsRegistry] = None,
-    enable_trace: bool = True,
-    enable_flight: bool = True,
 ) -> ObsSession:
-    """Enable tracing and/or flight recording, all feeding one sink.
+    """Enable tracing into one sink, observed into the process registry.
 
-    ``trace_out`` may be a path (JSONL file), an open text stream, a
-    :class:`Sink`, or None (events kept in a :class:`MemorySink`).
+    ``trace_out`` may be a path (JSONL file), an open text stream (left
+    open on close), a :class:`Sink`, or None (records kept in a
+    :class:`MemorySink`).
     """
-    registry = registry if registry is not None else get_registry()
     if isinstance(trace_out, Sink):
         sink: Sink = trace_out
     elif trace_out is None:
         sink = MemorySink()
     else:
         sink = JsonlSink(trace_out)
-    tracer = _trace.enable(sink, registry) if enable_trace else None
-    recorder = _flight.enable(sink, registry) if enable_flight else None
-    return ObsSession(sink=sink, tracer=tracer, recorder=recorder,
+    registry = get_registry()
+    return ObsSession(sink=sink, tracer=_trace.enable(sink, registry),
                       registry=registry)
 
 
 def shutdown() -> None:
-    """Hard-disable everything (used by tests for isolation)."""
+    """Hard-disable tracing (used by tests for isolation)."""
     _trace.disable()
-    _flight.disable()

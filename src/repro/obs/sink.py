@@ -1,21 +1,23 @@
-"""Event sinks: where trace spans and flight records go.
+"""Event sinks: where trace records go.
 
-Events are flat-ish dicts with a ``type`` field (``"span"``, ``"flight"``,
-``"event"``).  The JSONL sink writes one JSON object per line so traces
-can be streamed, tailed, grepped, and post-processed without loading the
-whole file; :func:`read_jsonl` is the matching reader used by
-``repro obs summarize``.
+A trace holds two record kinds, told apart by their ``type`` field:
+``"span"`` (a timed stage, :mod:`repro.obs.trace`) and ``"event"`` (a
+named point event such as ``cos.exchange`` or ``net.tx_end``).  The JSONL
+sink writes one JSON object per line so traces can be streamed, tailed,
+grepped, and post-processed without loading the whole file;
+:func:`read_jsonl` is the matching reader used by ``repro obs
+summarize``.
 
 Numpy scalars/arrays are converted to plain Python types on the way out,
 so instrumented code can hand over whatever it has.
 
 Every record carries a ``schema`` version field (:data:`SCHEMA_VERSION`,
-stamped at the emission sites in :mod:`repro.obs.trace`,
-:mod:`repro.obs.flight`, and :mod:`repro.net.lens`) so downstream
-tooling can evolve the formats without guessing; :func:`read_jsonl`
-rejects a record stamped with any other version rather than misread it.
-It tolerates a truncated *final* line — the normal state of a trace
-whose producer crashed or was killed mid-write — instead of raising.
+stamped at the emission sites in :mod:`repro.obs.trace` and
+:mod:`repro.net.lens`) so downstream tooling can evolve the formats
+without guessing; :func:`read_jsonl` rejects a record stamped with any
+other version, or of any other ``type``, rather than misread it.  It
+tolerates a truncated *final* line — the normal state of a trace whose
+producer crashed or was killed mid-write — instead of raising.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-__all__ = ["SCHEMA_VERSION", "Sink", "JsonlSink", "MemorySink", "NullSink",
-           "read_jsonl"]
+__all__ = ["RECORD_TYPES", "SCHEMA_VERSION", "Sink", "JsonlSink", "MemorySink",
+           "NullSink", "read_jsonl"]
 
 #: Version stamped into every emitted JSONL event record.  Version 2:
 #: net-lens records became ``type="event"`` records named ``net.<event>``
 #: and lost their wall-clock ``wall_ts`` field.
 SCHEMA_VERSION = 2
+
+#: The record ``type`` values a trace may hold.
+RECORD_TYPES = ("span", "event")
 
 
 def _jsonable(value):
@@ -140,8 +145,10 @@ def read_jsonl(path: Union[str, Path], strict: bool = False) -> Iterator[Dict]:
     mid-write — so crashed-run traces stay readable.  A malformed line
     with valid records after it is real corruption and still raises
     (always raises with ``strict=True``).  A record whose ``schema`` is
-    present and is not :data:`SCHEMA_VERSION` raises :class:`ValueError`
-    naming its line and version.
+    present and is not :data:`SCHEMA_VERSION`, or whose ``type`` is
+    present and is not one of :data:`RECORD_TYPES` (an older build's
+    ``"flight"`` record, say), raises :class:`ValueError` naming its line
+    and the offending value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         pending: Optional[str] = None
@@ -159,11 +166,17 @@ def read_jsonl(path: Union[str, Path], strict: bool = False) -> Iterator[Dict]:
                     raise
                 pending = line
                 continue
-            if isinstance(record, dict) and record.get(
-                    "schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-                raise ValueError(
-                    f"{path}: line {lineno}: record has schema "
-                    f"{record['schema']!r}; this reader reads schema "
-                    f"{SCHEMA_VERSION}"
-                )
+            if isinstance(record, dict):
+                if record.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+                    raise ValueError(
+                        f"{path}: line {lineno}: record has schema "
+                        f"{record['schema']!r}; this reader reads schema "
+                        f"{SCHEMA_VERSION}"
+                    )
+                if record.get("type", "event") not in RECORD_TYPES:
+                    raise ValueError(
+                        f"{path}: line {lineno}: record has type "
+                        f"{record['type']!r}; this reader reads types "
+                        f"{', '.join(RECORD_TYPES)}"
+                    )
             yield record

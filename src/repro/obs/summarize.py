@@ -8,13 +8,14 @@ any simulation — reports:
 * span coverage of the exchange wall-clock (how much of each
   ``cos.exchange`` span is accounted for by direct child spans — the
   acceptance bar is ≥ 90 %);
-* a failure-cause breakdown from the flight records (CRC fail vs.
-  detection miss vs. feedback loss, see :mod:`repro.obs.flight`);
-* point-event counts by name, and a frame-outcome breakdown over the
-  ``cause`` field some events carry (the net-lens ``net.tx_end`` /
-  ``net.drop`` records, see :mod:`repro.net.lens`, use the net-layer
-  taxonomy ``ok`` / ``collision`` / ``channel_error`` / ``rx_busy`` /
-  ``retry_exhausted``).
+* point-event counts by name;
+* one outcomes table: counts by (event name, ``cause``) over the events
+  that carry a ``cause`` field.  Each layer brings its own taxonomy —
+  ``cos.exchange`` events use the CoS one (CRC fail vs. detection miss
+  vs. feedback loss, see :data:`repro.cos.link.FAILURE_CAUSES`), the
+  net-lens ``net.tx_end`` / ``net.drop`` records the frame one (see
+  :data:`repro.net.lens.NET_FAILURE_CAUSES`) — and this module needs to
+  know neither.
 
 A net run's per-callback cost needs nothing extra: its ``net.*``
 dispatch spans land in the per-stage table like any other span.
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Union
 
-from repro.obs.flight import FAILURE_CAUSES, NET_FAILURE_CAUSES
 from repro.obs.sink import read_jsonl
 
 __all__ = ["StageStats", "TraceSummary", "summarize_events", "summarize_trace",
@@ -70,12 +70,11 @@ class TraceSummary:
     """Everything ``repro obs summarize`` reports."""
 
     stages: List[StageStats] = field(default_factory=list)
-    causes: Dict[str, int] = field(default_factory=dict)
+    #: ``{event name: {cause: count}}`` over events carrying a ``cause``.
+    causes: Dict[str, Dict[str, int]] = field(default_factory=dict)
     n_spans: int = 0
-    n_flights: int = 0
     n_events: int = 0
     events: Dict[str, int] = field(default_factory=dict)
-    event_causes: Dict[str, int] = field(default_factory=dict)
     exchange_total_s: float = 0.0
     exchange_covered_s: float = 0.0
 
@@ -96,29 +95,22 @@ class TraceSummary:
 def summarize_events(events: Iterable[dict]) -> TraceSummary:
     """Aggregate parsed trace events into a :class:`TraceSummary`."""
     durations: Dict[str, List[float]] = defaultdict(list)
-    causes: Dict[str, int] = defaultdict(int)
     by_name: Dict[str, int] = defaultdict(int)
-    event_causes: Dict[str, int] = defaultdict(int)
+    causes: Dict[str, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
     spans: List[dict] = []
-    n_flights = n_events = 0
+    n_events = 0
 
     for ev in events:
-        kind = ev.get("type")
-        if kind == "span":
+        if ev.get("type") == "span":
             spans.append(ev)
             durations[ev.get("name", "?")].append(float(ev.get("dur_s", 0.0)))
-        elif kind == "flight":
-            n_flights += 1
-            causes[ev.get("failure_cause", "unknown")] += 1
-        else:
-            n_events += 1
-            by_name[ev.get("name", "?")] += 1
-            # Addressed net.tx_end records and net.drop records carry the
-            # net-layer failure-cause taxonomy; together they partition
-            # frame fates.
-            cause = ev.get("cause")
-            if cause is not None:
-                event_causes[cause] += 1
+            continue
+        n_events += 1
+        name = ev.get("name", "?")
+        by_name[name] += 1
+        cause = ev.get("cause")
+        if cause is not None:
+            causes[name][cause] += 1
 
     # Coverage needs two passes: child spans close (and are emitted)
     # *before* their parent exchange span appears in the stream.
@@ -149,12 +141,10 @@ def summarize_events(events: Iterable[dict]) -> TraceSummary:
     # grandchildren are *not* double-counted in the coverage figure.
     return TraceSummary(
         stages=stages,
-        causes=dict(causes),
+        causes={name: dict(counts) for name, counts in causes.items()},
         n_spans=n_spans,
-        n_flights=n_flights,
         n_events=n_events,
         events=dict(by_name),
-        event_causes=dict(event_causes),
         exchange_total_s=exchange_total,
         exchange_covered_s=covered,
     )
@@ -188,7 +178,7 @@ def _ms(seconds: float) -> str:
 
 
 def format_summary(summary: TraceSummary) -> str:
-    """Render the per-stage latency and failure-cause tables as text."""
+    """Render the per-stage latency, event and outcome tables as text."""
     lines: List[str] = []
     lines += _table(
         ["stage", "count", "total ms", "mean ms", "p50 ms", "p95 ms", "max ms"],
@@ -205,18 +195,6 @@ def format_summary(summary: TraceSummary) -> str:
             f"span coverage: {summary.exchange_coverage * 100:.1f} %"
         )
 
-    total = sum(summary.causes.values())
-    if total:
-        known = [c for c in FAILURE_CAUSES if c in summary.causes]
-        extra = sorted(set(summary.causes) - set(known))
-        rows = [
-            (cause, str(summary.causes[cause]),
-             f"{summary.causes[cause] / total * 100:.1f}")
-            for cause in known + extra
-        ]
-        lines += _table(["cause", "exchanges", "%"], rows,
-                        title="Failure causes (flight records)")
-
     if summary.events:
         lines += _table(
             ["event", "count"],
@@ -224,19 +202,15 @@ def format_summary(summary: TraceSummary) -> str:
              for name in sorted(summary.events)],
             title="Events",
         )
-    frames = sum(summary.event_causes.values())
-    if frames:
-        known = [c for c in NET_FAILURE_CAUSES if c in summary.event_causes]
-        extra = sorted(set(summary.event_causes) - set(known))
-        lines += _table(
-            ["cause", "frames", "%"],
-            [(cause, str(summary.event_causes[cause]),
-              f"{summary.event_causes[cause] / frames * 100:.1f}")
-             for cause in known + extra],
-            title="Frame outcomes",
-        )
-    lines.append(
-        f"\n{summary.n_spans} spans, {summary.n_flights} flight records, "
-        f"{summary.n_events} events"
-    )
+    rows = []
+    for name in sorted(summary.causes):
+        counts = summary.causes[name]
+        total = sum(counts.values())
+        for cause in sorted(counts, key=lambda c: (-counts[c], c)):
+            rows.append((name, cause, str(counts[cause]),
+                         f"{counts[cause] / total * 100:.1f}"))
+    if rows:
+        lines += _table(["event", "cause", "count", "%"], rows,
+                        title="Outcomes (events by cause)")
+    lines.append(f"\n{summary.n_spans} spans, {summary.n_events} events")
     return "\n".join(lines)

@@ -21,10 +21,11 @@ AP, separated by ``-- bss <ap> --`` headers.
 
 Only ``net.*`` point events are read — ``net.tx_start`` records carry
 start time, duration, source, and kind — so any trace file that
-interleaves spans, flight records, and net events works unchanged.  A
-sweep's trace holds one set of records per trial, stamped ``trial=i``;
-the timeline shows the lowest trial (records without a stamp, as a
-single ``run_scenario`` writes them, count as one trial of their own).
+interleaves spans, ``cos.exchange`` events, and net events works
+unchanged.  A sweep's trace holds one set of records per trial, stamped
+``trial=i``; the timeline shows the lowest trial (records without a
+stamp, as a single ``run_scenario`` writes them, count as one trial of
+their own).
 Kept import-free of higher layers: ``repro.obs`` stays at the bottom of
 the stack, and net traces arrive here as plain parsed dicts.
 """

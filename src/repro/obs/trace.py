@@ -174,10 +174,6 @@ class Tracer:
             **fields,
         })
 
-    def emit(self, event_dict: Dict) -> None:
-        """Emit a pre-built event (flight records use this)."""
-        self.sink.emit(event_dict)
-
     def close(self) -> None:
         self.sink.close()
 

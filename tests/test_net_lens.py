@@ -25,8 +25,12 @@ import repro.net.lens as lens_mod
 import repro.obs as obs
 from repro.cli import main
 from repro.net import NetLens, builtin_scenario, run_scenario, run_scenario_sweep
-from repro.net.lens import NET_EVENT_NAMES, NODE_STATES
-from repro.obs.flight import NET_FAILURE_CAUSES, classify_net_failure
+from repro.net.lens import (
+    NET_EVENT_NAMES,
+    NET_FAILURE_CAUSES,
+    NODE_STATES,
+    classify_net_failure,
+)
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.sink import SCHEMA_VERSION, MemorySink, read_jsonl
 from repro.obs.summarize import summarize_events
@@ -351,7 +355,10 @@ class TestNetSummaries:
         assert summary.n_events == len(result.events)
         assert sum(summary.events.values()) == len(result.events)
         assert summary.events["net.tx_start"] > 0
-        assert set(summary.event_causes) <= set(NET_FAILURE_CAUSES)
+        assert set(summary.causes) == {"net.tx_end", "net.drop"} & set(
+            summary.events)
+        for causes in summary.causes.values():
+            assert set(causes) <= set(NET_FAILURE_CAUSES)
         assert summary.n_spans == 0
 
     def test_render_timeline(self):
@@ -412,7 +419,7 @@ class TestLensCli:
                      "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"]["net.tx_start"] > 0
-        assert "ok" in summary["event_causes"]
+        assert "ok" in summary["causes"]["net.tx_end"]
         stages = {s["name"] for s in summary["stages"]}
         assert "net.scenario" in stages and "net.Medium._end" in stages
 

@@ -107,5 +107,21 @@ class TestRunner:
         assert "Network comparison" in out
 
     def test_unknown_stage_is_noop(self, capsys):
-        assert runner_main(["not-a-stage"]) == 0
+        """An unknown stage exits 2 and runs nothing, not even the valid
+        stages named beside it; the error lists the valid names."""
+        from repro.experiments.runner import select_stages
+
+        assert runner_main(["fig2", "not-a-stage"]) == 2
+        assert "Fig." not in capsys.readouterr().out
+        with pytest.raises(ValueError, match="valid stages: fig2, fig3"):
+            select_stages(["not-a-stage"])
+
+    def test_cli_unknown_stage_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["--quiet", "experiments", "not-a-stage"]) == 2
+        target = tmp_path / "r.md"
+        assert main(["--quiet", "report", str(target),
+                     "--stages", "not-a-stage"]) == 2
+        assert not target.exists()
         assert "Fig." not in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for the repro.obs subsystem: metrics, tracing, flight records."""
+"""Tests for the repro.obs subsystem: metrics, tracing, cos.exchange events."""
 
 import json
 import math
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.obs import flight as flight_mod
 from repro.obs import trace as trace_mod
 from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import span
@@ -353,7 +352,7 @@ class TestSpans:
 
 
 # ---------------------------------------------------------------------------
-# Flight records
+# cos.exchange point events
 # ---------------------------------------------------------------------------
 
 
@@ -366,9 +365,15 @@ def _run_link(adapter=None, snr_db=15.0, packets=3, position="A"):
     return link.run(n_packets=packets, payload=bytes(300))
 
 
+def _exchanges(sink):
+    return [e for e in sink.events
+            if e["type"] == "event" and e["name"] == "cos.exchange"]
+
+
 class TestClassifyFailure:
     def test_taxonomy(self):
-        f = obs.classify_failure
+        from repro.cos.link import classify_failure as f
+
         assert f(False, False, 4, False, None) == "signal_loss"
         assert f(True, False, 4, False, None) == "crc_fail"
         assert f(True, True, 4, False, "too faded") == "feedback_loss"
@@ -377,23 +382,34 @@ class TestClassifyFailure:
         assert f(True, True, 0, False, None) == "ok"  # nothing sent
 
 
-class TestFlightRecords:
+class TestExchangeEvents:
     def test_crc_pass_record_is_complete(self):
+        from repro.cos.link import MAX_EVENT_POSITIONS
+
         sink = obs.MemorySink()
         session = obs.configure(trace_out=sink)
         stats = _run_link(packets=2)
         session.close()
         assert stats.prr == 1.0
-        flights = [e for e in sink.events if e["type"] == "flight"]
+        assert {e["type"] for e in sink.events} == {"span", "event"}
+        flights = _exchanges(sink)
         assert len(flights) == 2
         rec = flights[0]
+        assert rec["schema"] == obs.SCHEMA_VERSION
+        # Emitted inside the cos.flight span, a direct child of the
+        # cos.exchange span.
+        by_id = {e["id"]: e for e in sink.events if e["type"] == "span"}
+        assert by_id[rec["parent"]]["name"] == "cos.flight"
+        assert by_id[by_id[rec["parent"]]["parent"]]["name"] == "cos.exchange"
+        assert "seq" not in rec and "failure_cause" not in rec
         assert rec["crc_ok"] is True
         assert rec["signal_ok"] is True
-        assert rec["failure_cause"] == "ok"
+        assert rec["cause"] == "ok"
         assert rec["rate_mbps"] in (6, 9, 12, 18, 24, 36, 48, 54)
         assert rec["snr_gap_db"] > 0  # rate adaptation leaves headroom
         assert rec["n_silences"] > 0
-        assert len(rec["silence_positions"]) == min(rec["n_silences"], 512)
+        assert len(rec["silence_positions"]) == min(rec["n_silences"],
+                                                    MAX_EVENT_POSITIONS)
         assert rec["detection_threshold"] > 0
         assert rec["energy_max"] >= rec["energy_mean"] >= rec["energy_min"]
         assert len(rec["symbol_min_energy"]) > 0
@@ -415,15 +431,15 @@ class TestFlightRecords:
         _run_link(adapter=RateAdapter(thresholds={54: 2.0}), snr_db=6.0,
                   packets=2, position="C")
         session.close()
-        flights = [e for e in sink.events if e["type"] == "flight"]
-        assert flights, "no flight records emitted"
-        failed = [f for f in flights if not f["crc_ok"]]
+        flights = _exchanges(sink)
+        assert flights, "no cos.exchange events emitted"
+        failed = [i for i, f in enumerate(flights) if not f["crc_ok"]]
         assert failed, "expected at least one CRC failure at 54 Mbps / 6 dB"
-        rec = failed[0]
-        assert rec["failure_cause"] in ("crc_fail", "signal_loss")
+        rec = flights[failed[0]]
+        assert rec["cause"] in ("crc_fail", "signal_loss")
         assert rec["evm_selected_subcarriers"] == []  # no feedback on failure
         # fallback must have engaged by the next record, if any followed
-        later = [f for f in flights if f["seq"] > rec["seq"]]
+        later = flights[failed[0] + 1:]
         if later:
             assert later[0]["in_fallback"] is True
 
@@ -435,8 +451,8 @@ class TestFlightRecords:
         fam = reg.counter("repro_flight_total")
         assert fam.labels(cause="ok").value == 2
 
-    def test_recorder_disabled_means_no_records(self):
-        assert flight_mod.current_recorder() is None
+    def test_tracing_disabled_means_no_records(self):
+        assert trace_mod.current_tracer() is None
         stats = _run_link(packets=1)
         assert stats.prr == 1.0  # instrumented path still works untraced
 
@@ -487,8 +503,8 @@ class TestSummarize:
         assert {"cos.exchange", "cos.tx.build", "channel.transmit",
                 "cos.rx.receive", "phy.rx.decode", "phy.viterbi",
                 "cos.energy.detect"} <= names
-        assert summary.n_flights == 3
-        assert summary.causes == {"ok": 3}
+        assert summary.events == {"cos.exchange": 3}
+        assert summary.causes == {"cos.exchange": {"ok": 3}}
         # Acceptance bar: spans cover >= 90 % of exchange wall-clock.
         assert summary.exchange_coverage >= 0.90
         exch = summary.stage("cos.exchange")
@@ -501,16 +517,21 @@ class TestSummarize:
              "dur_s": 0.010, "depth": 0},
             {"type": "span", "name": "cos.rx.receive", "id": 2, "parent": 1,
              "dur_s": 0.009, "depth": 1},
-            {"type": "flight", "failure_cause": "crc_fail"},
-            {"type": "flight", "failure_cause": "ok"},
+            {"type": "event", "name": "cos.exchange", "cause": "crc_fail"},
+            {"type": "event", "name": "cos.exchange", "cause": "ok"},
+            {"type": "event", "name": "net.drop", "cause": "retry_exhausted"},
         ]
         summary = obs.summarize_events(events)
         text = obs.format_summary(summary)
         assert "Per-stage latency" in text
         assert "cos.exchange" in text
         assert "p95 ms" in text
-        assert "Failure causes" in text
-        assert "crc_fail" in text
+        assert "Outcomes" in text
+        assert "crc_fail" in text and "retry_exhausted" in text
+        assert summary.causes == {
+            "cos.exchange": {"crc_fail": 1, "ok": 1},
+            "net.drop": {"retry_exhausted": 1},
+        }
         assert "span coverage: 90.0 %" in text
 
     def test_empty_trace(self):
@@ -528,9 +549,7 @@ class TestConfigure:
     def test_context_manager_disables_on_exit(self):
         with obs.configure(trace_out=obs.MemorySink()) as session:
             assert trace_mod.current_tracer() is session.tracer
-            assert flight_mod.current_recorder() is session.recorder
         assert trace_mod.current_tracer() is None
-        assert flight_mod.current_recorder() is None
 
     def test_close_is_idempotent(self):
         session = obs.configure()
@@ -538,6 +557,29 @@ class TestConfigure:
         session.close()
 
     def test_trace_only(self):
-        with obs.configure(enable_flight=False) as session:
-            assert session.recorder is None
-            assert trace_mod.current_tracer() is not None
+        """One switch: the tracer carries spans and point events alike."""
+        with obs.configure() as session:
+            assert trace_mod.current_tracer() is session.tracer
+            assert session.registry is get_registry()
+
+
+class TestRecordTypes:
+    """A trace holds spans and point events; anything else fails loudly."""
+
+    def test_foreign_record_type_raises(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "span", "schema": 2, "name": "cos.exchange"}\n'
+            '{"type": "flight", "schema": 2, "failure_cause": "ok"}\n'
+        )
+        with pytest.raises(ValueError, match="line 2.*type 'flight'"):
+            list(obs.read_jsonl(path))
+
+    def test_obs_commands_exit_2_on_foreign_type(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "old.jsonl"
+        path.write_text('{"type": "flight", "schema": 2, "seq": 0}\n')
+        for command in ("summarize", "timeline"):
+            assert main(["obs", command, str(path)]) == 2
+            assert "line 1: record has type 'flight'" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import sys
 
 import pytest
 
@@ -62,12 +63,10 @@ class TestLinkTracing:
 
         events = list(obs.read_jsonl(trace))
         kinds = {e["type"] for e in events}
-        assert kinds == {"span", "flight"}
-        exchanges = [e for e in events
-                     if e["type"] == "span" and e["name"] == "cos.exchange"]
-        flights = [e for e in events if e["type"] == "flight"]
-        assert len(exchanges) == 4
-        assert len(flights) == 4
+        assert kinds == {"span", "event"}
+        exchanges = [e for e in events if e["name"] == "cos.exchange"]
+        assert [e["type"] for e in exchanges].count("span") == 4
+        assert [e["type"] for e in exchanges].count("event") == 4
 
         text = prom.read_text()
         assert "repro_exchanges_total 4.0" in text
@@ -81,6 +80,46 @@ class TestLinkTracing:
         snap = json.loads(out.read_text())
         assert snap["repro_exchanges_total"]["series"][0]["value"] == 2.0
 
+    def test_dash_means_stdout(self, tmp_path, monkeypatch, capsys):
+        """``-`` is stdout for --trace-out and --metrics-out: no file
+        named ``-`` appears and the records reach stdout."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["--quiet", "link", "--packets", "2", "--payload", "200",
+                     "--trace-out", "-", "--metrics-out", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        out = capsys.readouterr().out
+        records = [json.loads(line) for line in out.splitlines()
+                   if line.startswith("{")]
+        events = [r for r in records if r["type"] == "event"]
+        assert [r["name"] for r in events] == ["cos.exchange"] * 2
+        assert "data PRR" in out
+        assert "repro_exchanges_total 2.0" in out
+        assert not sys.stdout.closed
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        """A reader that leaves early (``--trace-out - | grep -q ...``)
+        ends the run with exit 1 and no traceback."""
+        import os
+        import subprocess
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        # ~4 kB per traced exchange: enough to overflow the pipe buffer,
+        # so the writer is still running when the reader closes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "--quiet", "link",
+             "--packets", "40", "--payload", "200", "--trace-out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in stderr
+
     def test_tracing_disabled_after_run(self, tmp_path):
         from repro.obs import trace as trace_mod
 
@@ -90,15 +129,18 @@ class TestLinkTracing:
 
 
 class TestObsSummarize:
+    N_PACKETS = 32
+
     @pytest.fixture()
     def trace_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         # Coverage below is a wall-clock ratio; a GC pass triggered by
         # garbage from earlier tests would land in the untraced gaps and
-        # skew it, so start from a clean heap.
+        # skew it, so start from a clean heap, and run enough exchanges
+        # that one host hiccup cannot decide the ratio.
         gc.collect()
-        assert main(["--quiet", "link", "--packets", "4", "--payload", "200",
-                     "--trace-out", str(path)]) == 0
+        assert main(["--quiet", "link", "--packets", str(self.N_PACKETS),
+                     "--payload", "200", "--trace-out", str(path)]) == 0
         return path
 
     def test_summarize_prints_tables(self, trace_path, capsys):
@@ -108,7 +150,7 @@ class TestObsSummarize:
         assert "Per-stage latency" in out
         assert "cos.exchange" in out
         assert "p50 ms" in out and "p95 ms" in out
-        assert "Failure causes" in out
+        assert "Outcomes" in out
         assert "span coverage" in out
         # summarize must not re-run the simulation: it only reads the file
         assert "data PRR" not in out
@@ -126,7 +168,8 @@ class TestObsSummarize:
         assert main(["--quiet", "obs", "summarize", str(trace_path),
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["n_flights"] == 4
+        assert payload["events"] == {"cos.exchange": self.N_PACKETS}
+        assert sum(payload["causes"]["cos.exchange"].values()) == self.N_PACKETS
         assert payload["exchange_coverage"] >= 0.85
         assert any(s["name"] == "phy.viterbi" for s in payload["stages"])
 
