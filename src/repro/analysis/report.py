@@ -28,8 +28,8 @@ def generate_report(stages: Optional[List[str]] = None,
     """Run the requested experiment stages and return a markdown report.
 
     ``stages`` names entries of :data:`repro.experiments.runner.STAGES`
-    (None: all of them); an unknown name raises :class:`ValueError`
-    before anything runs.  ``workers`` selects the trial engine's
+    (None: all of them); an empty list or an unknown name raises
+    :class:`ValueError` before anything runs.  ``workers`` selects the trial engine's
     executor (see :mod:`repro.engine`); the rendered results are
     identical either way.
     """

@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="run experiments and write a markdown report")
     report.add_argument("path", nargs="?", default="RESULTS.md")
-    report.add_argument("--stages", nargs="*", default=None,
-                        help="subset, e.g. fig2 waterfall")
+    report.add_argument("--stages", nargs="+", default=None,
+                        help="subset, e.g. fig2 waterfall (default: all)")
     report.add_argument("--workers", type=int, default=None, metavar="N",
                         help="trial-engine worker processes (0 = serial; "
                              "default: REPRO_WORKERS or serial)")
@@ -295,11 +295,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler that writes to whatever ``sys.stderr`` is now.
+
+    An in-process caller may swap ``sys.stderr`` after the first
+    :func:`setup_logging` (a test's capture, a notebook); a handler bound
+    to the stream of that first call would then write to a closed one.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(sys.stderr)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _value) -> None:
+        pass
+
+
 def setup_logging(level: str = "info", quiet: bool = False) -> None:
     """Configure the ``repro`` logger hierarchy (idempotent)."""
     logger = logging.getLogger("repro")
     if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(
             logging.Formatter("%(levelname)s %(name)s: %(message)s")
         )

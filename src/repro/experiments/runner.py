@@ -74,11 +74,13 @@ STAGES: Tuple[Tuple[str, str, StageFn], ...] = (
 def select_stages(names: Optional[Sequence[str]] = None
                   ) -> List[Tuple[str, str, StageFn]]:
     """The :data:`STAGES` entries named in ``names`` (all for None), in
-    run order; an unknown name raises :class:`ValueError` listing the
-    valid ones."""
+    run order; an empty list or an unknown name raises
+    :class:`ValueError` listing the valid ones."""
     if names is None:
         return list(STAGES)
     valid = [name for name, _title, _fn in STAGES]
+    if not names:
+        raise ValueError(f"no stage named; valid stages: {', '.join(valid)}")
     unknown = sorted(set(names) - set(valid))
     if unknown:
         raise ValueError(f"unknown stage(s) {', '.join(unknown)}; "

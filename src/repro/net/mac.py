@@ -13,7 +13,10 @@ Countdown bookkeeping is continuous-time: a countdown completion event
 is scheduled ``DIFS + slots * SLOT`` ahead; if the local channel goes
 busy first, the event is cancelled and the number of *whole* idle slots
 elapsed is subtracted from the remaining backoff — the standard
-freeze/resume semantics.
+freeze/resume semantics.  The node keeps no carrier state of its own: it
+asks the medium for its verdict when it starts contending
+(:meth:`~repro.net.medium.Medium.contend`), and the medium reports each
+flip through :meth:`NodeMac.on_channel_state` until the node keys up.
 
 A failed exchange (no ACK before the timeout) doubles the contention
 window and retries the head frame, dropping it after ``MAX_RETRIES``;
@@ -101,7 +104,6 @@ class NodeMac:
 
         self.queue: List[NetFrame] = []
         self.backoff = BackoffState()
-        self._busy = False  # local carrier-sense verdict (cached)
         self._countdown_event: Optional[Event] = None
         self._countdown_started_us = 0.0
         self._current_tx: Optional[Transmission] = None
@@ -133,7 +135,7 @@ class NodeMac:
             return
         if self.backoff.slots is None:
             self.backoff.draw(self.rng)
-        if not self._busy:
+        if not self.medium.contend(self.name):
             self._start_countdown()
 
     # ------------------------------------------------------------------
@@ -161,7 +163,6 @@ class NodeMac:
             self.backoff.slots = max(0, self.backoff.slots - consumed)
 
     def on_channel_state(self, busy: bool) -> None:
-        self._busy = busy
         if busy:
             self._pause_countdown()
         else:

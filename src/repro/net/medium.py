@@ -38,6 +38,11 @@ Two operating modes (``mode=``):
   channel step's power reaches the floor (per-step radius, widened by a
   relative 1e-9 and memoised; infinite at a ``-inf`` floor), so the
   exact ``p >= floor`` test only runs on a disk, not the grid's box.
+  That prefilter is one numpy expression over the grid's candidates
+  (elementwise ``dx * dx + dy * dy`` rounds as Python's does); the
+  survivors take the exact test through the scalar path-loss model, in
+  grid-query order.  A trial is a fresh medium, so every source that
+  transmits builds its map once per trial.
   ``set_channel`` clears the memo (and copies a map before editing it,
   so in-flight siblings keep theirs).  Two indexes follow the active
   set: each static listener's *hearing list* (the active static-source
@@ -65,6 +70,22 @@ Two operating modes (``mode=``):
   are few and always in the culled visit set), so the two modes agree
   bit-for-bit even while nodes are moving.
 
+**Carrier sense on demand.**  A MAC only acts on its verdict while it
+*contends*: from the moment it has a frame to send and is free to count
+down until it keys up.  So at a frame's start and end the medium
+re-evaluates the verdict only of the contending MACs the frame reaches
+(in registration order, as before), and a MAC that starts contending
+asks for its verdict (:meth:`Medium.contend`).  The verdict it gets is
+the one the eager fan-out would have left: a frame's end drops the
+frame from the hearing lists only after the sender, receiver and
+outcome callbacks, just before the fan-out.  Three cases keep every
+listener's verdict current at each frame start and end, on the eager
+path: an attached lens (its ledger records every flip), a topology
+with a mobile node (its powers drift between events, so a verdict
+taken later could differ), and ``"dense-exact"`` mode; so does a
+degenerate carrier-sense threshold at or below an empty medium's
+power.  The results are bit-identical either way.
+
 Per-node channels: ``set_channel`` assigns a node to a channel index;
 cross-channel power is attenuated ``adjacent_rejection_db`` per channel
 step in both sensing and interference.  All nodes default to channel 0,
@@ -73,6 +94,7 @@ which keeps single-BSS scenarios exactly on the legacy numbers.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -172,7 +194,21 @@ class Medium:
         )
         self._macs: Dict[str, MacListener] = {}
         self._mac_order: Dict[str, int] = {}  # registration index
+        #: Carrier verdict per MAC: every MAC's when :attr:`_eager`, else
+        #: only the contending MACs' (see :meth:`contend`).
         self._busy: Dict[str, bool] = {}
+        #: Keep every MAC's verdict current at each frame start and end,
+        #: rather than only the contending MACs'.  A lens records every
+        #: flip; a mobile node's powers drift between events, so a verdict
+        #: taken on demand could differ from the one the last event left;
+        #: the dense-exact oracle stays on the all-pairs path; and a
+        #: threshold at or below the empty medium's power would make a
+        #: never-evaluated MAC busy on demand yet idle eagerly.
+        self._eager = (
+            lens is not None or bool(self._mobile) or not self._culled
+            or mw_to_dbm(0.0) >= topology.radio.cs_threshold_dbm
+        )
+        self._noise_mw = dbm_to_mw(topology.noise_dbm)
         #: Per-node channel index (absent = 0); see :meth:`set_channel`.
         self.channel: Dict[str, int] = {}
         self._tx_count: Dict[str, int] = {}  # node -> its in-flight count
@@ -180,9 +216,11 @@ class Medium:
         #: Culled mode: static listener -> the active static-source
         #: transmissions whose frozen map holds it, in ``_active`` order.
         self._hearing: Dict[str, List[Transmission]] = {}
-        #: Culled mode: static source -> (frozen map, ordered fan-out),
-        #: built on its first transmission.
-        self._static_maps: Dict[str, Tuple[Dict[str, float], List[str]]] = {}
+        #: Culled mode: static source -> (frozen map, ordered fan-out
+        #: or None when not :attr:`_eager`), built on its first
+        #: transmission.
+        self._static_maps: Dict[
+            str, Tuple[Dict[str, float], Optional[List[str]]]] = {}
         #: Culled mode: destination -> its active addressed
         #: transmissions, in ``_active`` order (empty lists dropped).
         self._by_dst: Dict[str, List[Transmission]] = {}
@@ -190,6 +228,12 @@ class Medium:
         #: static pair's power is surely below the floor (see
         #: :meth:`_prefilter_r2`).
         self._prefilter: Dict[int, float] = {}
+        #: Culled mode, for the first map builds' prefilter (see
+        #: :meth:`_contribution`): node -> row, the static x and y by
+        #: row, and per source channel the squared radius by row.
+        self._row: Optional[Dict[str, int]] = None
+        self._xs = self._ys = np.empty(0)
+        self._prefilter_rows: Dict[int, np.ndarray] = {}
         #: Culled mode: in-flight transmissions from mobile sources.
         self._mobile_on_air = 0
         #: Carrier-sense threshold in mW, widened by a relative 1e-9 each
@@ -210,9 +254,11 @@ class Medium:
             raise ValueError(f"duplicate MAC for node {mac.name!r}")
         self._mac_order[mac.name] = len(self._macs)
         self._macs[mac.name] = mac
-        self._busy[mac.name] = False
+        if self._eager:
+            self._busy[mac.name] = False
         self._hearing[mac.name] = []
         self._static_maps.clear()  # maps hold registered listeners only
+        self._prefilter_rows.clear()
 
     # ------------------------------------------------------------------
     # Channels
@@ -235,6 +281,7 @@ class Medium:
             return
         self.channel[name] = ch
         self._static_maps.clear()
+        self._prefilter_rows.clear()
         if not self._active:
             return
         if self._culled:
@@ -312,6 +359,39 @@ class Medium:
             >= self.topology.radio.cs_threshold_dbm
         )
 
+    def _verdict(self, name: str) -> bool:
+        """:meth:`locally_busy` at MAC ``name``, decided in mW when it can be.
+
+        A static listener with no mobile on the air sums its hearing list
+        inline (:meth:`sensed_power_mw`'s indexed path) and decides in mW;
+        only a sum within 1e-9 of the threshold takes the dBm comparison,
+        so the verdict is the same.
+        """
+        if self._mobile_on_air or name in self._mobile:
+            return self.locally_busy(name)
+        total = 0.0
+        for tx in self._hearing[name]:
+            total += tx.contrib[name]
+        if total >= self._cs_busy_mw:
+            return True
+        if total < self._cs_idle_mw:
+            return False
+        return mw_to_dbm(total) >= self.topology.radio.cs_threshold_dbm
+
+    def contend(self, name: str) -> bool:
+        """MAC ``name`` contends for the medium: its carrier verdict.
+
+        From now until ``name`` keys up (its next :meth:`begin`), every
+        frame start and end that reaches it re-evaluates its verdict and
+        reports a flip through ``on_channel_state``.  The verdict is the
+        one the last fan-out left, so a MAC that asks inside a frame end's
+        callbacks still hears that frame.
+        """
+        busy = self._busy.get(name)
+        if busy is None:
+            busy = self._busy[name] = self._verdict(name)
+        return busy
+
     # ------------------------------------------------------------------
     # Transmission lifecycle
     # ------------------------------------------------------------------
@@ -330,32 +410,51 @@ class Medium:
         memo = self._static_maps.get(src)
         if memo is not None:
             return memo[0]
-        contrib: Dict[str, float] = {}
         topo = self.topology
+        if self._row is None:
+            self._row = {name: i for i, name in enumerate(topo.names)}
+            xy = np.array([topo.position(name) for name in topo.names])
+            self._xs, self._ys = xy[:, 0].copy(), xy[:, 1].copy()
+        row = self._row
+        names = topo.neighbors_of(src, topo.relevance_range_m, now)
+        rows = np.fromiter(map(row.__getitem__, names), np.intp, len(names))
+        # Skip, before any path-loss call, each candidate farther than its
+        # channel step's radius: numpy's elementwise ``dx * dx + dy * dy``
+        # rounds as Python's does, and a non-listener's radius is NaN.
+        i = row[src]
+        dx = self._xs[rows] - self._xs[i]
+        dy = self._ys[rows] - self._ys[i]
+        r2 = self._prefilter_by_row(self.channel.get(src, 0))
+        near = dx * dx + dy * dy <= r2[rows]
+        contrib: Dict[str, float] = {}
         floor = self._floor_dbm
-        macs = self._macs
-        mobile = self._mobile
-        channels = self.channel
-        src_ch = channels.get(src, 0)
-        sx, sy = topo.position(src)
-        prefilter = self._prefilter
-        for name in topo.neighbors_of(src, topo.relevance_range_m, now):
-            if (name == src or name not in macs or name in contrib
-                    or name in mobile):
-                continue
-            dc = abs(channels.get(name, 0) - src_ch)
-            r2 = prefilter.get(dc)
-            if r2 is None:
-                r2 = self._prefilter_r2(dc)
-            x, y = topo.position(name)
-            dx, dy = x - sx, y - sy
-            if dx * dx + dy * dy > r2:
-                continue  # surely below the floor: skip the exact test
-            p = self._rx_dbm(src, name, now)
-            if p >= floor:
-                contrib[name] = dbm_to_mw(p)
-        self._static_maps[src] = (contrib, self._ordered_listeners(contrib))
+        for k in np.flatnonzero(near).tolist():
+            name = names[k]
+            if name != src:
+                p = self._rx_dbm(src, name, now)
+                if p >= floor:
+                    contrib[name] = dbm_to_mw(p)
+        # Only the eager fan-out reads the ordered list.
+        self._static_maps[src] = (
+            contrib, self._ordered_listeners(contrib) if self._eager else None)
         return contrib
+
+    def _prefilter_by_row(self, ch: int) -> np.ndarray:
+        """:meth:`_prefilter_r2` of a channel-``ch`` source, by node row.
+
+        NaN where the node is mobile or has no MAC, so that no distance
+        passes.  Memoised per ``ch`` until the next :meth:`set_channel`
+        or :meth:`register`.
+        """
+        r2 = self._prefilter_rows.get(ch)
+        if r2 is None:
+            channels, macs, mobile = self.channel, self._macs, self._mobile
+            r2 = self._prefilter_rows[ch] = np.array([
+                self._prefilter_r2(abs(channels.get(name, 0) - ch))
+                if name in macs and name not in mobile else math.nan
+                for name in self.topology.names
+            ])
+        return r2
 
     def _prefilter_r2(self, dc: int) -> float:
         """Squared prefilter radius of :meth:`_contribution` at step ``dc``.
@@ -366,10 +465,13 @@ class Medium:
         it; the exact ``p >= floor`` test still decides every survivor.
         Infinite at a ``-inf`` floor.  Memoised per ``dc``.
         """
-        rejection = self.topology.radio.adjacent_rejection_db
-        r = self.topology.range_for_rx_dbm(self._floor_dbm + dc * rejection)
-        r *= 1.0 + 1e-9
-        r2 = self._prefilter[dc] = r * r
+        r2 = self._prefilter.get(dc)
+        if r2 is None:
+            rejection = self.topology.radio.adjacent_rejection_db
+            r = self.topology.range_for_rx_dbm(
+                self._floor_dbm + dc * rejection)
+            r *= 1.0 + 1e-9
+            r2 = self._prefilter[dc] = r * r
         return r2
 
     def begin(self, tx: Transmission) -> None:
@@ -377,6 +479,8 @@ class Medium:
         now = self.scheduler.now_us
         tx.start_us = now
         tx.end_us = now + tx.duration_us
+        if not self._eager:
+            self._busy.pop(tx.src, None)  # keying up ends its contention
 
         # Cross-couple with everything already on the air.
         culled = self._culled
@@ -420,7 +524,7 @@ class Medium:
         # beginning exactly as another ends is not counted as overlap.
         self.scheduler.at(tx.end_us, self._end, tx, priority=-1)
         if culled:
-            self._update_carrier_states_for(self._fanout_listeners(tx))
+            self._update_carrier_states_for(self._carrier_listeners(tx))
         else:
             self._update_carrier_states()
 
@@ -449,11 +553,11 @@ class Medium:
         else:
             for other in by_dst.get(src, ()):
                 other.rx_busy = True  # other's receiver just keyed up
-            for name, p in tx.contrib.items():
-                others = by_dst.get(name)
-                if others:
-                    for other in others:
-                        other.interference_mw += p
+            contrib = tx.contrib
+            for name in by_dst.keys() & contrib.keys():
+                p = contrib[name]
+                for other in by_dst[name]:
+                    other.interference_mw += p
             for name in mobile:
                 others = by_dst.get(name)
                 if others:
@@ -482,10 +586,6 @@ class Medium:
         if self._culled:
             if tx.src in self._mobile:
                 self._mobile_on_air -= 1
-            else:
-                hearing = self._hearing
-                for name in tx.contrib:
-                    hearing[name].remove(tx)
             if tx.dst is not None:
                 others = self._by_dst[tx.dst]
                 if len(others) == 1:
@@ -496,8 +596,7 @@ class Medium:
 
         ok, sinr, reason = False, float("-inf"), "not_addressed"
         if tx.dst is not None:
-            noise_mw = dbm_to_mw(self.topology.radio.noise_dbm)
-            sinr = tx.signal_dbm - mw_to_dbm(noise_mw + tx.interference_mw)
+            sinr = tx.signal_dbm - mw_to_dbm(self._noise_mw + tx.interference_mw)
             if tx.rx_busy:
                 ok, reason = False, "rx_busy"
             else:
@@ -517,7 +616,17 @@ class Medium:
         elif tx.kind == "beacon":
             self._deliver_beacon(tx)
         if self._culled:
-            self._update_carrier_states_for(self._fanout_listeners(tx))
+            # Only now do the hearing lists drop ``tx``: a MAC that starts
+            # contending inside the callbacks above gets the verdict the
+            # last fan-out left, as the fan-out below has not run yet.
+            if tx.src not in self._mobile:
+                hearing = self._hearing
+                for name in tx.contrib:
+                    try:
+                        hearing[name].remove(tx)
+                    except ValueError:  # set_channel rebuilt it without tx
+                        pass
+            self._update_carrier_states_for(self._carrier_listeners(tx))
         else:
             self._update_carrier_states()
 
@@ -604,33 +713,34 @@ class Medium:
         names.update(n for n in self._mobile if n in order and n != tx.src)
         return sorted(names, key=order.__getitem__)
 
+    def _carrier_listeners(self, tx: Transmission):
+        """The MACs whose verdict ``tx``'s start or end may flip.
+
+        Its whole fan-out when :attr:`_eager`; else only the contending
+        MACs in it (a static source's fan-out is its map's keys when no
+        node is mobile), still in registration order.
+        """
+        if self._eager:
+            return self._fanout_listeners(tx)
+        names = self._busy.keys() & tx.contrib.keys()
+        if len(names) > 1:
+            return sorted(names, key=self._mac_order.__getitem__)
+        return names
+
     def _update_carrier_states_for(self, names) -> None:
         """Re-evaluate carrier sense at ``names`` (culled mode).
 
-        A static listener with no mobile on the air sums its hearing
-        list inline (:meth:`sensed_power_mw`'s indexed path) and decides
-        in mW; only a sum within 1e-9 of the threshold takes the dBm
-        comparison of :meth:`locally_busy`, so the verdict is the same.
+        Only the MACs that hold a verdict: every MAC when :attr:`_eager`,
+        else the contending ones (see :meth:`contend`).  A flip is
+        reported to the lens and the MAC.
         """
         busy_map = self._busy
-        hearing = self._hearing
-        mobile = self._mobile
-        idle_mw, busy_mw = self._cs_idle_mw, self._cs_busy_mw
-        cs = self.topology.radio.cs_threshold_dbm
         for name in names:
-            if not self._mobile_on_air and name not in mobile:
-                total = 0.0
-                for tx in hearing[name]:
-                    total += tx.contrib[name]
-                if total >= busy_mw:
-                    busy = True
-                elif total < idle_mw:
-                    busy = False
-                else:
-                    busy = mw_to_dbm(total) >= cs
-            else:
-                busy = self.locally_busy(name)
-            if busy != busy_map[name]:
+            old = busy_map.get(name)
+            if old is None:
+                continue
+            busy = self._verdict(name)
+            if busy != old:
                 busy_map[name] = busy
                 if self.lens is not None:
                     self.lens.on_channel_state(name, busy, self.scheduler.now_us)

@@ -224,6 +224,8 @@ class Topology:
         if not positions:
             raise ValueError("topology needs at least one node")
         self.radio = radio
+        #: ``radio.noise_dbm``, taken once (the spec is frozen).
+        self.noise_dbm = radio.noise_dbm
         self._static: Dict[str, Tuple[float, float]] = {
             name: (float(x), float(y)) for name, (x, y) in positions.items()
         }
@@ -374,7 +376,7 @@ class Topology:
 
     def snr_db(self, src: str, dst: str, t_us: float = 0.0) -> float:
         """Interference-free SNR of the ``src -> dst`` link."""
-        return self.rx_power_dbm(src, dst, t_us) - self.radio.noise_dbm
+        return self.rx_power_dbm(src, dst, t_us) - self.noise_dbm
 
     def senses(self, listener: str, transmitter: str, t_us: float = 0.0) -> bool:
         """True if ``listener`` carrier-senses ``transmitter``'s signal.

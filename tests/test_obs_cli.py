@@ -3,7 +3,10 @@
 import gc
 import json
 import logging
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +200,25 @@ class TestLoggingFlags:
         assert logging.getLogger("repro").level == logging.DEBUG
         setup_logging("info", quiet=True)
         assert logging.getLogger("repro").level == logging.ERROR
+
+    def test_logging_follows_a_swapped_stderr(self):
+        # In a fresh interpreter: configure logging under a swapped
+        # stderr, close that stream and put the real one back, then log.
+        code = (
+            "import io, logging, sys\n"
+            "from repro.cli import setup_logging\n"
+            "real, sys.stderr = sys.stderr, io.StringIO()\n"
+            "setup_logging('info')\n"
+            "sys.stderr.close()\n"
+            "sys.stderr = real\n"
+            "logging.getLogger('repro.test').warning('still heard')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "--- Logging error ---" not in proc.stderr
+        assert "WARNING repro.test: still heard" in proc.stderr

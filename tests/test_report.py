@@ -19,14 +19,19 @@ class TestGenerateReport:
         assert "quick scale" in report
 
     def test_full_mode_flag(self, monkeypatch):
+        from repro.experiments import runner
+
         monkeypatch.setenv("REPRO_FULL", "1")
-        # Don't actually run a full-scale stage; empty subset still renders.
-        report = generate_report(stages=[])
-        assert "paper scale" in report
+        # Don't actually run a full-scale stage: a stub stands in for all.
+        monkeypatch.setattr(runner, "STAGES", [
+            ("stub", "Stub", lambda workers, opts: print("stub ran")),
+        ])
+        report = generate_report(stages=["stub"])
+        assert "paper scale" in report and "stub ran" in report
 
     def test_empty_stage_list(self):
-        report = generate_report(stages=[])
-        assert report.startswith("# CoS reproduction")
+        with pytest.raises(ValueError, match="no stage named; valid stages: fig2"):
+            generate_report(stages=[])
 
 
 class TestWriteReport:
@@ -41,3 +46,13 @@ class TestWriteReport:
         target = tmp_path / "cli.md"
         assert main(["report", str(target), "--stages", "fig2"]) == 0
         assert target.exists()
+
+    def test_cli_stages_needs_a_name(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = tmp_path / "cli.md"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(target), "--stages"])
+        assert exc.value.code == 2
+        assert "--stages" in capsys.readouterr().err
+        assert not target.exists()
