@@ -9,23 +9,11 @@ Trial execution goes through :mod:`repro.engine`: pass
 ``--repro-workers N`` (or set ``REPRO_WORKERS=N``) to run every
 harness's trials on an N-process pool — results are bit-for-bit
 identical to serial, only the wall-clock changes.
-
-Every numeric ``extra_info`` value is additionally mirrored into the
-process-wide :mod:`repro.obs` metrics registry as
-``repro_bench_extra_info{bench=...,key=...}`` gauges, so BENCH JSON
-snapshots are first-class metrics: set ``REPRO_METRICS_OUT=path`` to
-dump the whole registry (Prometheus text, or JSON when the path ends in
-``.json``) when the benchmark session finishes.  Worker-side metrics are
-already merged into the parent registry by the engine, so the dump is
-complete under any worker count.
 """
 
 import os
 
-import pytest
-
-from repro.obs.metrics import get_registry
-from repro.utils.env import env_int, env_str
+from repro.utils.env import env_int
 
 
 def pytest_addoption(parser):
@@ -56,31 +44,3 @@ def pytest_report_header(config):
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-@pytest.fixture(autouse=True)
-def _extra_info_to_registry(request):
-    """Mirror each benchmark's numeric extra_info into the registry."""
-    yield
-    fixture = getattr(request.node, "funcargs", {}).get("benchmark")
-    if fixture is None or not getattr(fixture, "extra_info", None):
-        return
-    gauge = get_registry().gauge(
-        "repro_bench_extra_info",
-        help="Scalar benchmark outcomes (mirrored from extra_info).",
-    )
-    for key, value in fixture.extra_info.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        gauge.labels(bench=request.node.name, key=key).set(float(value))
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Optionally export the registry after a benchmark run."""
-    out = env_str("REPRO_METRICS_OUT")
-    if not out:
-        return
-    registry = get_registry()
-    text = registry.to_json() if out.endswith(".json") else registry.to_prometheus()
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -15,9 +15,8 @@ Commands
 ``link --snr DB --position P --packets N``
     Run a closed-loop CoS session and print its statistics.  With
     ``--trace-out trace.jsonl`` every stage span and one ``cos.exchange``
-    point event per exchange are written as JSONL; with ``--metrics-out
-    metrics.prom`` the metrics registry is exported (Prometheus text, or
-    JSON when the path ends in ``.json``).
+    point event per exchange are written as JSONL; ``repro obs summarize
+    --json`` rolls them up.
 ``net run <scenario> [--control cos|explicit] [--medium culled|dense-exact]
 [--trials N] [--workers N]``
     Run a multi-node scenario (a ``ScenarioSpec`` JSON file or a
@@ -26,8 +25,8 @@ Commands
     print per-node goodput, delivery, control latency, and fairness
     stats.  ``--medium`` switches between the grid-culled medium
     (default) and the all-pairs ``dense-exact`` debug mode.  ``--json PATH``
-    exports the mean-over-trials summary; ``--metrics-out`` works as for
-    ``link``.  ``--trace-out`` and ``--ledger-out`` each attach a
+    exports the mean-over-trials summary.  ``--trace-out`` and
+    ``--ledger-out`` each attach a
     :class:`repro.net.lens.NetLens` to every trial (so the summary JSON
     also gains a ``ledger`` section).  ``--trace-out`` writes every
     trial's ``net.*`` event records, stamped ``trial=i``, as JSONL, the
@@ -71,9 +70,9 @@ Global flags: ``--log-level debug|info|warning|error`` and ``--quiet``
 control the ``repro.*`` logger hierarchy (diagnostics go to stderr;
 result tables always go to stdout).
 
-Every output-path flag (``--json``, ``--trace-out``, ``--metrics-out``,
-``--ledger-out``) takes ``-`` for stdout; ``--trace-out -`` streams the
-JSONL records there as they are emitted.
+Every output-path flag (``--json``, ``--trace-out``, ``--ledger-out``)
+takes ``-`` for stdout; ``--trace-out -`` streams the JSONL records
+there as they are emitted.
 
 Sweep-running commands (``experiments``, ``report``, ``net run``) accept
 ``--store [DIR]`` to cache trial results in a content-addressed store
@@ -178,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "serially, per-callback spans) as JSONL to "
                               "PATH ('-' for stdout); feed to 'repro obs "
                               "summarize' or 'repro obs timeline'")
-    net_run.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="export the metrics registry (Prometheus text; "
-                              "JSON if PATH ends with .json; '-' for stdout)")
     net_run.add_argument("--ledger-out", default=None, metavar="PATH",
                          help="write the first trial's per-node airtime "
                               "ledger as JSON ('-' for stdout)")
@@ -263,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--trace-out", default=None, metavar="PATH",
                       help="write the span + cos.exchange event JSONL trace "
                            "to PATH ('-' for stdout)")
-    link.add_argument("--metrics-out", default=None, metavar="PATH",
-                      help="export the metrics registry (Prometheus text; "
-                           "JSON if PATH ends with .json; '-' for stdout)")
 
     obs_p = sub.add_parser("obs", help="observability utilities")
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)
@@ -336,16 +329,6 @@ def _write_out(path: str, text: str, what: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     logging.getLogger("repro.cli").info("%s written to %s", what, path)
-
-
-def _write_metrics(path: str) -> None:
-    """Export the metrics registry: JSON for a ``.json`` path, else
-    Prometheus text."""
-    from repro.obs import get_registry
-
-    registry = get_registry()
-    text = registry.to_json() if path.endswith(".json") else registry.to_prometheus()
-    _write_out(path, text, "metrics")
 
 
 def _open_trace(path: Optional[str]):
@@ -712,8 +695,6 @@ def _cmd_net(args) -> int:
         ledger["control"] = summary["control"]
         _write_out(args.ledger_out, json.dumps(ledger, indent=2) + "\n",
                    "airtime ledger")
-    if args.metrics_out:
-        _write_metrics(args.metrics_out)
     return 0
 
 
@@ -738,8 +719,6 @@ def _cmd_link(args) -> int:
     print(f"  control (per message):    {stats.message_accuracy * 100:6.2f} %")
     print(f"  control bits delivered:   {stats.control_bits_delivered}")
     print(f"  silence symbols inserted: {stats.total_silences}")
-    if args.metrics_out:
-        _write_metrics(args.metrics_out)
     return 0
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.channel.link import IndoorChannel
 from repro.cos.energy import DetectionReport, EnergyDetector
-from repro.obs.metrics import get_registry
 from repro.obs.trace import current_tracer, event, span
 from repro.cos.evm import per_subcarrier_evm
 from repro.cos.intervals import IntervalCodec
@@ -201,17 +200,6 @@ class CosTransmitter:
                    embedded_bits=int(plan.embedded_bits.size))
 
         frame = self._phy.transmit(psdu, rate, silence_mask=plan.mask)
-
-        registry = get_registry()
-        registry.counter(
-            "repro_tx_packets_total", help="CoS PPDUs built."
-        ).inc()
-        registry.counter(
-            "repro_tx_silences_total", help="Silence symbols inserted."
-        ).inc(plan.n_silences)
-        registry.counter(
-            "repro_tx_control_bits_total", help="Control bits embedded."
-        ).inc(int(plan.embedded_bits.size))
 
         return CosTxRecord(
             frame=frame,
@@ -527,7 +515,7 @@ class CosLink:
         The exchange is fully instrumented: every stage runs under a
         :func:`repro.obs.trace.span` (root span ``cos.exchange``), and
         when a tracer is active the complete decision chain is emitted as
-        one ``cos.exchange`` point event (see :meth:`_account`).
+        one ``cos.exchange`` point event (see :meth:`_emit_exchange`).
         """
         with span("cos.exchange") as root:
             with span("cos.rate_select"):
@@ -597,11 +585,11 @@ class CosLink:
                 evms=result.evms,
             )
             with span("cos.flight"):
-                self._account(outcome, record, result,
-                              fallback_before, fallback_after)
+                self._emit_exchange(outcome, record, result,
+                                    fallback_before, fallback_after)
             return outcome
 
-    def _account(
+    def _emit_exchange(
         self,
         outcome: ExchangeOutcome,
         record: CosTxRecord,
@@ -609,7 +597,7 @@ class CosLink:
         fallback_before: bool,
         fallback_after: bool,
     ) -> None:
-        """Update the metrics registry and, when tracing, emit the exchange.
+        """Emit the ``cos.exchange`` point event (a no-op untraced).
 
         The ``cos.exchange`` point event carries the whole decision chain:
         the selected rate and the SNR gap it left, the control-rate
@@ -618,20 +606,6 @@ class CosLink:
         EVM-selected subcarriers fed back, the fallback transition, and
         its :data:`FAILURE_CAUSES` ``cause``.
         """
-        registry = get_registry()
-        registry.counter(
-            "repro_exchanges_total", help="Closed-loop CoS exchanges."
-        ).inc()
-        if not outcome.data_ok:
-            registry.counter(
-                "repro_data_crc_fail_total", help="Exchanges whose data CRC failed."
-            ).inc()
-        if outcome.control_ok:
-            registry.counter(
-                "repro_control_bits_delivered_total",
-                help="Control bits recovered exactly.",
-            ).inc(int(outcome.control_sent.size))
-
         if current_tracer() is None:
             return
         if fallback_after != fallback_before:
@@ -662,10 +636,6 @@ class CosLink:
         control_sent = int(outcome.control_sent.size)
         cause = classify_failure(signal_ok, outcome.data_ok, control_sent,
                                  outcome.control_ok, outcome.control_error)
-        registry.counter(
-            "repro_flight_total",
-            help="CoS exchanges recorded, by failure cause.",
-        ).labels(cause=cause).inc()
         allocation = record.allocation
         event(
             "cos.exchange",

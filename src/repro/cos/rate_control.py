@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.cos.intervals import IntervalCodec
-from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.phy.params import PhyRate, SYMBOL_DURATION_S
 from repro.ratectl import RateAdapter
@@ -176,22 +175,10 @@ class ControlRateController:
     def on_data_result(self, data_ok: bool) -> None:
         """Record the fate of the last packet (failure triggers fallback).
 
-        Fallback enter/exit transitions are counted in the metrics
-        registry (``repro_rate_fallback_transitions_total``) and the
-        current state is mirrored in ``repro_rate_in_fallback``.
+        Fallback enter/exit transitions show in the ``cos.exchange``
+        trace event's ``fallback_transition`` field.
         """
-        was = self._fallback
         self._fallback = not data_ok
-        if was != self._fallback:
-            registry = get_registry()
-            registry.counter(
-                "repro_rate_fallback_transitions_total",
-                help="Control-rate controller fallback enter/exit transitions.",
-            ).labels(direction="enter" if self._fallback else "exit").inc()
-            registry.gauge(
-                "repro_rate_in_fallback",
-                help="1 while the control-rate controller is in fallback.",
-            ).set(1.0 if self._fallback else 0.0)
 
     @property
     def in_fallback(self) -> bool:

@@ -21,8 +21,8 @@ Guarantees (see ``docs/engine.md`` for the full contract):
 
 * **Determinism** — per-trial ``SeedSequence.spawn`` seeding makes serial
   and parallel outputs bit-for-bit identical;
-* **Observability** — worker metric deltas merge back into the parent
-  registry; progress/ETA logs on ``repro.engine``; ``engine.*`` spans;
+* **Observability** — progress/ETA logs on ``repro.engine``;
+  ``engine.*`` spans; store hit/miss counters kept in the parent;
 * **Errors** — the first failing trial aborts the run with a
   :class:`TrialError` carrying its params and seed;
 * **Reuse** — per-worker ``init`` hook plus :func:`worker_state` for

@@ -7,10 +7,11 @@ The engine owns everything the hand-rolled loops used to duplicate:
 * deterministic per-trial seeding (:func:`~repro.engine.spec.make_specs`);
 * result ordering — chunks complete in any order, results come back in
   spec order;
-* worker metrics merge — chunk snapshot deltas fold into the parent
-  registry via :meth:`MetricsRegistry.merge
-  <repro.obs.metrics.MetricsRegistry.merge>`, so counters survive
-  parallelism with no loss;
+* result-store accounting — hits and misses are counted in the
+  submitting process (``repro_store_hits_total`` /
+  ``repro_store_misses_total`` in :mod:`repro.obs.metrics`, and the
+  ``store_hits`` label of the ``engine.run`` span), whatever the
+  executor;
 * fail-fast structured errors (:class:`~repro.engine.spec.TrialError`
   with the failing trial's params and seed);
 * progress/ETA logging on the ``repro.engine`` logger, under an
@@ -30,7 +31,7 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Unio
 from repro.engine.executors import make_executor, resolve_workers
 from repro.engine.spec import TrialError, TrialSpec, make_specs
 from repro.engine.store import ResultStore, resolve_store
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 
 __all__ = ["run_trials", "run_sweep"]
@@ -53,7 +54,6 @@ def run_trials(
     init_args: Tuple = (),
     chunk_size: Optional[int] = None,
     label: str = "trials",
-    registry: Optional[MetricsRegistry] = None,
     store: "ResultStore | bool | None" = None,
 ) -> List[Any]:
     """Execute ``fn`` over ``specs``; return results in spec order.
@@ -81,7 +81,6 @@ def run_trials(
     specs = list(specs)
     n = len(specs)
     results: List[Any] = [None] * n
-    parent_registry = registry if registry is not None else get_registry()
 
     # Store lookup happens in the submitting process, before dispatch:
     # hits never reach an executor, so a warm re-run costs I/O only.
@@ -105,14 +104,9 @@ def run_trials(
                     continue
                 key_by_index[spec.index] = key
             pending.append(spec)
-        parent_registry.counter(
-            "repro_store_hits_total",
-            help="Trials replayed from the content-addressed result store.",
-        ).inc(n_hits)
-        parent_registry.counter(
-            "repro_store_misses_total",
-            help="Trials executed because the result store had no entry.",
-        ).inc(len(pending))
+        registry = get_registry()
+        registry.counter("repro_store_hits_total").inc(n_hits)
+        registry.counter("repro_store_misses_total").inc(len(pending))
         if n_hits:
             log.debug("%s: %d/%d trials served from store %s",
                       label, n_hits, n, store_obj.root)
@@ -129,8 +123,6 @@ def run_trials(
               store_hits=n_hits):
         if pending:
             for chunk in executor.run(fn, pending):
-                if chunk.metrics_snapshot:
-                    parent_registry.merge(chunk.metrics_snapshot)
                 if chunk.error is not None:
                     raise TrialError(**chunk.error)
                 for index, result in zip(chunk.indices, chunk.results):
@@ -161,7 +153,6 @@ def run_sweep(
     init_args: Tuple = (),
     chunk_size: Optional[int] = None,
     label: str = "sweep",
-    registry: Optional[MetricsRegistry] = None,
     store: "ResultStore | bool | None" = None,
 ) -> List[Any]:
     """``make_specs`` + :func:`run_trials` in one call (the common case)."""
@@ -173,7 +164,6 @@ def run_sweep(
         init_args=init_args,
         chunk_size=chunk_size,
         label=label,
-        registry=registry,
         store=store,
     )
 

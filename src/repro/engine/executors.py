@@ -24,7 +24,6 @@ from repro.engine.worker import (
     ChunkResult,
     initialize_state,
     run_chunk,
-    run_chunk_in_worker,
     worker_initializer,
 )
 from repro.utils.env import env_int
@@ -76,9 +75,8 @@ def _chunk(specs: Sequence[TrialSpec], size: int) -> List[List[TrialSpec]]:
 class SerialExecutor:
     """Run trials in the calling process — the determinism reference.
 
-    Metrics land directly in the live registry (no snapshot round-trip)
-    and spans nest under the caller's trace, which is exactly what you
-    want for debugging a single trial.
+    Spans nest under the caller's trace, which is exactly what you want
+    for debugging a single trial.
     """
 
     def __init__(
@@ -99,7 +97,7 @@ class SerialExecutor:
         initialize_state(self.init, self.init_args)
         size = self.chunk_size or 1
         for chunk in _chunk(specs, size):
-            result = run_chunk(fn, chunk, capture_metrics=False)
+            result = run_chunk(fn, chunk)
             yield result
             if result.error is not None:
                 return
@@ -110,9 +108,8 @@ class ProcessExecutor:
 
     Specs are split into ``~_CHUNKS_PER_WORKER`` chunks per worker and
     submitted up front; results stream back in completion order.  Each
-    worker starts with a fresh metrics registry
-    (:func:`~repro.engine.worker.worker_initializer`) and returns a
-    snapshot delta per chunk for the parent to merge.  On the first
+    worker drops any inherited tracer
+    (:func:`~repro.engine.worker.worker_initializer`).  On the first
     failed chunk, remaining work is cancelled (fail fast).
     """
 
@@ -147,7 +144,7 @@ class ProcessExecutor:
             initargs=(self.init, self.init_args),
         )
         try:
-            futures = [pool.submit(run_chunk_in_worker, fn, chunk) for chunk in chunks]
+            futures = [pool.submit(run_chunk, fn, chunk) for chunk in chunks]
             for future in concurrent.futures.as_completed(futures):
                 result = future.result()
                 yield result

@@ -386,8 +386,10 @@ class ResultStore:
     """Spec-hash-keyed result store with atomic, concurrent-safe writes.
 
     ``hits`` / ``misses`` / ``writes`` count this instance's traffic;
-    the engine additionally mirrors them into the metrics registry
-    (``repro_store_hits_total`` etc.) so serial and pool runs aggregate.
+    :func:`~repro.engine.run_trials` also adds each call's hits and
+    misses to the process counters ``repro_store_hits_total`` /
+    ``repro_store_misses_total`` (:mod:`repro.obs.metrics`), counted in
+    the submitting process whatever the executor.
     """
 
     def __init__(self, root: Union[str, Path], *,

@@ -1,11 +1,10 @@
-"""Worker-side plumbing: chunk execution, per-worker state, obs capture.
+"""Worker-side plumbing: chunk execution and per-worker state.
 
 Everything here must be importable and picklable from a bare worker
 process.  A chunk is executed by :func:`run_chunk`; under the process
-pool it runs inside a worker whose registry was swapped for a fresh one
-by :func:`worker_initializer`, and the chunk's metric increments come
-back to the parent as a snapshot dict for :meth:`Registry.merge
-<repro.obs.metrics.MetricsRegistry.merge>`.
+pool it runs inside a worker set up by :func:`worker_initializer`, and
+only the chunk's ordered results (or its first error) come back to the
+parent.
 
 Per-worker state (:func:`worker_state`) lets trial functions reuse
 expensive objects — e.g. one ``Transmitter``/``Receiver`` pair per
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.spec import TrialSpec
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.trace import span
 
@@ -32,7 +30,6 @@ __all__ = [
     "initialize_state",
     "worker_initializer",
     "run_chunk",
-    "run_chunk_in_worker",
 ]
 
 #: Process-local scratch space for per-worker reusable objects.
@@ -59,18 +56,14 @@ def initialize_state(init: Optional[Callable[..., Any]], init_args: Tuple = ()) 
 
 
 def worker_initializer(init: Optional[Callable[..., Any]], init_args: Tuple = ()) -> None:
-    """Process-pool initializer: isolate obs state, then run ``init``.
+    """Process-pool initializer: isolate trace state, then run ``init``.
 
-    * Install a **fresh** metrics registry so worker-side increments are
-      deltas (under ``fork`` the child would otherwise inherit — and
-      re-count — everything the parent had already recorded).
     * Drop any inherited tracer: the parent's sink (often an open file)
       must not receive interleaved writes from worker processes.
     * Pre-warm the compute-kernel backend (:func:`repro.kernels.warmup`)
       so C compilation / table builds happen once per worker, never
       inside a measured trial.
     """
-    _metrics.set_registry(_metrics.MetricsRegistry())
     _trace._tracer = None
     _STATE.clear()
     _prewarm_kernels()
@@ -96,7 +89,6 @@ class ChunkResult:
     indices: List[int] = field(default_factory=list)
     results: List[Any] = field(default_factory=list)
     error: Optional[Dict[str, Any]] = None  # TrialError kwargs, picklable
-    metrics_snapshot: Optional[Dict[str, dict]] = None
 
     @property
     def n_done(self) -> int:
@@ -104,17 +96,12 @@ class ChunkResult:
 
 
 def run_chunk(
-    fn: Callable[[TrialSpec], Any],
-    specs: Sequence[TrialSpec],
-    *,
-    capture_metrics: bool = False,
+    fn: Callable[[TrialSpec], Any], specs: Sequence[TrialSpec]
 ) -> ChunkResult:
     """Execute a chunk of trials in the current process.
 
     Stops at the first failing trial and returns its context instead of
     raising (exceptions may not survive pickling; a dict always does).
-    With ``capture_metrics`` the process registry is snapshotted and
-    reset afterwards so the parent can merge the chunk's delta.
     """
     out = ChunkResult()
     with span("engine.chunk", n_trials=len(specs)):
@@ -133,18 +120,7 @@ def run_chunk(
                 break
             out.indices.append(spec.index)
             out.results.append(result)
-    if capture_metrics:
-        registry = _metrics.get_registry()
-        out.metrics_snapshot = registry.snapshot()
-        registry.reset()
     return out
-
-
-def run_chunk_in_worker(
-    fn: Callable[[TrialSpec], Any], specs: Sequence[TrialSpec]
-) -> ChunkResult:
-    """Entry point submitted to the process pool (module-level: picklable)."""
-    return run_chunk(fn, specs, capture_metrics=True)
 
 
 def _picklable_params(spec: TrialSpec) -> Dict[str, Any]:

@@ -10,11 +10,11 @@ Usage::
 
 Stage timing comes from the ``experiment.<stage>`` spans themselves
 (:func:`repro.obs.trace.timed_span`): when tracing is enabled the stage
-timings land in the JSONL trace and the ``repro_span_seconds``
-histograms exactly as logged — there is no second, hand-rolled
-``perf_counter`` path to drift out of sync.  Diagnostics go through the
-``repro.experiments.runner`` logger — ``repro --log-level``/``--quiet``
-control them; the result tables themselves always print to stdout.
+timings land in the JSONL trace exactly as logged — there is no second,
+hand-rolled ``perf_counter`` path to drift out of sync.  Diagnostics go
+through the ``repro.experiments.runner`` logger — ``repro
+--log-level``/``--quiet`` control them; the result tables themselves
+always print to stdout.
 
 ``--workers N`` (default: the ``REPRO_WORKERS`` environment flag, else
 serial) is forwarded to every stage's ``run(workers=...)``; trial

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.net.medium import Transmission
 from repro.net.sinr import cos_delivery_prob_for
-from repro.obs.metrics import get_registry
 from repro.ratectl import RateController
 
 __all__ = [
@@ -110,10 +109,6 @@ class ControlPlane:
         self._pending: Dict[Tuple[str, str], List[ControlMessage]] = {}
         self._next_id = 0
         self._last_rate: Dict[Tuple[str, str], int] = {}
-        self._rate_counter = get_registry().counter(
-            "repro_ratectl_rate_selected_total",
-            help="Rate-controller selections, by rate and controller.",
-        )
 
     def bind(self, macs: Dict[str, object]) -> None:
         """Late-bound MAC directory (the simulator wires both ways)."""
@@ -129,16 +124,12 @@ class ControlPlane:
 
         Fixed-rate scenarios pin it; otherwise the controller decides
         per transmission attempt (``retries`` lets samplers walk their
-        retry chains).  Each decision is tallied in
-        ``repro_ratectl_rate_selected_total`` and — on changes — traced
-        as a ``rate_selected`` lens event.
+        retry chains).  A changed decision is traced as a
+        ``rate_selected`` lens event.
         """
         if self.fixed_rate_mbps is not None:
             return self.fixed_rate_mbps
         rate = int(self.controller.select_rate(src, dst, retries=retries))
-        self._rate_counter.labels(
-            rate=rate, controller=self.controller.name
-        ).inc()
         if self.lens is not None and self._last_rate.get((src, dst)) != rate:
             self._last_rate[(src, dst)] = rate
             self.lens.on_rate_selected(src, dst, rate,

@@ -41,19 +41,14 @@ Where the simulator's wall time goes is not the lens's business: with a
 tracer active, :meth:`repro.net.scheduler.EventScheduler.run` wraps each
 dispatched callback in a ``net.<callback>`` span.
 
-On :meth:`finalize` the lens folds its totals into the process metrics
-registry (``repro_net_airtime_us_total``,
-``repro_net_channel_busy_us_total``, ``repro_net_lens_events_total``),
-which is how ledger numbers survive process-pool sweeps: worker
-registries merge back into the parent via the engine's existing
-snapshot-delta mechanism.
+A lens is picklable and rides back on its trial's result, which is how
+ledgers and records survive process-pool sweeps.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import get_registry
 from repro.obs.sink import SCHEMA_VERSION
 
 __all__ = [
@@ -189,14 +184,13 @@ class NetLens:
         self._bss_of = dict(bss_of) if bss_of else {}
 
     def finalize(self, end_us: float) -> None:
-        """Close every open interval at ``end_us`` and fold into metrics."""
+        """Close every open interval at ``end_us``."""
         self.duration_us = float(end_us)
         for node in self._nodes.values():
             node.transition(end_us)
         if self._active > 0:  # a transmission still on the air at the horizon
             self.channel_busy_us += end_us - self._busy_since_us
             self._busy_since_us = end_us
-        self._fold_into_registry()
 
     # ------------------------------------------------------------------
     # Medium hooks
@@ -379,32 +373,3 @@ class NetLens:
                     agg[k] += row[k]
             out["per_bss"] = {b: per_bss[b] for b in sorted(per_bss)}
         return out
-
-    # ------------------------------------------------------------------
-    # Metrics folding
-    # ------------------------------------------------------------------
-
-    def _fold_into_registry(self) -> None:
-        registry = get_registry()
-        airtime = registry.counter(
-            "repro_net_airtime_us_total",
-            "per-node airtime by ledger state, microseconds",
-        )
-        for name, node in self._nodes.items():
-            for state in NODE_STATES:
-                us = node.acc_us[state]
-                if us > 0.0:
-                    airtime.labels(node=name, state=state).inc(us)
-        registry.counter(
-            "repro_net_channel_busy_us_total",
-            "channel-busy time (union of transmissions), microseconds",
-        ).inc(self.channel_busy_us)
-        if self.events:
-            counts: Dict[str, int] = {}
-            for ev in self.events:
-                counts[ev["name"]] = counts.get(ev["name"], 0) + 1
-            fam = registry.counter(
-                "repro_net_lens_events_total", "net trace events by type"
-            )
-            for name, n in counts.items():
-                fam.labels(event=name.removeprefix("net.")).inc(n)

@@ -15,8 +15,7 @@ Times are microseconds, matching the MAC constants in
 
 With a :mod:`repro.obs` tracer active, every dispatched callback runs
 inside a ``net.<callback qualname>`` span (``net.Medium._end``, …), so
-``repro obs summarize`` and the ``repro_span_seconds`` histogram report
-where the simulator's wall time goes.
+``repro obs summarize`` reports where the simulator's wall time goes.
 """
 
 from __future__ import annotations

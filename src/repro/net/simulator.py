@@ -35,7 +35,6 @@ from repro.net.scenario import (
 from repro.net.scheduler import EventScheduler
 from repro.net.sinr import ReceptionModel, SigmoidErrorModel, SinrModel
 from repro.net.traffic import arrival_times
-from repro.obs.metrics import get_registry
 from repro.obs.trace import current_tracer, span
 from repro.ratectl import CONTROLLERS, make_controller
 from repro.utils.rng import RngLike, make_rng
@@ -224,13 +223,6 @@ class _Collector:
             name: NodeStats(name=name) for name in node_names
         }
         self.last_activity_us = 0.0
-        registry = get_registry()
-        self._frames = registry.counter(
-            "repro_net_frames_total", "frames by kind and outcome"
-        )
-        self._control = registry.counter(
-            "repro_net_control_total", "control messages by event"
-        )
 
     def on_generated(self, name: str) -> None:
         self.nodes[name].data_generated += 1
@@ -245,7 +237,6 @@ class _Collector:
     def on_drop(self, name: str, frame: NetFrame, now: float) -> None:
         if frame.kind == "data":
             self.nodes[name].data_dropped += 1
-        self._frames.labels(kind=frame.kind, result="dropped").inc()
         self.last_activity_us = max(self.last_activity_us, now)
 
     def on_delivered(self, name: str, frame: NetFrame, now: float) -> None:
@@ -253,7 +244,6 @@ class _Collector:
         if frame.kind == "data":
             stats.data_delivered += 1
             stats.payload_bits_delivered += frame.payload_bits
-        self._frames.labels(kind=frame.kind, result="delivered").inc()
         self.last_activity_us = max(self.last_activity_us, now)
 
     def on_outcome(self, tx: Transmission, ok: bool, sinr_db: float,
@@ -270,13 +260,11 @@ class _Collector:
 
     def on_control_generated(self, msg) -> None:
         self.nodes[msg.dst].control_generated += 1
-        self._control.labels(event="generated").inc()
 
     def on_control_delivered(self, msg, now: float) -> None:
         stats = self.nodes[msg.dst]
         stats.control_delivered += 1
         stats.control_latencies_us.append(now - msg.created_us)
-        self._control.labels(event="delivered").inc()
 
     def on_roam(self, name: str) -> None:
         self.nodes[name].roams += 1
@@ -509,9 +497,8 @@ def run_scenario_sweep(
 
     ``lens=True`` attaches a fresh :class:`~repro.net.lens.NetLens` to
     *every* trial; ledgers and events come back on each
-    :class:`NetResult` (picklable, so this works across process pools,
-    and the lens's registry metrics fold back into the parent through
-    the engine's worker-snapshot merge).  Each trial's event records
+    :class:`NetResult` (picklable, so this works across process pools).
+    Each trial's event records
     then go to the active trace, if any, in trial order and stamped
     ``trial=i`` — here, in the calling process, so a serial and a pooled
     sweep write the same records.

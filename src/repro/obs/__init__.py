@@ -1,28 +1,25 @@
 """``repro.obs`` — observability for the CoS pipeline.
 
-Two cooperating pieces, both optional and off by default:
-
-* :mod:`repro.obs.metrics` — process-wide counters / gauges / histograms,
-  exportable as Prometheus text or JSON;
-* :mod:`repro.obs.trace` — ``span("rx.evd")`` nested wall-clock tracing
-  with a sub-microsecond no-op path when disabled, and ``event(name,
-  **fields)`` point events.  A trace holds only these two record kinds:
-  ``type="span"`` and ``type="event"``.  Each layer names its own events
-  and, where it has one, its own outcome taxonomy in a ``cause`` field —
-  ``cos.exchange`` (:mod:`repro.cos.link`) explains every CoS decision
-  (rate, silences, detection, EVD, CRC, feedback), ``net.*``
-  (:mod:`repro.net.lens`) every frame's fate.
+One channel, off by default: :mod:`repro.obs.trace` — ``span("rx.evd")``
+nested wall-clock tracing with a sub-microsecond no-op path when
+disabled, and ``event(name, **fields)`` point events.  A trace holds only
+these two record kinds: ``type="span"`` and ``type="event"``.  Each layer
+names its own events and, where it has one, its own outcome taxonomy in a
+``cause`` field — ``cos.exchange`` (:mod:`repro.cos.link`) explains every
+CoS decision (rate, silences, detection, EVD, CRC, feedback), ``net.*``
+(:mod:`repro.net.lens`) every frame's fate.
 
 :func:`configure` is the one switch::
 
     import repro.obs as obs
 
-    with obs.configure(trace_out="trace.jsonl") as session:
+    with obs.configure(trace_out="trace.jsonl"):
         link.run(n_packets=100, payload=b"x" * 512)
-    print(session.registry.to_prometheus())
 
-and ``repro obs summarize trace.jsonl`` renders the per-stage latency
-and outcome tables offline (:mod:`repro.obs.summarize`).
+and ``repro obs summarize --json trace.jsonl`` rolls the records up into
+event counts by cause and per-span count/total/p50/p95
+(:mod:`repro.obs.summarize`).  The only other state is the result
+store's hit/miss counters in :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
@@ -32,15 +29,6 @@ from pathlib import Path
 from typing import Union
 
 from repro.obs import trace as _trace
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
 from repro.obs.sink import (
     SCHEMA_VERSION,
     JsonlSink,
@@ -59,13 +47,6 @@ from repro.obs.timeline import extract_intervals, render_timeline
 from repro.obs.trace import Tracer, current_tracer, event, span, tracing
 
 __all__ = [
-    "LATENCY_BUCKETS_S",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
     "Sink",
     "JsonlSink",
     "MemorySink",
@@ -92,11 +73,9 @@ __all__ = [
 class ObsSession:
     """A live observability configuration (use as a context manager)."""
 
-    def __init__(self, sink: Sink, tracer: Tracer,
-                 registry: MetricsRegistry) -> None:
+    def __init__(self, sink: Sink, tracer: Tracer) -> None:
         self.sink = sink
         self.tracer = tracer
-        self.registry = registry
         self._closed = False
 
     def close(self) -> None:
@@ -118,7 +97,7 @@ class ObsSession:
 def configure(
     trace_out: Union[str, Path, io.TextIOBase, Sink, None] = None,
 ) -> ObsSession:
-    """Enable tracing into one sink, observed into the process registry.
+    """Enable tracing into one sink.
 
     ``trace_out`` may be a path (JSONL file), an open text stream (left
     open on close), a :class:`Sink`, or None (records kept in a
@@ -130,9 +109,7 @@ def configure(
         sink = MemorySink()
     else:
         sink = JsonlSink(trace_out)
-    registry = get_registry()
-    return ObsSession(sink=sink, tracer=_trace.enable(sink, registry),
-                      registry=registry)
+    return ObsSession(sink=sink, tracer=_trace.enable(sink))
 
 
 def shutdown() -> None:

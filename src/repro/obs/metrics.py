@@ -1,72 +1,24 @@
-"""Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
+"""Process-wide counters: the result store's hit and miss tallies.
 
-The registry is deliberately tiny and dependency-free — a strict subset of
-the Prometheus client data model, enough to make the CoS pipeline's
-behaviour observable without pulling a client library into the simulator:
+Everything the simulator does is observable through trace records
+(:mod:`repro.obs.trace`); this registry keeps only what a trace cannot
+carry cheaply — running totals read back *in process* by callers that
+never enable tracing.  Its one writer is :func:`repro.engine.run_trials`,
+which counts ``repro_store_hits_total`` and ``repro_store_misses_total``
+in the submitting process::
 
-* :class:`Counter` — monotonically increasing float;
-* :class:`Gauge` — last-write-wins float;
-* :class:`Histogram` — fixed upper-bound buckets with cumulative counts,
-  ``sum`` and ``count`` (so rates and means survive aggregation), plus a
-  linear-interpolated quantile estimate for quick local inspection.
+    from repro.obs.metrics import get_registry
 
-Every metric family supports Prometheus-style labels via
-:meth:`MetricFamily.labels`::
-
-    reg = MetricsRegistry()
-    reg.counter("cos_tx_packets_total").inc()
-    reg.histogram("span_seconds", buckets=LATENCY_BUCKETS_S).labels(
-        name="rx.decode").observe(0.004)
-
-Snapshots are plain dicts (:meth:`MetricsRegistry.snapshot`), exportable
-as Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`)
-or JSON (:meth:`MetricsRegistry.to_json`).  A process-wide default
-registry is reachable through :func:`get_registry`.
+    before = get_registry().counter("repro_store_hits_total").value
+    ...
+    hits = get_registry().counter("repro_store_hits_total").value - before
 """
 
 from __future__ import annotations
 
-import json
-import math
-import threading
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict
 
-__all__ = [
-    "LATENCY_BUCKETS_S",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
-]
-
-# Default latency buckets: 1 µs .. 10 s in roughly 1-2.5-5 decades.
-LATENCY_BUCKETS_S: Tuple[float, ...] = (
-    1e-6, 2.5e-6, 5e-6,
-    1e-5, 2.5e-5, 5e-5,
-    1e-4, 2.5e-4, 5e-4,
-    1e-3, 2.5e-3, 5e-3,
-    1e-2, 2.5e-2, 5e-2,
-    1e-1, 2.5e-1, 5e-1,
-    1.0, 2.5, 5.0, 10.0,
-)
-
-LabelPairs = Tuple[Tuple[str, str], ...]
-
-
-def _label_key(labels: Dict[str, str]) -> LabelPairs:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _format_labels(pairs: LabelPairs, extra: Sequence[Tuple[str, str]] = ()) -> str:
-    items = list(pairs) + list(extra)
-    if not items:
-        return ""
-    body = ",".join(f'{k}="{v}"' for k, v in items)
-    return "{" + body + "}"
+__all__ = ["Counter", "MetricsRegistry", "get_registry"]
 
 
 class Counter:
@@ -83,346 +35,19 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """Last-write-wins value with inc/dec convenience."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Histogram:
-    """Fixed-bucket histogram (cumulative on export, per-bucket inside).
-
-    ``buckets`` are finite upper bounds in strictly increasing order; an
-    implicit ``+Inf`` bucket catches the overflow.
-    """
-
-    __slots__ = ("buckets", "bucket_counts", "sum", "count")
-
-    def __init__(self, buckets: Sequence[float] = LATENCY_BUCKETS_S) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError("bucket bounds must be strictly increasing")
-        if any(not math.isfinite(b) for b in bounds):
-            raise ValueError("bucket bounds must be finite (+Inf is implicit)")
-        self.buckets = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.bucket_counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def cumulative_counts(self) -> List[int]:
-        out: List[int] = []
-        running = 0
-        for c in self.bucket_counts:
-            running += c
-            out.append(running)
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (Prometheus-style).
-
-        Returns ``nan`` when empty.  Values in the +Inf bucket clamp to
-        the largest finite bound.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        running = 0
-        for i, c in enumerate(self.bucket_counts):
-            prev = running
-            running += c
-            if running >= target and c > 0:
-                if i >= len(self.buckets):  # +Inf bucket
-                    return self.buckets[-1]
-                lo = self.buckets[i - 1] if i > 0 else 0.0
-                hi = self.buckets[i]
-                frac = (target - prev) / c
-                return lo + frac * (hi - lo)
-        return self.buckets[-1]
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else float("nan")
-
-
-class MetricFamily:
-    """A named metric plus its labelled children."""
-
-    def __init__(self, name: str, kind: str, help: str = "",
-                 buckets: Optional[Sequence[float]] = None) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help
-        self._buckets = tuple(buckets) if buckets is not None else None
-        self._children: Dict[LabelPairs, object] = {}
-        self._lock = threading.Lock()
-
-    def _make(self):
-        if self.kind == "counter":
-            return Counter()
-        if self.kind == "gauge":
-            return Gauge()
-        if self.kind == "histogram":
-            return Histogram(self._buckets or LATENCY_BUCKETS_S)
-        raise AssertionError(f"unknown metric kind {self.kind!r}")
-
-    def labels(self, **labels: str):
-        key = _label_key(labels)
-        child = self._children.get(key)
-        if child is None:
-            with self._lock:
-                child = self._children.setdefault(key, self._make())
-        return child
-
-    # Label-less shortcut: family acts as its own unlabelled child.
-    def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)  # type: ignore[union-attr]
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)  # type: ignore[union-attr]
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)  # type: ignore[union-attr]
-
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)  # type: ignore[union-attr]
-
-    @property
-    def value(self) -> float:
-        return self.labels().value  # type: ignore[union-attr]
-
-    def items(self) -> Iterable[Tuple[LabelPairs, object]]:
-        return sorted(self._children.items())
-
-
 class MetricsRegistry:
-    """Registry of metric families, snapshot-able and exportable."""
+    """Named counters, created on first use."""
 
     def __init__(self) -> None:
-        self._families: Dict[str, MetricFamily] = {}
-        self._lock = threading.Lock()
+        self._counters: Dict[str, Counter] = {}
 
-    # -- creation ------------------------------------------------------
-
-    def _family(self, name: str, kind: str, help: str,
-                buckets: Optional[Sequence[float]] = None) -> MetricFamily:
-        fam = self._families.get(name)
-        if fam is not None:
-            if fam.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {fam.kind}, not {kind}"
-                )
-            return fam
-        with self._lock:
-            fam = self._families.get(name)
-            if fam is None:
-                fam = MetricFamily(name, kind, help=help, buckets=buckets)
-                self._families[name] = fam
-            return fam
-
-    def counter(self, name: str, help: str = "") -> MetricFamily:
-        return self._family(name, "counter", help)
-
-    def gauge(self, name: str, help: str = "") -> MetricFamily:
-        return self._family(name, "gauge", help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = LATENCY_BUCKETS_S) -> MetricFamily:
-        return self._family(name, "histogram", help, buckets=buckets)
-
-    # -- introspection -------------------------------------------------
-
-    def families(self) -> List[MetricFamily]:
-        return [self._families[n] for n in sorted(self._families)]
-
-    def reset(self) -> None:
-        """Drop all families (tests and per-run isolation)."""
-        with self._lock:
-            self._families.clear()
-
-    def merge(self, other: "MetricsRegistry | Dict[str, dict]") -> None:
-        """Fold another registry (or a :meth:`snapshot` dict) into this one.
-
-        Merge semantics mirror Prometheus federation: counters and
-        histogram ``sum``/``count``/bucket counts **add**; gauges are
-        last-write-wins (the merged-in value overwrites).  This is how
-        ``repro.engine`` folds worker-process metrics back into the
-        parent registry — snapshots are plain dicts, so they cross
-        process boundaries as pickles with no shared state.
-
-        Raises :class:`ValueError` on kind or histogram-bucket mismatch
-        so silent double-registration bugs cannot corrupt counts — and
-        validates the *whole* snapshot before touching this registry, so
-        a rejected merge leaves it untouched rather than half-applied
-        (chunked executors retry/refold snapshots; partial application
-        would double-count).  Empty snapshots and empty registries merge
-        as no-ops; a family with no series still registers (kind and
-        help are preserved).  Duplicate label sets within one snapshot
-        apply in order: counters/histograms accumulate, gauges keep the
-        last value.
-        """
-        snapshot = other.snapshot() if isinstance(other, MetricsRegistry) else other
-
-        # Phase 1 — parse and validate against current state, mutating
-        # nothing (not even implicit family/child creation).
-        plan: List[tuple] = []
-        for name in sorted(snapshot):
-            data = snapshot[name]
-            kind = data.get("kind")
-            if kind not in ("counter", "gauge", "histogram"):
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-            existing = self._families.get(name)
-            if existing is not None and existing.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind}, "
-                    f"not {kind}"
-                )
-            help_ = data.get("help", "")
-            series = data.get("series", [])
-            fam_buckets: Optional[Tuple[float, ...]] = None
-            if kind == "histogram":
-                if existing is not None:
-                    fam_buckets = tuple(existing._buckets or LATENCY_BUCKETS_S)
-                elif series:
-                    fam_buckets = tuple(float(b) for b in series[0]["buckets"])
-            entries: List[tuple] = []
-            for entry in series:
-                labels = {str(k): str(v)
-                          for k, v in entry.get("labels", {}).items()}
-                if kind == "counter":
-                    value = float(entry["value"])
-                    if value < 0:
-                        raise ValueError(
-                            f"cannot merge counter {name!r}: negative "
-                            f"increment {value}"
-                        )
-                    entries.append((labels, value))
-                elif kind == "gauge":
-                    entries.append((labels, float(entry["value"])))
-                else:
-                    bounds = tuple(float(b) for b in entry["buckets"])
-                    if bounds != fam_buckets:
-                        raise ValueError(
-                            f"cannot merge histogram {name!r}: bucket bounds "
-                            f"differ ({fam_buckets} vs {bounds})"
-                        )
-                    counts = [int(c) for c in entry["bucket_counts"]]
-                    if len(counts) != len(bounds) + 1:
-                        raise ValueError(
-                            f"cannot merge histogram {name!r}: bucket count "
-                            "mismatch"
-                        )
-                    entries.append(
-                        (labels,
-                         (float(entry["sum"]), int(entry["count"]), counts))
-                    )
-            plan.append((name, kind, help_, fam_buckets, entries))
-
-        # Phase 2 — apply; validated input cannot raise below.
-        for name, kind, help_, fam_buckets, entries in plan:
-            if kind == "counter":
-                fam = self.counter(name, help_)
-                for labels, value in entries:
-                    fam.labels(**labels).inc(value)
-            elif kind == "gauge":
-                fam = self.gauge(name, help_)
-                for labels, value in entries:
-                    fam.labels(**labels).set(value)
-            else:
-                fam = self.histogram(
-                    name, help_, buckets=fam_buckets or LATENCY_BUCKETS_S
-                )
-                for labels, (total, count, counts) in entries:
-                    child = fam.labels(**labels)
-                    child.sum += total
-                    child.count += count
-                    for i, c in enumerate(counts):
-                        child.bucket_counts[i] += c
-
-    def snapshot(self) -> Dict[str, dict]:
-        """Plain-dict snapshot: ``{name: {kind, help, series: [...]}}``."""
-        out: Dict[str, dict] = {}
-        for fam in self.families():
-            series = []
-            for pairs, child in fam.items():
-                entry: Dict[str, object] = {"labels": dict(pairs)}
-                if isinstance(child, Histogram):
-                    entry.update(
-                        sum=child.sum,
-                        count=child.count,
-                        buckets=list(child.buckets),
-                        bucket_counts=list(child.bucket_counts),
-                        p50=child.quantile(0.5),
-                        p95=child.quantile(0.95),
-                    )
-                else:
-                    entry["value"] = child.value  # type: ignore[union-attr]
-                series.append(entry)
-            out[fam.name] = {"kind": fam.kind, "help": fam.help, "series": series}
-        return out
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (0.0.4)."""
-        lines: List[str] = []
-        for fam in self.families():
-            if fam.help:
-                lines.append(f"# HELP {fam.name} {fam.help}")
-            lines.append(f"# TYPE {fam.name} {fam.kind}")
-            for pairs, child in fam.items():
-                if isinstance(child, Histogram):
-                    cumulative = child.cumulative_counts()
-                    for bound, cum in zip(child.buckets, cumulative):
-                        lines.append(
-                            f"{fam.name}_bucket"
-                            f"{_format_labels(pairs, [('le', repr(bound))])} {cum}"
-                        )
-                    lines.append(
-                        f"{fam.name}_bucket"
-                        f"{_format_labels(pairs, [('le', '+Inf')])} {cumulative[-1]}"
-                    )
-                    lines.append(f"{fam.name}_sum{_format_labels(pairs)} {child.sum}")
-                    lines.append(f"{fam.name}_count{_format_labels(pairs)} {child.count}")
-                else:
-                    value = child.value  # type: ignore[union-attr]
-                    lines.append(f"{fam.name}{_format_labels(pairs)} {value}")
-        return "\n".join(lines) + ("\n" if lines else "")
+    def counter(self, name: str) -> Counter:
+        return self._counters.setdefault(name, Counter())
 
 
 _default_registry = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
+    """The process-wide registry."""
     return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (returns the previous one)."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous

@@ -18,8 +18,8 @@ When **enabled** (:func:`enable`), each span records wall-clock duration
 via ``time.perf_counter()``, its nesting depth and parent span id (spans
 form a tree per thread), and optional labels.  On exit the span is
 emitted to the configured :class:`~repro.obs.sink.Sink` as a ``"span"``
-event and observed into the ``repro_span_seconds`` histogram of the
-metrics registry, labelled by span name.
+record; ``repro obs summarize`` turns those records into per-name
+count/total/p50/p95 rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry, get_registry
 from repro.obs.sink import SCHEMA_VERSION, MemorySink, Sink
 
 __all__ = [
@@ -112,17 +111,10 @@ class Span:
 class Tracer:
     """Owns the sink, the span-id counter, and per-thread span stacks."""
 
-    def __init__(self, sink: Optional[Sink] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sink: Optional[Sink] = None) -> None:
         self.sink = sink if sink is not None else MemorySink()
-        self.registry = registry if registry is not None else get_registry()
         self._ids = itertools.count(1)
         self._local = threading.local()
-        self._span_hist = self.registry.histogram(
-            "repro_span_seconds",
-            help="Wall-clock duration of traced spans, by span name.",
-            buckets=LATENCY_BUCKETS_S,
-        )
 
     # -- span lifecycle ------------------------------------------------
 
@@ -148,7 +140,6 @@ class Tracer:
             stack.pop()
         elif sp in stack:  # tolerate out-of-order exits
             stack.remove(sp)
-        self._span_hist.labels(name=sp.name).observe(sp.duration_s)
         self.sink.emit({
             "type": "span",
             "schema": SCHEMA_VERSION,
@@ -227,9 +218,8 @@ class TimerSpan:
 def timed_span(name: str, **labels):
     """Like :func:`span`, but ``duration_s`` is valid even when disabled.
 
-    With tracing enabled this *is* a traced span (recorded to the sink
-    and the ``repro_span_seconds`` histogram); disabled, it degrades to a
-    plain stopwatch.  Use for coarse stage timing that feeds log lines —
+    With tracing enabled this *is* a traced span (recorded to the sink);
+    disabled, it degrades to a plain stopwatch.  Use for coarse stage timing that feeds log lines —
     never on hot paths (the whole point of :class:`NullSpan` is that hot
     paths pay nothing when tracing is off).
     """
@@ -246,11 +236,10 @@ def event(name: str, **fields) -> None:
         tracer.event(name, **fields)
 
 
-def enable(sink: Optional[Sink] = None,
-           registry: Optional[MetricsRegistry] = None) -> Tracer:
+def enable(sink: Optional[Sink] = None) -> Tracer:
     """Turn tracing on; returns the active :class:`Tracer`."""
     global _tracer
-    _tracer = Tracer(sink=sink, registry=registry)
+    _tracer = Tracer(sink=sink)
     return _tracer
 
 
@@ -269,14 +258,12 @@ def current_tracer() -> Optional[Tracer]:
 class tracing:
     """``with tracing(sink):`` — scoped enable/disable for tests."""
 
-    def __init__(self, sink: Optional[Sink] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sink: Optional[Sink] = None) -> None:
         self._sink = sink
-        self._registry = registry
         self.tracer: Optional[Tracer] = None
 
     def __enter__(self) -> Tracer:
-        self.tracer = enable(self._sink, self._registry)
+        self.tracer = enable(self._sink)
         return self.tracer
 
     def __exit__(self, *exc) -> None:

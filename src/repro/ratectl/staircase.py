@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from repro.obs.metrics import get_registry
 from repro.phy.params import RATE_TABLE, PhyRate
 
 __all__ = ["DEFAULT_THRESHOLDS", "RateAdapter", "select_rate", "min_required_snr_db"]
@@ -59,20 +58,11 @@ class RateAdapter:
                 raise ValueError(f"{mbps} Mbps is not an 802.11a rate")
 
     def select(self, measured_snr_db: float) -> PhyRate:
-        """Highest rate supported at ``measured_snr_db`` (lowest as floor).
-
-        Selections are tallied per rate in the metrics registry
-        (``repro_rate_selected_total{mbps=...}``) so a session's rate
-        distribution is visible without tracing.
-        """
+        """Highest rate supported at ``measured_snr_db`` (lowest as floor)."""
         best = min(self.thresholds)
         for mbps in sorted(self.thresholds):
             if measured_snr_db >= self.thresholds[mbps]:
                 best = mbps
-        get_registry().counter(
-            "repro_rate_selected_total",
-            help="Data-rate adaptation selections, by chosen rate.",
-        ).labels(mbps=best).inc()
         return RATE_TABLE[best]
 
     def min_required_snr_db(self, rate: PhyRate) -> float:

@@ -10,7 +10,7 @@ place that decides what counts as true/false/unset:
   raises so typos fail loudly instead of silently meaning "off".
 * :func:`env_int` — integer-valued flags such as ``REPRO_WORKERS``;
   empty string counts as unset.
-* :func:`env_str` — string-valued flags such as ``REPRO_METRICS_OUT``;
+* :func:`env_str` — string-valued flags such as ``REPRO_STORE``;
   empty string counts as unset.
 """
 

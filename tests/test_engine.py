@@ -2,8 +2,8 @@
 
 Covers the contract promised in ``docs/engine.md``: chunking, seed-spawn
 determinism (serial vs. process pool bit-for-bit), structured error
-propagation with trial context, worker metrics merge, and worker-state
-reuse via the per-worker ``init`` hook.
+propagation with trial context, and worker-state reuse via the
+per-worker ``init`` hook.
 """
 
 import logging
@@ -14,7 +14,6 @@ import pytest
 from repro import engine
 from repro.engine.executors import _chunk
 from repro.engine.worker import run_chunk, worker_state
-from repro.obs.metrics import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +41,6 @@ def _square_trial(spec):
 def _failing_trial(spec):
     if spec["x"] == 3:
         raise ValueError("boom at x=3")
-    return spec["x"]
-
-
-def _metric_trial(spec):
-    from repro.obs.metrics import get_registry
-
-    get_registry().counter("engine_test_trials_total").labels(kind="unit").inc()
     return spec["x"]
 
 
@@ -141,7 +133,7 @@ class TestChunking:
     def test_results_reassembled_in_spec_order(self):
         params = [{"x": i} for i in range(11)]
         out = engine.run_sweep(params, _square_trial, seed=0, workers=0,
-                               chunk_size=4, registry=MetricsRegistry())
+                               chunk_size=4)
         assert out == [i ** 2 for i in range(11)]
 
 
@@ -153,25 +145,22 @@ class TestDeterminism:
     PARAMS = [{"x": i} for i in range(10)]
 
     def test_serial_vs_parallel_bit_identical(self):
-        serial = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=0,
-                                  registry=MetricsRegistry())
-        parallel = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=2,
-                                    registry=MetricsRegistry())
+        serial = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=0)
+        parallel = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=2)
         assert serial == parallel
 
     def test_chunk_size_does_not_change_results(self):
-        base = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=0,
-                                registry=MetricsRegistry())
+        base = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=0)
         for size in (1, 3, 10):
             out = engine.run_sweep(self.PARAMS, _draw_trial, seed=3, workers=2,
-                                   chunk_size=size, registry=MetricsRegistry())
+                                   chunk_size=size)
             assert out == base
 
     def test_child_streams_identical_across_executors(self):
         serial = engine.run_sweep(self.PARAMS, _child_draw_trial, seed=9,
-                                  workers=0, registry=MetricsRegistry())
+                                  workers=0)
         parallel = engine.run_sweep(self.PARAMS, _child_draw_trial, seed=9,
-                                    workers=2, registry=MetricsRegistry())
+                                    workers=2)
         assert serial == parallel
         # Re-requesting child 0 restarts the stream (purity).
         for a, _b, a2 in serial:
@@ -179,7 +168,7 @@ class TestDeterminism:
 
     def test_pool_actually_uses_worker_processes(self):
         pids = engine.run_sweep([{}] * 6, _pid_trial, seed=0, workers=2,
-                                chunk_size=1, registry=MetricsRegistry())
+                                chunk_size=1)
         assert os.getpid() not in pids
 
 
@@ -194,7 +183,7 @@ class TestErrors:
     def test_failure_surfaces_as_trial_error_with_context(self, workers):
         with pytest.raises(engine.TrialError) as exc_info:
             engine.run_sweep(self.PARAMS, _failing_trial, seed=0,
-                             workers=workers, registry=MetricsRegistry())
+                             workers=workers)
         err = exc_info.value
         assert err.index == 3
         assert err.params == {"x": 3}
@@ -222,103 +211,19 @@ class TestErrors:
 
 
 # ---------------------------------------------------------------------------
-# Worker metrics merge
-# ---------------------------------------------------------------------------
-
-class TestMetricsMerge:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_trial_counters_survive_parallelism(self, workers):
-        registry = MetricsRegistry()
-        engine.run_sweep([{"x": i} for i in range(8)], _metric_trial, seed=0,
-                         workers=workers, registry=registry)
-        if workers:
-            # Worker-side increments arrive via snapshot merge.
-            snap = registry.snapshot()["engine_test_trials_total"]
-        else:
-            # Serial writes land in the *live* registry, which here is the
-            # process-wide one — check it instead.
-            from repro.obs.metrics import get_registry
-            snap = get_registry().snapshot()["engine_test_trials_total"]
-        (series,) = [s for s in snap["series"] if s["labels"] == {"kind": "unit"}]
-        assert series["value"] >= 8.0
-
-    def test_registry_merge_counters_add(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").labels(k="x").inc(2)
-        b.counter("c").labels(k="x").inc(3)
-        b.counter("c").labels(k="y").inc(1)
-        a.merge(b)
-        values = {
-            tuple(sorted(s["labels"].items())): s["value"]
-            for s in a.snapshot()["c"]["series"]
-        }
-        assert values[(("k", "x"),)] == 5.0
-        assert values[(("k", "y"),)] == 1.0
-
-    def test_registry_merge_gauges_last_write_wins(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").labels().set(1.0)
-        b.gauge("g").labels().set(7.0)
-        a.merge(b)
-        assert a.snapshot()["g"]["series"][0]["value"] == 7.0
-
-    def test_registry_merge_histograms_add(self):
-        buckets = (1.0, 2.0, 4.0)
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=buckets).labels().observe(0.5)
-        b.histogram("h", buckets=buckets).labels().observe(3.0)
-        b.histogram("h", buckets=buckets).labels().observe(0.5)
-        a.merge(b.snapshot())  # merge from a plain snapshot dict
-        (series,) = a.snapshot()["h"]["series"]
-        assert series["count"] == 3
-        assert series["sum"] == pytest.approx(4.0)
-        assert series["bucket_counts"] == [2, 0, 1, 0]
-
-    def test_registry_merge_rejects_kind_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("m").labels().inc()
-        b.gauge("m").labels().set(1.0)
-        with pytest.raises(ValueError, match="already registered"):
-            a.merge(b)
-
-    def test_registry_merge_rejects_bucket_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0)).labels().observe(0.5)
-        b.histogram("h", buckets=(1.0, 3.0)).labels().observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_is_associative_for_counters(self):
-        parts = []
-        for inc in (1, 2, 3):
-            r = MetricsRegistry()
-            r.counter("c").labels().inc(inc)
-            parts.append(r.snapshot())
-        left = MetricsRegistry()
-        for p in parts:
-            left.merge(p)
-        right = MetricsRegistry()
-        for p in reversed(parts):
-            right.merge(p)
-        assert (left.snapshot()["c"]["series"][0]["value"]
-                == right.snapshot()["c"]["series"][0]["value"] == 6.0)
-
-
-# ---------------------------------------------------------------------------
 # Worker state and init hooks
 # ---------------------------------------------------------------------------
 
 class TestWorkerState:
     def test_state_reused_within_a_process(self):
         ids = engine.run_sweep([{}] * 4, _state_trial, seed=0, workers=0,
-                               chunk_size=2, registry=MetricsRegistry())
+                               chunk_size=2)
         assert len(set(ids)) == 1  # one shared object across all trials
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_init_hook_runs_before_trials(self, workers):
         tags = engine.run_sweep([{}] * 4, _tag_trial, seed=0, workers=workers,
-                                init=_init_hook, init_args=("ready",),
-                                registry=MetricsRegistry())
+                                init=_init_hook, init_args=("ready",))
         assert tags == ["ready"] * 4
 
 
@@ -349,10 +254,8 @@ class TestExecutorSelection:
             engine.ProcessExecutor(0)
 
     def test_empty_sweep(self):
-        assert engine.run_sweep([], _square_trial, seed=0, workers=0,
-                                registry=MetricsRegistry()) == []
-        assert engine.run_sweep([], _square_trial, seed=0, workers=2,
-                                registry=MetricsRegistry()) == []
+        assert engine.run_sweep([], _square_trial, seed=0, workers=0) == []
+        assert engine.run_sweep([], _square_trial, seed=0, workers=2) == []
 
     def test_progress_logging_emits_debug_lines(self):
         # Attach a handler directly: other tests may have configured the
@@ -371,8 +274,7 @@ class TestExecutorSelection:
         logger.setLevel(logging.DEBUG)
         try:
             engine.run_sweep([{"x": i} for i in range(3)], _square_trial,
-                             seed=0, workers=0, label="unit",
-                             registry=MetricsRegistry())
+                             seed=0, workers=0, label="unit")
         finally:
             logger.removeHandler(handler)
             logger.setLevel(old_level)

@@ -35,7 +35,7 @@ from repro.engine.store import (
     set_default_store,
     spec_key,
 )
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import get_registry
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -48,11 +48,16 @@ def _no_ambient_store(monkeypatch):
     previous_store = store_mod._default_store
     store_mod._default_explicit = False
     store_mod._default_store = None
-    old_registry = set_registry(MetricsRegistry())
     yield
     store_mod._default_explicit = previous_explicit
     store_mod._default_store = previous_store
-    set_registry(old_registry)
+
+
+def _store_counts():
+    """The process's (hits, misses) store counters, for deltas."""
+    registry = get_registry()
+    return (registry.counter("repro_store_hits_total").value,
+            registry.counter("repro_store_misses_total").value)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +332,20 @@ class TestSweepReplay:
         assert store.writes == len(PARAMS)
         assert store.hits == len(PARAMS)
 
-    def test_store_counters_reach_the_registry(self, tmp_path):
-        registry = MetricsRegistry()
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_store_counters_reach_the_registry(self, tmp_path, workers):
+        # The submitting process counts: a cold pass misses every trial
+        # and a warm pass hits every one, whatever the executor.
         store = ResultStore(tmp_path)
+        hits0, misses0 = _store_counts()
         engine.run_sweep(PARAMS, _draw_trial, seed=11, store=store,
-                         registry=registry)
+                         workers=workers)
+        hits1, misses1 = _store_counts()
+        assert (hits1 - hits0, misses1 - misses0) == (0, len(PARAMS))
         engine.run_sweep(PARAMS, _draw_trial, seed=11, store=store,
-                         registry=registry)
-        assert registry.counter("repro_store_hits_total").value == len(PARAMS)
-        assert registry.counter("repro_store_misses_total").value == len(PARAMS)
+                         workers=workers)
+        hits2, misses2 = _store_counts()
+        assert (hits2 - hits1, misses2 - misses1) == (len(PARAMS), 0)
 
     def test_superset_sweep_re_hits_subset_entries(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -467,14 +477,14 @@ class TestKillResume:
         assert 0 < n_before < 10, "kill landed before/after the window"
 
         params = [{"x": i} for i in range(10)]
-        registry = MetricsRegistry()
         store = ResultStore(store_dir)
+        hits0, _ = _store_counts()
         resumed = core.run_trials(make_specs(params, seed=21), _slow_trial,
-                                  store=store, registry=registry)
+                                  store=store)
         # Zero recomputation of finished trials, by the store counters...
         assert store.hits == n_before
         assert store.writes == 10 - n_before
-        assert registry.counter("repro_store_hits_total").value == n_before
+        assert _store_counts()[0] - hits0 == n_before
         # ...and the resumed output equals a clean serial run, bit for bit.
         clean = core.run_trials(make_specs(params, seed=21), _slow_trial)
         assert pickle.dumps(resumed) == pickle.dumps(clean)

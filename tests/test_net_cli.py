@@ -57,19 +57,21 @@ class TestNetRun:
     def test_unknown_scenario_errors(self):
         assert main(["net", "run", "no-such-scenario"]) == 2
 
-    def test_json_and_metrics_files(self, small_scenario_path, tmp_path):
+    def test_json_and_trace_files(self, small_scenario_path, tmp_path):
         summary_path = tmp_path / "summary.json"
-        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.jsonl"
         assert main([
             "net", "run", small_scenario_path,
             "--trials", "2", "--workers", "0",
             "--json", str(summary_path),
-            "--metrics-out", str(metrics_path),
+            "--trace-out", str(trace_path),
         ]) == 0
         summary = json.loads(summary_path.read_text())
         assert summary["n_trials"] == 2
-        metrics = json.loads(metrics_path.read_text())
-        assert any("repro_net" in name for name in metrics)
+        events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        frames = [e for e in events
+                  if e["type"] == "event" and e["name"].startswith("net.")]
+        assert {e["trial"] for e in frames} == {0, 1}
 
     def test_controller_flag(self, small_scenario_path, capsys):
         assert main(["net", "run", small_scenario_path,

@@ -28,10 +28,8 @@ from repro.net import NetLens, builtin_scenario, run_scenario, run_scenario_swee
 from repro.net.lens import (
     NET_EVENT_NAMES,
     NET_FAILURE_CAUSES,
-    NODE_STATES,
     classify_net_failure,
 )
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.sink import SCHEMA_VERSION, MemorySink, read_jsonl
 from repro.obs.summarize import summarize_events
 from repro.obs.timeline import extract_intervals, render_timeline
@@ -39,11 +37,9 @@ from repro.obs.timeline import extract_intervals, render_timeline
 
 @pytest.fixture(autouse=True)
 def _isolated_obs():
-    previous = set_registry(MetricsRegistry())
     obs.shutdown()
     yield
     obs.shutdown()
-    set_registry(previous)
 
 
 def _small_spec(**overrides):
@@ -248,11 +244,9 @@ class TestDispatchSpans:
         assert all(sp["name"].startswith("net.") for sp in dispatch)
         names = {sp["name"] for sp in dispatch}
         assert "net.Medium._end" in names
-        # Per-callback cost reaches the stage table and the histogram.
+        # Per-callback cost reaches the stage table.
         summary = summarize_events(sink.events)
         assert summary.stage("net.Medium._end").count > 0
-        hist = get_registry().histogram("repro_span_seconds")
-        assert hist.labels(name="net.Medium._end").count > 0
 
     def test_traced_run_equals_untraced(self):
         """Dispatch spans time the run without changing it."""
@@ -280,36 +274,6 @@ class TestTraceRouting:
         assert _net_records(sink.events) == expected
         # The results themselves stay unstamped.
         assert all("trial" not in ev for r in results for ev in r.events)
-
-
-# ---------------------------------------------------------------------------
-# Metrics folding
-# ---------------------------------------------------------------------------
-
-
-class TestMetricsFold:
-    def test_ledger_folds_into_registry(self):
-        lens = NetLens()
-        result = run_scenario(_small_spec(), rng=0, lens=lens)
-        reg = get_registry()
-        airtime = reg.counter("repro_net_airtime_us_total")
-        total = sum(
-            airtime.labels(node=name, state=state).value
-            for name in result.ledger["per_node"]
-            for state in NODE_STATES
-        )
-        n_nodes = len(result.ledger["per_node"])
-        assert total == pytest.approx(
-            n_nodes * result.ledger["duration_us"], abs=1e-6)
-        events = reg.counter("repro_net_lens_events_total")
-        assert events.labels(event="tx_start").value == sum(
-            ev["name"] == "net.tx_start" for ev in result.events)
-
-    def test_sweep_merges_worker_metrics(self):
-        spec = _small_spec()
-        run_scenario_sweep(spec, n_trials=2, seed=5, workers=2, lens=True)
-        fam = get_registry().counter("repro_net_channel_busy_us_total")
-        assert fam.value > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
-"""Tests for the repro.obs subsystem: metrics, tracing, cos.exchange events."""
+"""Tests for the repro.obs subsystem: store counters, tracing, cos.exchange events."""
 
 import json
-import math
 import time
 
 import numpy as np
@@ -9,22 +8,20 @@ import pytest
 
 import repro.obs as obs
 from repro.obs import trace as trace_mod
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 
 
 @pytest.fixture(autouse=True)
 def _isolated_obs():
-    """Fresh registry + disabled tracing around every test."""
-    previous = set_registry(MetricsRegistry())
+    """Disabled tracing around every test."""
     obs.shutdown()
     yield
     obs.shutdown()
-    set_registry(previous)
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Counters
 # ---------------------------------------------------------------------------
 
 
@@ -41,205 +38,9 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_labels_are_independent_children(self):
-        c = MetricsRegistry().counter("hits_total")
-        c.labels(cause="ok").inc(3)
-        c.labels(cause="crc_fail").inc()
-        assert c.labels(cause="ok").value == 3
-        assert c.labels(cause="crc_fail").value == 1
-
     def test_same_name_returns_same_family(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
-
-    def test_kind_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = MetricsRegistry().gauge("temp")
-        g.set(10.0)
-        g.inc(5)
-        g.dec(2)
-        assert g.value == 13.0
-
-
-class TestHistogram:
-    def test_bucket_assignment(self):
-        h = Histogram(buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 5.0, 50.0, 500.0):
-            h.observe(v)
-        assert h.bucket_counts == [1, 1, 1, 1]
-        assert h.cumulative_counts() == [1, 2, 3, 4]
-        assert h.count == 4
-        assert h.sum == pytest.approx(555.5)
-
-    def test_boundary_value_lands_in_its_bucket(self):
-        # le semantics: an observation equal to a bound belongs to it.
-        h = Histogram(buckets=(1.0, 10.0))
-        h.observe(1.0)
-        assert h.bucket_counts[0] == 1
-
-    def test_quantiles(self):
-        h = Histogram(buckets=(1.0, 2.0, 4.0, 8.0))
-        for v in (0.5, 1.5, 2.5, 3.0, 7.0):
-            h.observe(v)
-        assert 0.0 < h.quantile(0.5) <= 4.0
-        assert h.quantile(1.0) <= 8.0
-        assert math.isnan(Histogram(buckets=(1.0,)).quantile(0.5))
-
-    def test_invalid_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=())
-        with pytest.raises(ValueError):
-            Histogram(buckets=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(buckets=(1.0, float("inf")))
-
-
-class TestExport:
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("a_total", help="things").labels(kind="x").inc(2)
-        reg.gauge("b").set(1.5)
-        reg.histogram("lat_seconds", buckets=(0.1, 1.0)).observe(0.05)
-        text = reg.to_prometheus()
-        assert "# TYPE a_total counter" in text
-        assert 'a_total{kind="x"} 2.0' in text
-        assert "# HELP a_total things" in text
-        assert "b 1.5" in text
-        assert 'lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "lat_seconds_count 1" in text
-
-    def test_json_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("a_total").inc()
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
-        snap = json.loads(reg.to_json())
-        assert snap["a_total"]["kind"] == "counter"
-        assert snap["a_total"]["series"][0]["value"] == 1.0
-        assert snap["h"]["series"][0]["count"] == 1
-
-    def test_reset_clears_families(self):
-        reg = MetricsRegistry()
-        reg.counter("a_total").inc()
-        reg.reset()
-        assert reg.snapshot() == {}
-
-    def test_default_registry_swap(self):
-        fresh = MetricsRegistry()
-        old = set_registry(fresh)
-        try:
-            assert get_registry() is fresh
-        finally:
-            set_registry(old)
-
-
-class TestMerge:
-    def test_counters_add_gauges_overwrite_histograms_accumulate(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c_total").inc(2)
-        b.counter("c_total").inc(3)
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(7.0)
-        a.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        b.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-        a.merge(b)
-        assert a.counter("c_total").value == 5.0
-        assert a.gauge("g").value == 7.0
-        h = a.histogram("h", buckets=(1.0, 2.0)).labels()
-        assert h.count == 2 and h.sum == 2.0
-        assert h.bucket_counts == [1, 1, 0]
-
-    def test_empty_registries_merge_as_noops(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.merge(b)
-        assert a.snapshot() == {}
-        a.counter("c_total").inc()
-        a.merge(MetricsRegistry())
-        a.merge({})
-        assert a.counter("c_total").value == 1.0
-
-    def test_family_with_no_series_still_registers(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("later_total", help="declared but never incremented")
-        a.merge(b)
-        # Kind is now pinned: re-registering as a gauge must fail.
-        with pytest.raises(ValueError, match="already registered"):
-            a.gauge("later_total")
-
-    def test_kind_mismatch_rejected_and_parent_untouched(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc(4)
-        b.gauge("x").set(1.0)
-        with pytest.raises(ValueError, match="already registered"):
-            a.merge(b)
-        assert a.counter("x").value == 4.0
-
-    def test_histogram_bucket_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        b.histogram("h", buckets=(1.0, 3.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket bounds differ"):
-            a.merge(b)
-        # Parent histogram unchanged by the rejected merge.
-        assert a.histogram("h", buckets=(1.0, 2.0)).labels().count == 1
-
-    def test_failed_merge_is_atomic_across_families(self):
-        # The failing family sorts *after* a mergeable one; validation
-        # must reject the whole snapshot before applying anything.
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("a_total").inc(1)
-        a.histogram("z_h", buckets=(1.0,)).observe(0.5)
-        b.counter("a_total").inc(10)
-        b.histogram("z_h", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-        assert a.counter("a_total").value == 1.0
-        # And no spurious labelled children appeared on the histogram.
-        assert a.histogram("z_h", buckets=(1.0,)).labels().count == 1
-
-    def test_duplicate_label_sets_apply_in_order(self):
-        reg = MetricsRegistry()
-        snapshot = {
-            "dup_total": {"kind": "counter", "help": "", "series": [
-                {"labels": {"k": "v"}, "value": 2.0},
-                {"labels": {"k": "v"}, "value": 3.0},
-            ]},
-            "dup_gauge": {"kind": "gauge", "help": "", "series": [
-                {"labels": {}, "value": 1.0},
-                {"labels": {}, "value": 9.0},
-            ]},
-        }
-        reg.merge(snapshot)
-        assert reg.counter("dup_total").labels(k="v").value == 5.0
-        assert reg.gauge("dup_gauge").value == 9.0
-
-    def test_negative_counter_increment_rejected_atomically(self):
-        reg = MetricsRegistry()
-        reg.counter("c_total").inc(2)
-        with pytest.raises(ValueError, match="negative"):
-            reg.merge({"c_total": {"kind": "counter", "series": [
-                {"labels": {}, "value": -1.0}]}})
-        assert reg.counter("c_total").value == 2.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric kind"):
-            MetricsRegistry().merge({"x": {"kind": "summary", "series": []}})
-
-    def test_merge_accepts_snapshot_dicts_across_pickle(self):
-        import pickle
-
-        b = MetricsRegistry()
-        b.counter("c_total").labels(stage="rx").inc(4)
-        snap = pickle.loads(pickle.dumps(b.snapshot()))
-        a = MetricsRegistry()
-        a.merge(snap)
-        assert a.counter("c_total").labels(stage="rx").value == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +85,6 @@ class TestSpans:
                 with span("boom"):
                     raise RuntimeError("x")
         assert sink.events[0]["labels"]["error"] == "RuntimeError"
-
-    def test_span_durations_feed_registry_histogram(self):
-        reg = MetricsRegistry()
-        with obs.tracing(obs.MemorySink(), registry=reg):
-            with span("stage"):
-                pass
-        hist = reg.histogram("repro_span_seconds").labels(name="stage")
-        assert hist.count == 1
 
     def test_point_events(self):
         sink = obs.MemorySink()
@@ -443,48 +236,10 @@ class TestExchangeEvents:
         if later:
             assert later[0]["in_fallback"] is True
 
-    def test_cause_counter_in_registry(self):
-        reg = get_registry()
-        session = obs.configure(trace_out=obs.MemorySink())
-        _run_link(packets=2)
-        session.close()
-        fam = reg.counter("repro_flight_total")
-        assert fam.labels(cause="ok").value == 2
-
     def test_tracing_disabled_means_no_records(self):
         assert trace_mod.current_tracer() is None
         stats = _run_link(packets=1)
         assert stats.prr == 1.0  # instrumented path still works untraced
-
-
-# ---------------------------------------------------------------------------
-# Always-on metrics from the instrumented pipeline
-# ---------------------------------------------------------------------------
-
-
-class TestPipelineMetrics:
-    def test_exchange_counters(self):
-        reg = get_registry()
-        _run_link(packets=3)
-        assert reg.counter("repro_exchanges_total").value == 3
-        assert reg.counter("repro_tx_packets_total").value == 3
-        assert reg.counter("repro_tx_silences_total").value > 0
-        sent = reg.counter("repro_tx_control_bits_total").value
-        delivered = reg.counter("repro_control_bits_delivered_total").value
-        assert 0 < delivered <= sent
-        assert reg.counter("repro_rate_selected_total").labels(mbps=36).value >= 0
-
-    def test_fallback_transition_counter(self):
-        from repro.cos.rate_control import ControlRateController
-
-        reg = get_registry()
-        ctl = ControlRateController()
-        ctl.on_data_result(False)
-        ctl.on_data_result(True)
-        fam = reg.counter("repro_rate_fallback_transitions_total")
-        assert fam.labels(direction="enter").value == 1
-        assert fam.labels(direction="exit").value == 1
-        assert reg.gauge("repro_rate_in_fallback").value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +315,6 @@ class TestConfigure:
         """One switch: the tracer carries spans and point events alike."""
         with obs.configure() as session:
             assert trace_mod.current_tracer() is session.tracer
-            assert session.registry is get_registry()
 
 
 class TestRecordTypes:

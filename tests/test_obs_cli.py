@@ -1,4 +1,4 @@
-"""CLI-level tests: --trace-out/--metrics-out, obs summarize, logging flags."""
+"""CLI-level tests: --trace-out, obs summarize, logging flags."""
 
 import gc
 import json
@@ -12,25 +12,22 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import build_parser, main
-from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 @pytest.fixture(autouse=True)
 def _isolated_obs():
-    previous = set_registry(MetricsRegistry())
     obs.shutdown()
     yield
     obs.shutdown()
-    set_registry(previous)
 
 
 class TestParser:
     def test_link_obs_flags(self):
-        args = build_parser().parse_args(
-            ["link", "--trace-out", "t.jsonl", "--metrics-out", "m.prom"]
-        )
+        args = build_parser().parse_args(["link", "--trace-out", "t.jsonl"])
         assert args.trace_out == "t.jsonl"
-        assert args.metrics_out == "m.prom"
+        # --trace-out is the link's one export.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["link", "--metrics-out", "m.prom"])
 
     def test_obs_summarize_args(self):
         args = build_parser().parse_args(["obs", "summarize", "trace.jsonl"])
@@ -53,13 +50,12 @@ class TestParser:
 
 
 class TestLinkTracing:
-    def test_link_writes_trace_and_metrics(self, tmp_path, capsys):
+    def test_link_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        prom = tmp_path / "metrics.prom"
         code = main([
             "--quiet", "link", "--packets", "4", "--payload", "200",
             "--snr", "15", "--seed", "5",
-            "--trace-out", str(trace), "--metrics-out", str(prom),
+            "--trace-out", str(trace),
         ])
         assert code == 0
         assert "data PRR" in capsys.readouterr().out
@@ -71,24 +67,12 @@ class TestLinkTracing:
         assert [e["type"] for e in exchanges].count("span") == 4
         assert [e["type"] for e in exchanges].count("event") == 4
 
-        text = prom.read_text()
-        assert "repro_exchanges_total 4.0" in text
-        assert "repro_span_seconds_bucket" in text
-        assert "repro_flight_total" in text
-
-    def test_metrics_json_export(self, tmp_path):
-        out = tmp_path / "metrics.json"
-        assert main(["--quiet", "link", "--packets", "2", "--payload", "200",
-                     "--metrics-out", str(out)]) == 0
-        snap = json.loads(out.read_text())
-        assert snap["repro_exchanges_total"]["series"][0]["value"] == 2.0
-
     def test_dash_means_stdout(self, tmp_path, monkeypatch, capsys):
-        """``-`` is stdout for --trace-out and --metrics-out: no file
-        named ``-`` appears and the records reach stdout."""
+        """``-`` is stdout for --trace-out: no file named ``-`` appears
+        and the records reach stdout."""
         monkeypatch.chdir(tmp_path)
         assert main(["--quiet", "link", "--packets", "2", "--payload", "200",
-                     "--trace-out", "-", "--metrics-out", "-"]) == 0
+                     "--trace-out", "-"]) == 0
         assert list(tmp_path.iterdir()) == []
         out = capsys.readouterr().out
         records = [json.loads(line) for line in out.splitlines()
@@ -96,7 +80,6 @@ class TestLinkTracing:
         events = [r for r in records if r["type"] == "event"]
         assert [r["name"] for r in events] == ["cos.exchange"] * 2
         assert "data PRR" in out
-        assert "repro_exchanges_total 2.0" in out
         assert not sys.stdout.closed
 
     def test_closed_stdout_pipe_exits_quietly(self):
