@@ -13,7 +13,7 @@ import numpy as np
 from conftest import run_once
 from repro.cos.bitmap_coding import BitmapPlanner
 from repro.cos.silence import SilencePlanner
-from repro.experiments.common import ExperimentConfig, print_table, scaled
+from repro.experiments.common import ExperimentConfig, print_table
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
 
 
@@ -45,7 +45,7 @@ def _prr(scheme: str, bits_per_packet: int, snr_db: float, n_packets: int) -> tu
 
 
 def test_coding_scheme_ablation(benchmark):
-    n_packets = scaled(20, 100)
+    n_packets = 100
     snr_db = 9.7  # just inside the 18 Mbps band
 
     def sweep():

@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import run_once
 from repro.cos.link import CosLink
-from repro.experiments.common import ExperimentConfig, print_table, scaled
+from repro.experiments.common import ExperimentConfig, print_table
 from repro.experiments.fig9 import _FixedBudgetController
 from repro.phy.receiver import Receiver
 
@@ -36,7 +36,7 @@ def _prr(decision: str, snr_db: float, groups: int, n_packets: int) -> float:
 
 
 def test_decoder_fidelity_ablation(benchmark):
-    n_packets = scaled(18, 90)
+    n_packets = 90
 
     def compare():
         rows = []

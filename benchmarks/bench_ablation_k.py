@@ -18,7 +18,7 @@ import numpy as np
 from conftest import run_once
 from repro.channel import IndoorChannel
 from repro.cos import CosLink, IntervalCodec
-from repro.experiments.common import print_table, scaled
+from repro.experiments.common import print_table
 
 
 def _session(k: int, n_packets: int) -> tuple:
@@ -41,7 +41,7 @@ def _session(k: int, n_packets: int) -> tuple:
 
 
 def test_k_ablation(benchmark):
-    n_packets = scaled(15, 80)
+    n_packets = 80
 
     def sweep():
         return {k: _session(k, n_packets) for k in (2, 3, 4, 6)}

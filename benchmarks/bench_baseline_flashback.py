@@ -12,7 +12,7 @@ from conftest import run_once
 from repro.channel import IndoorChannel
 from repro.cos import CosLink
 from repro.cos.flashback import FlashbackDetector, FlashbackTransmitter
-from repro.experiments.common import print_table, scaled
+from repro.experiments.common import print_table
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
 
 
@@ -58,7 +58,7 @@ def _cos_session(n_packets: int) -> tuple:
 
 
 def test_flashback_baseline(benchmark):
-    n_packets = scaled(20, 100)
+    n_packets = 100
 
     def compare():
         rows = [("CoS (silences)", *_cos_session(n_packets))]

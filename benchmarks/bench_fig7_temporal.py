@@ -4,11 +4,10 @@ import numpy as np
 
 from conftest import run_once
 from repro.experiments import fig7
-from repro.experiments.common import scaled
 
 
 def test_fig7_temporal_stability(benchmark):
-    result = run_once(benchmark, lambda: fig7.run(n_trials=scaled(4, 40)))
+    result = run_once(benchmark, lambda: fig7.run(n_trials=40))
     fig7.print_result(result)
 
     medians = {tau: result.median_nabla(tau) for tau in sorted(result.nabla_samples)}

@@ -1,9 +1,9 @@
 """Benchmark fixtures.
 
-Each benchmark regenerates one paper figure at quick scale and prints the
+Each benchmark regenerates one paper figure at paper scale and prints the
 same rows/series the paper reports (run with ``-s`` to see the tables;
 key scalar outcomes are also attached as ``extra_info`` on the benchmark
-record).  Set ``REPRO_FULL=1`` for paper-scale statistics.
+record).
 
 Trial execution goes through :mod:`repro.engine`: pass
 ``--repro-workers N`` (or set ``REPRO_WORKERS=N``) to run every

@@ -33,17 +33,14 @@ def generate_report(stages: Optional[List[str]] = None,
     executor (see :mod:`repro.engine`); the rendered results are
     identical either way.
     """
-    from repro.experiments.common import full_mode
     from repro.experiments.runner import select_stages
 
     selected = select_stages(stages)
 
-    scale = "paper scale (REPRO_FULL=1)" if full_mode() else "quick scale"
     parts = [
         "# CoS reproduction — generated results",
         "",
-        f"Run mode: **{scale}**. Regenerate with "
-        "`python -m repro.cli report`.",
+        "Regenerate with `python -m repro.cli report`.",
         "",
     ]
     for _name, title, stage in selected:

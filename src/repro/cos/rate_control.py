@@ -94,17 +94,19 @@ class ControlRateTable:
         ``rate_mbps`` and ``rm_per_sec`` attributes (e.g.
         :class:`repro.experiments.fig9.CapacityPoint`).  For each rate band
         the lowest-SNR measurement calibrates the band-low Rm and the
-        highest-SNR one the band-high Rm; bands with no measurements keep
-        the ``base`` table's entries.  This is exactly the lookup-table
-        construction the paper describes in §III-F ("based on our
-        extensive experiments, we can obtain the mapping between channel
-        SNRs and control message rates").
+        highest-SNR one the band-high Rm; points without an Rm (``None``:
+        an invalid Fig. 9 point) are skipped, and bands with no
+        measurements keep the ``base`` table's entries.  This is exactly
+        the lookup-table construction the paper describes in §III-F
+        ("based on our extensive experiments, we can obtain the mapping
+        between channel SNRs and control message rates").
         """
         adapter = adapter or RateAdapter()
         table = base or cls(adapter=adapter)
         by_rate: Dict[int, list] = {}
         for point in points:
-            by_rate.setdefault(point.rate_mbps, []).append(point)
+            if point.rm_per_sec is not None:
+                by_rate.setdefault(point.rate_mbps, []).append(point)
         for mbps, band_points in by_rate.items():
             band_points.sort(key=lambda p: p.measured_snr_db)
             rm_low = band_points[0].rm_per_sec

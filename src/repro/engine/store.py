@@ -97,8 +97,10 @@ log = logging.getLogger("repro.engine.store")
 
 #: Bump to invalidate every existing store entry (layout/semantics change).
 #: 2: lensed ``NetResult`` events are schema-2 ``net.*`` records and the
-#: wall-clock ``profile`` field is gone.
-STORE_SCHEMA = 2
+#: wall-clock ``profile`` field is gone.  3: a Fig. 9 ``CapacityPoint``
+#: whose zero-silence baseline fails carries no Rm instead of Rm = 0 at
+#: PRR 1.
+STORE_SCHEMA = 3
 
 #: Environment flag: a directory path enables the default store.
 STORE_ENV = "REPRO_STORE"

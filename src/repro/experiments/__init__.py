@@ -1,9 +1,8 @@
 """Experiment harnesses — one module per paper figure plus ablations.
 
 Each module exposes ``run(...) -> result`` and ``print_result(result)``;
-``python -m repro.experiments.runner`` executes every figure in sequence.
-Quick defaults keep the full suite to minutes; set ``REPRO_FULL=1`` for
-paper-scale statistics.
+``python -m repro.experiments.runner`` executes every figure in sequence
+at the paper's packet/trial budgets (about a minute with two workers).
 """
 
 from repro.experiments import (
@@ -19,7 +18,7 @@ from repro.experiments import (
     network,
     waterfall,
 )
-from repro.experiments.common import ExperimentConfig, full_mode, scaled
+from repro.experiments.common import ExperimentConfig
 
 __all__ = [
     "ablations",
@@ -34,6 +33,4 @@ __all__ = [
     "network",
     "waterfall",
     "ExperimentConfig",
-    "full_mode",
-    "scaled",
 ]

@@ -23,7 +23,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
     print_table,
-    scaled,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
@@ -106,12 +105,11 @@ def run_placement(
     config: Optional[ExperimentConfig] = None,
     snr_db: float = 9.6,
     rate_mbps: int = 18,
-    n_packets: Optional[int] = None,
+    n_packets: int = 120,
     groups_grid: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
 ) -> PlacementResult:
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(20, 120)
     if groups_grid is None:
         groups_grid = _default_groups_grid(config, rate_mbps)
 
@@ -156,12 +154,11 @@ def run_evd(
     config: Optional[ExperimentConfig] = None,
     snr_db: float = 9.6,
     rate_mbps: int = 18,
-    n_packets: Optional[int] = None,
+    n_packets: int = 120,
     groups_grid: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
 ) -> EvdResult:
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(20, 120)
     if groups_grid is None:
         groups_grid = _default_groups_grid(config, rate_mbps)
 

@@ -2,9 +2,9 @@
 
 Every experiment module exposes a ``run(config, ..., workers=None)``
 returning a dataclass of plain arrays plus a ``print_result`` that
-renders the same rows/series the paper's figure reports.  Benchmarks
-call ``run`` with the quick defaults; set ``REPRO_FULL=1`` for
-paper-scale packet counts (slower, smoother curves, same shapes).
+renders the same rows/series the paper's figure reports.  Each ``run``
+defaults to the paper's packet/trial budget; callers that need a small
+run (tests) pass the size explicitly.
 
 Trial execution goes through :mod:`repro.engine`: each module declares a
 module-level trial function plus a reduction, and ``workers``
@@ -25,11 +25,8 @@ from repro.cos.link import CosReceiver
 from repro.engine.worker import worker_state
 from repro.phy import Receiver, Transmitter, build_mpdu
 from repro.phy.params import PhyRate
-from repro.utils.env import env_bool
 
 __all__ = [
-    "full_mode",
-    "scaled",
     "ExperimentConfig",
     "print_table",
     "send_probe_packets",
@@ -39,16 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_PAYLOAD = bytes(range(256)) * 2  # 512 B of known, non-trivial payload
-
-
-def full_mode() -> bool:
-    """True when ``REPRO_FULL=1`` requests paper-scale runs."""
-    return env_bool("REPRO_FULL", default=False)
-
-
-def scaled(quick: int, full: int) -> int:
-    """Pick a packet/trial budget according to the mode."""
-    return full if full_mode() else quick
 
 
 @dataclass

@@ -34,7 +34,6 @@ from repro.experiments.common import (
     init_phy_worker,
     phy_pair,
     print_table,
-    scaled,
 )
 from repro.phy import RATE_TABLE, build_mpdu
 from repro.phy.modulation import get_modulation
@@ -168,13 +167,12 @@ def _threshold_trial(spec: engine.TrialSpec) -> Optional[Tuple[List[float], List
 def run_threshold_sweep(
     config: Optional[ExperimentConfig] = None,
     snr_db: float = 9.2,
-    n_packets: Optional[int] = None,
+    n_packets: int = 100,
     thresholds_db: Optional[np.ndarray] = None,
     workers: Optional[int] = None,
 ) -> ThresholdSweepResult:
     """Fig. 10(b): FP/FN vs the (fixed, global) detection threshold."""
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(12, 100)
     if thresholds_db is None:
         thresholds_db = np.arange(-6.0, 22.0, 2.0)
 
@@ -295,12 +293,11 @@ def _accuracy_vs_snr(
 def run_accuracy_vs_snr(
     config: Optional[ExperimentConfig] = None,
     snrs_db: Optional[np.ndarray] = None,
-    n_packets: Optional[int] = None,
+    n_packets: int = 100,
     workers: Optional[int] = None,
 ) -> AccuracyResult:
     """Fig. 10(c): FP/FN vs SNR with the adaptive threshold."""
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(10, 100)
     if snrs_db is None:
         snrs_db = np.array([3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0])
     return _accuracy_vs_snr(config, snrs_db, n_packets, interferer_power=None,
@@ -310,13 +307,12 @@ def run_accuracy_vs_snr(
 def run_interference(
     config: Optional[ExperimentConfig] = None,
     snrs_db: Optional[np.ndarray] = None,
-    n_packets: Optional[int] = None,
+    n_packets: int = 100,
     pulse_power: float = 20.0,
     workers: Optional[int] = None,
 ) -> AccuracyResult:
     """Fig. 10(d): FN vs SNR under strong pulse interference."""
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(10, 100)
     if snrs_db is None:
         snrs_db = np.array([3.0, 6.0, 10.0, 14.0, 18.0, 20.0])
     return _accuracy_vs_snr(config, snrs_db, n_packets, interferer_power=pulse_power,

@@ -25,7 +25,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
     print_table,
-    scaled,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
@@ -68,7 +67,7 @@ def _trial(spec: engine.TrialSpec) -> List[float]:
 def run(
     config: Optional[ExperimentConfig] = None,
     snr_grid: Optional[np.ndarray] = None,
-    n_packets: Optional[int] = None,
+    n_packets: int = 40,
     realizations: int = 2,
     workers: Optional[int] = None,
 ) -> DecoderBerResult:
@@ -76,7 +75,6 @@ def run(
     config = config or ExperimentConfig()
     if snr_grid is None:
         snr_grid = np.array([12.0, 12.5, 13.0, 13.5, 14.0, 14.5, 15.0, 15.5, 16.0, 16.5, 17.0, 17.3])
-    n_packets = n_packets if n_packets is not None else scaled(6, 40)
 
     params = [
         {"config": config, "snr_db": float(snr), "realization": r, "n_packets": n_packets}

@@ -22,7 +22,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
     print_table,
-    scaled,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
@@ -84,13 +83,12 @@ def _trial(spec: engine.TrialSpec) -> np.ndarray:
 def run(
     config: Optional[ExperimentConfig] = None,
     snr_db: float = 15.0,
-    n_packets: Optional[int] = None,
+    n_packets: int = 50,
     positions: Optional[List[str]] = None,
     workers: Optional[int] = None,
 ) -> EvmResult:
     """Measure Fig. 5's per-subcarrier EVM at positions A, B and C."""
     config = config or ExperimentConfig(seed=REPRESENTATIVE_SEED)
-    n_packets = n_packets if n_packets is not None else scaled(8, 50)
     positions = positions or ["A", "B", "C"]
 
     params = [

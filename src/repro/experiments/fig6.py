@@ -26,7 +26,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
     print_table,
-    scaled,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
@@ -106,13 +105,12 @@ def run(
     config: Optional[ExperimentConfig] = None,
     snr_db: float = 14.0,
     rate_mbps: int = 24,
-    n_packets: Optional[int] = None,
+    n_packets: int = 300,
     max_positions: int = 1000,
     workers: Optional[int] = None,
 ) -> ErrorPatternResult:
     """Send a fixed known packet repeatedly, recording symbol errors."""
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(30, 300)
     params = [{
         "config": config,
         "snr_db": snr_db,

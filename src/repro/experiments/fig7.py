@@ -26,7 +26,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
     print_table,
-    scaled,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
@@ -125,13 +124,12 @@ def _trial(spec: engine.TrialSpec):
 def run(
     config: Optional[ExperimentConfig] = None,
     snr_db: float = 18.0,
-    n_trials: Optional[int] = None,
+    n_trials: int = 40,
     rate_mbps: int = 24,
     workers: Optional[int] = None,
 ) -> TemporalResult:
     """Measure ∇EVM for each τ over ``n_trials`` independent instants."""
     config = config or ExperimentConfig(payload=bytes(1368))
-    n_trials = n_trials if n_trials is not None else scaled(6, 40)
 
     base = {"config": config, "snr_db": snr_db, "rate_mbps": rate_mbps}
     params = [{**base, "kind": "snapshots"}] + [

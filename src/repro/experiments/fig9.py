@@ -21,7 +21,7 @@ from repro import engine
 from repro.cos.intervals import IntervalCodec
 from repro.cos.link import CosLink
 from repro.cos.rate_control import ControlAllocation, ControlRateController
-from repro.experiments.common import ExperimentConfig, print_table, scaled
+from repro.experiments.common import ExperimentConfig, print_table
 from repro.ratectl import RateAdapter
 
 __all__ = ["CapacityPoint", "CapacityResult", "run", "print_result", "measure_prr"]
@@ -93,27 +93,39 @@ def measure_prr(
 
 @dataclass(frozen=True)
 class CapacityPoint:
+    """One band point.  ``rm_per_sec``/``control_kbps`` are None when the
+    point is invalid: its zero-silence baseline already misses the PRR
+    target, so no silence rate can be measured there; ``prr`` is then the
+    baseline's."""
+
     measured_snr_db: float
     rate_mbps: int
-    rm_per_sec: float
-    control_kbps: float
+    rm_per_sec: Optional[float]
+    control_kbps: Optional[float]
     prr: float
+
+    @property
+    def valid(self) -> bool:
+        return self.rm_per_sec is not None
 
 
 @dataclass
 class CapacityResult:
     points: List[CapacityPoint] = field(default_factory=list)
 
+    def _band(self, mbps: int) -> List[CapacityPoint]:
+        """The band's valid points, by SNR."""
+        return sorted(
+            (p for p in self.points if p.rate_mbps == mbps and p.valid),
+            key=lambda p: p.measured_snr_db,
+        )
+
     def ceiling(self, mbps: int) -> float:
-        """Max Rm observed within a rate band."""
-        values = [p.rm_per_sec for p in self.points if p.rate_mbps == mbps]
-        return max(values) if values else 0.0
+        """Max Rm observed within a rate band (0 when no point is valid)."""
+        return max((p.rm_per_sec for p in self._band(mbps)), default=0.0)
 
     def rm_rises_within_band(self, mbps: int) -> bool:
-        values = [p.rm_per_sec for p in sorted(
-            (p for p in self.points if p.rate_mbps == mbps),
-            key=lambda p: p.measured_snr_db,
-        )]
+        values = [p.rm_per_sec for p in self._band(mbps)]
         return len(values) < 2 or values[-1] >= values[0]
 
 
@@ -131,9 +143,15 @@ def _find_rm(
         prr, silences, airtime = measure_prr(config, snr_db, groups, n_packets)
         return prr >= target, prr, silences, airtime
 
-    # Exponential descent from the top, then binary search.
+    # The zero-silence baseline first: where the channel alone misses the
+    # target, silences have nothing left to spend.
+    ok, prr, silences, airtime = passes(0)
+    if not ok:
+        return CapacityPoint(snr_db, rate.mbps, None, None, prr)
+
+    # Binary search over the insertion rate above the passing baseline.
     lo, hi = 0, hi_groups
-    best = (0, 1.0, 0.0, ControlRateController.packet_airtime_s(n_symbols))
+    best = (0, prr, silences, airtime)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         ok, prr, silences, airtime = passes(mid)
@@ -163,7 +181,7 @@ def _trial(spec: engine.TrialSpec) -> CapacityPoint:
 
 def run(
     config: Optional[ExperimentConfig] = None,
-    n_packets: Optional[int] = None,
+    n_packets: int = 150,
     points_per_band: int = 2,
     bands_mbps=None,
     workers: Optional[int] = None,
@@ -174,10 +192,7 @@ def run(
     point is adaptive, hence sequential; points are independent).
     """
     config = config or ExperimentConfig()
-    n_packets = n_packets if n_packets is not None else scaled(24, 150)
-    # At paper scale (>=150 packets) this is the exact 99.3 % criterion; at
-    # quick scale one failure is tolerated so a single unlucky draw does
-    # not collapse the search.
+    # At 150 packets this is the paper's 1-in-150 (99.3 %) criterion.
     max_failures = max(1, int(n_packets * (1 - PRR_TARGET)))
     adapter = RateAdapter()
     bands = bands_mbps or _BANDS_MBPS
@@ -210,6 +225,7 @@ def print_result(result: CapacityResult) -> None:
         ["measured dB", "rate Mbps", "Rm /s", "control kbps", "PRR"],
         [
             (p.measured_snr_db, p.rate_mbps, int(p.rm_per_sec), p.control_kbps, p.prr)
+            if p.valid else (p.measured_snr_db, p.rate_mbps, "-", "invalid", p.prr)
             for p in sorted(result.points, key=lambda p: p.measured_snr_db)
         ],
         title="Fig. 9 — max silence-symbol rate Rm vs measured SNR",

@@ -2,10 +2,9 @@
 
 Usage::
 
-    python -m repro.experiments.runner                    # quick, serial
+    python -m repro.experiments.runner                    # serial
     python -m repro.experiments.runner --workers 4        # process pool
     python -m repro.experiments.runner fig2 fig9          # subset
-    REPRO_FULL=1 python -m repro.experiments.runner       # paper-scale
     REPRO_WORKERS=4 python -m repro.experiments.runner    # pool via env
 
 Stage timing comes from the ``experiment.<stage>`` spans themselves
@@ -56,18 +55,20 @@ def _network(w: Optional[int], net: Dict) -> None:
 
 #: Every experiment stage in run order: (name, report title, run-and-print).
 #: ``repro experiments``, this module's ``main`` and ``repro report`` all
-#: select from it.
+#: select from it.  Each title is the start of the first table title its
+#: stage prints, so a stage's output can be found by it.
 STAGES: Tuple[Tuple[str, str, StageFn], ...] = (
     ("fig2", "Fig. 2 — SNR gap", _figure(fig2)),
     ("fig3", "Fig. 3 — decoder-input BER", _figure(fig3)),
     ("fig5", "Fig. 5 — per-subcarrier EVM", _figure(fig5)),
     ("fig6", "Fig. 6 — symbol error pattern", _figure(fig6)),
-    ("fig7", "Fig. 7 — temporal stability", _figure(fig7)),
-    ("fig9", "Fig. 9 — control capacity", _figure(fig9)),
-    ("fig10", "Fig. 10 — detection accuracy", _figure(fig10)),
-    ("ablations", "Ablations — placement and EVD", _ablations),
-    ("network", "Network — explicit vs CoS control", _network),
-    ("waterfall", "PHY waterfall validation", _figure(waterfall)),
+    ("fig7", "Fig. 7 — temporal selectivity", _figure(fig7)),
+    ("fig9", "Fig. 9 — max silence-symbol rate Rm", _figure(fig9)),
+    ("fig10", "Fig. 10", _figure(fig10)),
+    ("ablations", "Ablation — silence placement", _ablations),
+    ("network", "Network comparison — explicit control frames vs CoS",
+     _network),
+    ("waterfall", "PHY waterfall — packet error rate", _figure(waterfall)),
 )
 
 

@@ -21,7 +21,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     init_phy_worker,
     print_table,
-    scaled,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
@@ -72,7 +71,7 @@ def _trial(spec: engine.TrialSpec) -> float:
 def run(
     config: Optional[ExperimentConfig] = None,
     snrs_db: Optional[np.ndarray] = None,
-    n_packets: Optional[int] = None,
+    n_packets: int = 100,
     rates_mbps=_DEFAULT_RATES,
     payload_octets: int = 256,
     workers: Optional[int] = None,
@@ -83,7 +82,6 @@ def run(
     independent seeded draw, so the grid parallelises freely.
     """
     config = config or ExperimentConfig(position="C")
-    n_packets = n_packets if n_packets is not None else scaled(12, 100)
     if n_packets < 1:
         raise ValueError(f"n_packets must be >= 1, got {n_packets}")
     if snrs_db is None:

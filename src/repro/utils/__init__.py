@@ -14,11 +14,10 @@ from repro.utils.bitops import (
     random_bits,
 )
 from repro.utils.crc import crc32, append_fcs, check_fcs
-from repro.utils.env import env_bool, env_int, env_str
+from repro.utils.env import env_int, env_str
 from repro.utils.rng import make_rng, spawn_rngs
 
 __all__ = [
-    "env_bool",
     "env_int",
     "env_str",
     "bits_to_bytes",

@@ -66,3 +66,15 @@ class TestFromMeasurements:
         )
         table = ControlRateTable.from_measurements(result.points)
         assert table.rm_for(12.1) == pytest.approx(55_000.0, rel=0.05)
+
+    def test_invalid_fig9_points_keep_the_base_entry(self):
+        from repro.experiments.fig9 import CapacityPoint
+
+        points = [
+            CapacityPoint(7.4, 12, None, None, 0.84),
+            CapacityPoint(12.3, 24, 55_000.0, 220.0, 1.0),
+        ]
+        base = ControlRateTable()
+        table = ControlRateTable.from_measurements(points, base=base)
+        assert table.rm_by_rate[12] == base.rm_by_rate[12]
+        assert table.rm_by_rate[24] == (55_000.0, 55_000.0)

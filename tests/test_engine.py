@@ -294,12 +294,12 @@ def _fig2_points(workers):
 def _fig9_points(workers):
     from repro.experiments import fig9
 
-    return fig9.run(workers=workers).points
+    return fig9.run(n_packets=24, workers=workers).points
 
 
 @pytest.mark.slow
 class TestHarnessEquality:
-    """Quick-mode figure outputs must be identical for workers=0 vs 2."""
+    """Small figure runs must be identical for workers=0 vs 2."""
 
     def test_fig2_serial_vs_parallel(self):
         assert _fig2_points(0) == _fig2_points(2)

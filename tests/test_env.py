@@ -2,34 +2,9 @@
 
 import pytest
 
-from repro.utils.env import env_bool, env_int, env_str
+from repro.utils.env import env_int, env_str
 
 FLAG = "REPRO_TEST_FLAG"
-
-
-class TestEnvBool:
-    @pytest.mark.parametrize("raw", ["1", "true", "TRUE", "True", "yes", "YES",
-                                     "on", "On", "  true  "])
-    def test_true_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(FLAG, raw)
-        assert env_bool(FLAG) is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "FALSE", "False", "no", "NO",
-                                     "off", "Off", "", "  off  "])
-    def test_false_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(FLAG, raw)
-        assert env_bool(FLAG, default=True) is False
-
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv(FLAG, raising=False)
-        assert env_bool(FLAG) is False
-        assert env_bool(FLAG, default=True) is True
-
-    @pytest.mark.parametrize("raw", ["2", "truthy", "enabled", "oui"])
-    def test_garbage_raises(self, monkeypatch, raw):
-        monkeypatch.setenv(FLAG, raw)
-        with pytest.raises(ValueError, match=FLAG):
-            env_bool(FLAG)
 
 
 class TestEnvInt:
@@ -68,16 +43,6 @@ class TestEnvStr:
 
 class TestConsumers:
     """The flags the repo actually reads go through these helpers."""
-
-    def test_full_mode_accepts_friendly_spellings(self, monkeypatch):
-        from repro.experiments.common import full_mode
-
-        monkeypatch.setenv("REPRO_FULL", "yes")
-        assert full_mode() is True
-        monkeypatch.setenv("REPRO_FULL", "off")
-        assert full_mode() is False
-        monkeypatch.delenv("REPRO_FULL")
-        assert full_mode() is False
 
     def test_default_workers_reads_env(self, monkeypatch):
         from repro.engine import default_workers

@@ -9,18 +9,10 @@ import numpy as np
 import pytest
 
 from repro.experiments import ablations, fig2, fig3, fig5, fig6, fig7, fig9, fig10
-from repro.experiments.common import ExperimentConfig, print_table, scaled
+from repro.experiments.common import ExperimentConfig, print_table
 
 
 class TestCommon:
-    def test_scaled_quick_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert scaled(3, 100) == 3
-
-    def test_scaled_full(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert scaled(3, 100) == 100
-
     def test_print_table_runs(self, capsys):
         print_table(["a", "b"], [(1, 2.5), (3, 4.0)], title="t")
         out = capsys.readouterr().out
@@ -113,6 +105,21 @@ class TestFig9:
         assert 0.0 <= prr <= 1.0
         assert silences >= 4  # start marker + 4 groups when all embedded
         assert airtime > 0
+
+    def test_failing_baseline_is_invalid_not_rm_zero(self, capsys):
+        # The 12 Mbps band's low point: without any silence the fading
+        # channel already loses more than 1 of 150 packets.
+        result = fig9.run(n_packets=150, points_per_band=1, bands_mbps=(12,),
+                          workers=0)
+        (point,) = result.points
+        assert point.rate_mbps == 12 and point.measured_snr_db == pytest.approx(7.4)
+        assert point.prr < fig9.PRR_TARGET  # the measured baseline, not 1
+        assert point.rm_per_sec is None and point.control_kbps is None
+        assert not point.valid
+        assert result.ceiling(12) == 0.0 and result.rm_rises_within_band(12)
+        fig9.print_result(result)
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[:4] == ["7.4", "12", "-", "invalid"]
 
 
 class TestFig10:

@@ -72,9 +72,8 @@ def golden():
 
 
 @pytest.fixture(autouse=True)
-def _quick_and_uncached(monkeypatch):
-    """Quick-scale defaults, and no ambient result store to replay from."""
-    monkeypatch.delenv("REPRO_FULL", raising=False)
+def _uncached(monkeypatch):
+    """No ambient result store to replay from."""
     monkeypatch.setattr(store_mod, "_default_explicit", True)
     monkeypatch.setattr(store_mod, "_default_store", None)
 

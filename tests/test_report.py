@@ -14,20 +14,20 @@ class TestGenerateReport:
         assert "Fig. 3" not in report
         assert "```" in report
 
-    def test_header_mentions_scale(self):
+    def test_header_has_no_scale_label(self):
         report = generate_report(stages=["fig2"])
-        assert "quick scale" in report
+        header = report.split("## ")[0]
+        assert "scale" not in header and "Run mode" not in header
 
-    def test_full_mode_flag(self, monkeypatch):
+    def test_stage_output_lands_in_report(self, monkeypatch):
         from repro.experiments import runner
 
-        monkeypatch.setenv("REPRO_FULL", "1")
-        # Don't actually run a full-scale stage: a stub stands in for all.
+        # A stub stands in for every stage.
         monkeypatch.setattr(runner, "STAGES", [
             ("stub", "Stub", lambda workers, opts: print("stub ran")),
         ])
         report = generate_report(stages=["stub"])
-        assert "paper scale" in report and "stub ran" in report
+        assert "## Stub" in report and "stub ran" in report
 
     def test_empty_stage_list(self):
         with pytest.raises(ValueError, match="no stage named; valid stages: fig2"):
