@@ -295,13 +295,20 @@ DENSE_MAX_NODES = 256
 def _net_point(spec) -> Dict:
     """Events/s of one plain run, and where the time went in a traced one.
 
-    The rate is timed with no lens and no tracer.  The per-callback
-    detail comes from the ``net.*`` dispatch spans of a second, traced
-    run, read the way ``repro obs summarize`` reads them.
+    The rate is timed with no lens and no tracer on a cold source-map
+    memo: it is cleared first, so the timed run builds every map it
+    uses, as the first run of ``spec`` in a process does.  The
+    per-callback detail comes from the ``net.*`` dispatch spans of a
+    second, traced run, read the way ``repro obs summarize`` reads them.
+    That run is on the warm memo the first one left, so its ``hottest``
+    callbacks leave out the map builds, as do the traced runs of
+    ``culled_contention``'s rounds (each of whose timed runs is cold).
     """
     from repro.net import run_scenario
+    from repro.net.simulator import clear_source_maps
     from repro.obs import MemorySink, summarize_events, tracing
 
+    clear_source_maps()
     wall_s, result = best_of(lambda: run_scenario(spec, rng=0))
     sink = MemorySink()
     with tracing(sink):

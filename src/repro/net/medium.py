@@ -41,10 +41,16 @@ Two operating modes (``mode=``):
   That prefilter is one numpy expression over the grid's candidates
   (elementwise ``dx * dx + dy * dy`` rounds as Python's does); the
   survivors take the exact test through the scalar path-loss model, in
-  grid-query order.  A trial is a fresh medium, so every source that
-  transmits builds its map once per trial.
-  ``set_channel`` clears the memo (and copies a map before editing it,
-  so in-flight siblings keep theirs).  Two indexes follow the active
+  grid-query order.  A map depends only on the topology, the channel
+  plan of the static nodes, the MAC registration and whether the
+  fan-out is eager, so the memo is a :class:`SourceMaps` table per such
+  plan, and a medium given the :class:`SourceMaps` of an earlier one on
+  the same topology (every trial of one scenario in a process, see
+  :class:`~repro.net.simulator.NetSimulator`) reuses its maps: a source
+  builds its map once per process and plan, not once per trial.
+  ``set_channel`` on a static node switches to its new plan's table
+  (and copies a map before editing it, so in-flight siblings and the
+  shared table keep theirs).  Two indexes follow the active
   set: each static listener's *hearing list* (the active static-source
   transmissions whose map holds it) and, by destination, the active
   transmissions addressed to each node, both in ``_active`` order.
@@ -95,6 +101,7 @@ which keeps single-BSS scenarios exactly on the legacy numbers.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -103,9 +110,54 @@ from repro.net.scheduler import EventScheduler
 from repro.net.sinr import ReceptionModel, dbm_to_mw, mw_to_dbm
 from repro.net.topology import Topology
 
-__all__ = ["Transmission", "Medium", "MEDIUM_MODES"]
+__all__ = ["Transmission", "Medium", "MEDIUM_MODES", "SourceMaps"]
 
 MEDIUM_MODES = ("culled", "dense-exact")
+
+#: Tables one :class:`SourceMaps` keeps, one per channel plan (with its
+#: MAC registration and eager flag).
+MAX_PLANS = 8
+
+
+def lru_get(cache: OrderedDict, key, make: Callable, bound: int):
+    """``cache[key]``, made by ``make()`` on a miss, marked most recent.
+
+    Past ``bound`` entries the least recently used one is dropped.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+        if len(cache) > bound:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+class SourceMaps:
+    """The culled medium's frozen static-source maps of one topology.
+
+    One table per channel plan of the static nodes, MAC registration
+    and eager flag, each ``{source -> (contribution map, ordered fan-out
+    or None)}`` as :meth:`Medium._contribution` builds it.  A map depends
+    on nothing else, so the media of every trial on one topology can
+    share a :class:`SourceMaps`.  At most :data:`MAX_PLANS` tables are
+    kept, the least recently used dropped first; the maps in them are
+    never edited in place.
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self) -> None:
+        self._tables: OrderedDict = OrderedDict()
+
+    def table(self, key: Tuple) -> Dict[
+            str, Tuple[Dict[str, float], Optional[List[str]]]]:
+        """The table of plan ``key``, empty when new."""
+        return lru_get(self._tables, key, dict, MAX_PLANS)
+
+    def __len__(self) -> int:
+        return len(self._tables)
 
 
 class Transmission:
@@ -172,6 +224,7 @@ class Medium:
         on_outcome: Optional[Callable[[Transmission, bool, float, str], None]] = None,
         lens=None,
         mode: str = "culled",
+        source_maps: Optional[SourceMaps] = None,
     ) -> None:
         if mode not in MEDIUM_MODES:
             raise ValueError(f"unknown medium mode {mode!r}")
@@ -192,6 +245,9 @@ class Medium:
         self._mobile = frozenset(
             n for n in topology.names if topology.is_mobile(n)
         )
+        #: The nodes whose channels a static source's map depends on.
+        self._static_names = [
+            n for n in topology.names if n not in self._mobile]
         self._macs: Dict[str, MacListener] = {}
         self._mac_order: Dict[str, int] = {}  # registration index
         #: Carrier verdict per MAC: every MAC's when :attr:`_eager`, else
@@ -216,11 +272,17 @@ class Medium:
         #: Culled mode: static listener -> the active static-source
         #: transmissions whose frozen map holds it, in ``_active`` order.
         self._hearing: Dict[str, List[Transmission]] = {}
-        #: Culled mode: static source -> (frozen map, ordered fan-out
-        #: or None when not :attr:`_eager`), built on its first
-        #: transmission.
-        self._static_maps: Dict[
-            str, Tuple[Dict[str, float], Optional[List[str]]]] = {}
+        #: Culled mode: the memo of frozen maps, shared with every
+        #: medium given the same ``source_maps``.
+        self._source_maps = (source_maps if source_maps is not None
+                             else SourceMaps())
+        #: Culled mode: its table for the current plan, static source ->
+        #: (frozen map, ordered fan-out or None when not :attr:`_eager`),
+        #: a map built on the source's first transmission under the
+        #: plan; None until :meth:`_plan_maps` looks it up again after a
+        #: :meth:`register` or a static node's :meth:`set_channel`.
+        self._static_maps: Optional[Dict[
+            str, Tuple[Dict[str, float], Optional[List[str]]]]] = None
         #: Culled mode: destination -> its active addressed
         #: transmissions, in ``_active`` order (empty lists dropped).
         self._by_dst: Dict[str, List[Transmission]] = {}
@@ -257,7 +319,7 @@ class Medium:
         if self._eager:
             self._busy[mac.name] = False
         self._hearing[mac.name] = []
-        self._static_maps.clear()  # maps hold registered listeners only
+        self._static_maps = None  # maps hold registered listeners only
         self._prefilter_rows.clear()
 
     # ------------------------------------------------------------------
@@ -267,12 +329,14 @@ class Medium:
     def set_channel(self, name: str, ch: int) -> None:
         """Assign ``name`` to channel ``ch`` (roaming / BSS setup).
 
-        In culled mode the memoised source maps are dropped, every active
-        transmission's frozen contribution at this listener is recomputed
-        under the new channel rejection (on a copy: the map may be shared
-        with the source's other transmissions), the listener's hearing
-        list is rebuilt, then its carrier state is re-evaluated — so a
-        station that roams to a quieter channel goes locally idle
+        In culled mode a static node's retune moves the medium on to the
+        new plan's table of source maps (a mobile node's does not: no map
+        holds a mobile listener), every active transmission's frozen
+        contribution at this listener is recomputed under the new channel
+        rejection (on a copy: the map may be shared with the source's
+        other transmissions and with other trials), the listener's
+        hearing list is rebuilt, then its carrier state is re-evaluated —
+        so a station that roams to a quieter channel goes locally idle
         immediately.
         """
         old = self.channel.get(name, 0)
@@ -280,7 +344,8 @@ class Medium:
         if ch == old:
             return
         self.channel[name] = ch
-        self._static_maps.clear()
+        if name not in self._mobile:  # no map holds a mobile's channel
+            self._static_maps = None
         self._prefilter_rows.clear()
         if not self._active:
             return
@@ -402,12 +467,16 @@ class Medium:
         Mobile endpoints are excluded (see :meth:`_pair_mw`): a mobile
         source freezes nothing, and mobile listeners are left out of a
         static source's map.  A static source's map is memoised with its
-        ordered fan-out, so its transmissions share one dict.
+        ordered fan-out in the current plan's table, so its transmissions
+        share one dict.
         """
         src = tx.src
         if src in self._mobile:
             return {}
-        memo = self._static_maps.get(src)
+        maps = self._static_maps
+        if maps is None:
+            maps = self._plan_maps()
+        memo = maps.get(src)
         if memo is not None:
             return memo[0]
         topo = self.topology
@@ -435,9 +504,23 @@ class Medium:
                 if p >= floor:
                     contrib[name] = dbm_to_mw(p)
         # Only the eager fan-out reads the ordered list.
-        self._static_maps[src] = (
+        maps[src] = (
             contrib, self._ordered_listeners(contrib) if self._eager else None)
         return contrib
+
+    def _plan_maps(self) -> Dict[
+            str, Tuple[Dict[str, float], Optional[List[str]]]]:
+        """Look up, and keep as :attr:`_static_maps`, the current plan's table.
+
+        The plan is every static node's channel, the MACs in
+        registration order and :attr:`_eager`: all a map depends on
+        beyond the topology.
+        """
+        channel = self.channel
+        plan = tuple([channel.get(n, 0) for n in self._static_names])
+        self._static_maps = maps = self._source_maps.table(
+            (plan, tuple(self._macs), self._eager))
+        return maps
 
     def _prefilter_by_row(self, ch: int) -> np.ndarray:
         """:meth:`_prefilter_r2` of a channel-``ch`` source, by node row.
@@ -699,7 +782,8 @@ class Medium:
         path would find affected.
         """
         if tx.src not in self._mobile:
-            memo = self._static_maps.get(tx.src)
+            maps = self._static_maps
+            memo = maps.get(tx.src) if maps is not None else None
             if memo is not None and memo[0] is tx.contrib:
                 return memo[1]
             return self._ordered_listeners(tx.contrib)

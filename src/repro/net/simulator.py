@@ -10,10 +10,16 @@ Sweeps go through :mod:`repro.engine`: :func:`run_scenario_sweep` runs N
 independent trials of a scenario with per-trial ``SeedSequence`` spawned
 seeds, so serial and process-pool executions are bit-for-bit identical
 (the ``net`` determinism contract is the engine's, inherited wholesale).
+
+The culled medium's frozen source maps depend on the topology, not on
+the seed, so every trial of one topology in a process shares them
+(:func:`source_maps_for`): each map is built on first use and is the
+same dict, in the same order, that a fresh medium would build.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +31,7 @@ from repro.net.bss import BssRuntime
 from repro.net.control import ControlPlane, ControlRouter
 from repro.net.lens import NetLens
 from repro.net.mac import NetFrame, NodeMac
-from repro.net.medium import Medium, Transmission
+from repro.net.medium import Medium, SourceMaps, Transmission, lru_get
 from repro.net.scenario import (
     FlowSpec,
     InterfererSpec,
@@ -45,8 +51,43 @@ __all__ = [
     "NetSimulator",
     "run_scenario",
     "run_scenario_sweep",
+    "clear_source_maps",
+    "source_maps_for",
     "summarize_results",
 ]
+
+#: Topologies whose source maps one process keeps (see
+#: :func:`source_maps_for`).
+MAX_SPECS = 4
+
+#: Topology key -> its :class:`~repro.net.medium.SourceMaps`, least
+#: recently used first.
+_SOURCE_MAPS: OrderedDict = OrderedDict()
+
+
+def source_maps_for(spec: ScenarioSpec) -> SourceMaps:
+    """The frozen source maps shared by every culled run of ``spec``'s topology.
+
+    Keyed by what a map depends on besides the channel plan and the MACs,
+    which :class:`~repro.net.medium.SourceMaps` keys its tables by: the
+    nodes, the interferers' positions, the radio and the mobility.  Not
+    the controller, traffic, seed or duration, so ``repro net compare``'s
+    controllers share maps too.  At most :data:`MAX_SPECS` topologies
+    are kept, the least recently used dropped first.
+    """
+    key = (
+        spec.nodes,
+        tuple((i.name, i.x, i.y) for i in spec.interferers),
+        spec.radio,
+        tuple((m.node, tuple(map(tuple, m.waypoints)))
+              for m in spec.mobility),
+    )
+    return lru_get(_SOURCE_MAPS, key, SourceMaps, MAX_SPECS)
+
+
+def clear_source_maps() -> None:
+    """Drop every topology's source maps: the next run builds its own."""
+    _SOURCE_MAPS.clear()
 
 
 @dataclass
@@ -307,6 +348,8 @@ class NetSimulator:
             on_outcome=self.collector.on_outcome,
             lens=lens,
             mode=spec.medium_mode,
+            source_maps=(source_maps_for(spec)
+                         if spec.medium_mode == "culled" else None),
         )
 
         def _plane() -> ControlPlane:
