@@ -1,9 +1,11 @@
 """Markdown report generation from experiment results.
 
-``python -m repro.cli report [path]`` runs every figure harness and
-writes a self-contained results file — the programmatic companion to the
-hand-annotated ``EXPERIMENTS.md``.  Useful after changing the simulator:
-regenerate and diff.
+``repro report [path]`` runs every figure harness and writes a
+self-contained results file — the programmatic companion to the
+hand-annotated ``EXPERIMENTS.md``.  Each stage's section holds exactly
+what ``repro experiments`` prints for it: its tables, then one
+``claim <stage>.<name>: PASS|FAIL`` line per paper claim judged on those
+results.  Useful after changing the simulator: regenerate and diff.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def generate_report(stages: Optional[List[str]] = None,
     executor (see :mod:`repro.engine`); the rendered results are
     identical either way.
     """
-    from repro.experiments.runner import select_stages
+    from repro.experiments.runner import run_stage, select_stages
 
     selected = select_stages(stages)
 
@@ -43,11 +45,11 @@ def generate_report(stages: Optional[List[str]] = None,
         "Regenerate with `python -m repro.cli report`.",
         "",
     ]
-    for _name, title, stage in selected:
+    for name, title, stage in selected:
         parts.append(f"## {title}")
         parts.append("")
         parts.append("```")
-        parts.append(_capture(lambda: stage(workers, {})))
+        parts.append(_capture(lambda: run_stage(name, stage, workers)))
         parts.append("```")
         parts.append("")
     return "\n".join(parts)

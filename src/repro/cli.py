@@ -6,9 +6,11 @@ Commands
     Print the 802.11a rate table, rate-adaptation thresholds, channel
     severity profiles, and the default control-rate table.
 ``experiments [fig2 fig3 ...] [--workers N]``
-    Run the figure harnesses (all by default) and print their tables;
-    an unknown stage name exits 2 and lists the valid ones (as does
-    ``report --stages``).
+    Run the figure harnesses (all by default) and print their tables,
+    each stage followed by one ``claim <stage>.<name>: PASS|FAIL`` line
+    per paper claim judged on the result it printed (a FAIL does not
+    change the exit status); an unknown stage name exits 2 and lists
+    the valid ones (as does ``report --stages``).
     ``--workers N`` executes trials on an N-process pool via
     :mod:`repro.engine` (default: the ``REPRO_WORKERS`` environment
     flag, else serial); results are bit-for-bit identical either way.
@@ -403,7 +405,14 @@ def _cmd_experiments(args) -> int:
     from repro.experiments import runner
 
     _apply_store_flags(args)
-    return runner.run(args.figures, args.workers, runner.network_options(args))
+    network_opts = {
+        "payload_octets": args.payload_octets,
+        "data_rate_mbps": args.data_rate_mbps,
+        "packets_per_station": args.packets_per_station,
+        "backend": args.network_backend,
+    }
+    return runner.run(args.figures, args.workers,
+                      {key: v for key, v in network_opts.items() if v is not None})
 
 
 def _cmd_net_tables(args, log) -> int:

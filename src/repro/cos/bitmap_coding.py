@@ -3,7 +3,8 @@
 The obvious way to signal bits with silences is a *bitmap*: one control
 cell per bit, silence = 1, active = 0.  The paper instead encodes k bits
 in the gap between silences.  This module implements the bitmap codec so
-the trade-off can be measured (see ``bench_ablation_coding``):
+the trade-off can be measured (the ``ablations`` stage's coding study,
+:func:`repro.experiments.ablations.run_coding`):
 
 * **silence cost** — bitmap spends E[bits]/2 silences per bit (every
   1-bit is a silence); interval coding spends 1/k silences per bit —

@@ -1,8 +1,9 @@
 """Experiment harnesses — one module per paper figure plus ablations.
 
-Each module exposes ``run(...) -> result`` and ``print_result(result)``;
-``python -m repro.experiments.runner`` executes every figure in sequence
-at the paper's packet/trial budgets (about a minute with two workers).
+Each module exposes ``run(...) -> result``, ``print_result(result)`` and
+``claims(result)``; ``repro experiments`` executes every stage in
+sequence at the paper's packet/trial budgets (about a minute with two
+workers), printing each stage's tables and then its claim verdicts.
 """
 
 from repro.experiments import (

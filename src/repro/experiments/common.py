@@ -1,10 +1,12 @@
 """Shared infrastructure for the per-figure experiment harnesses.
 
 Every experiment module exposes a ``run(config, ..., workers=None)``
-returning a dataclass of plain arrays plus a ``print_result`` that
-renders the same rows/series the paper's figure reports.  Each ``run``
-defaults to the paper's packet/trial budget; callers that need a small
-run (tests) pass the size explicitly.
+returning a dataclass of plain arrays, a ``print_result`` that renders
+the same rows/series the paper's figure reports, and a ``claims`` that
+judges the figure's shape claims on that same result (one
+:class:`Claim` per claim, built with :func:`check`/:func:`check_all`).
+Each ``run`` defaults to the paper's packet/trial budget; callers that
+need a small run (tests) pass the size explicitly.
 
 Trial execution goes through :mod:`repro.engine`: each module declares a
 module-level trial function plus a reduction, and ``workers``
@@ -17,8 +19,10 @@ probe of every open-loop harness, reuses that pair.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.channel import IndoorChannel
 from repro.cos.link import CosReceiver
@@ -27,6 +31,9 @@ from repro.phy import Receiver, Transmitter, build_mpdu
 from repro.phy.params import PhyRate
 
 __all__ = [
+    "Claim",
+    "check",
+    "check_all",
     "ExperimentConfig",
     "print_table",
     "send_probe_packets",
@@ -70,6 +77,60 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
+
+
+# ---------------------------------------------------------------------------
+# Shape claims
+# ---------------------------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """One shape claim judged on a harness result.
+
+    ``measured`` is the value the verdict was read from (for a claim over
+    many cases, the case nearest to failing, or failing worst) and
+    ``bound`` what it was held to, both as printed.
+    """
+
+    name: str
+    holds: bool
+    measured: str
+    bound: str
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
+
+
+def _margin(op: str, value: float, bound: float) -> float:
+    """How far ``value`` sits on the passing side of ``bound`` (< 0: fails)."""
+    if op in (">", ">="):
+        margin = value - bound
+    elif op in ("<", "<="):
+        margin = bound - value
+    else:
+        margin = -abs(value - bound)
+    return -math.inf if math.isnan(margin) else margin
+
+
+def check(name: str, value: float, op: str, bound: float, at: str = "") -> Claim:
+    """The claim ``value <op> bound`` (a NaN value fails every bound);
+    ``at`` names where ``value`` was measured."""
+    measured = f"{float(value):.4g}" + (f" at {at}" if at else "")
+    return Claim(name, bool(_OPS[op](value, bound)), measured,
+                 f"{op} {float(bound):.4g}")
+
+
+def check_all(name: str, op: str,
+              cases: Iterable[Tuple[str, float, float]]) -> Claim:
+    """The claim ``value <op> bound`` for every ``(at, value, bound)`` case,
+    reported at its worst case; it holds vacuously when there is none."""
+    cases = list(cases)
+    if not cases:
+        return Claim(name, True, "no cases", op)
+    at, value, bound = min(cases, key=lambda case: _margin(op, case[1], case[2]))
+    claim = check(name, value, op, bound, at)
+    return claim._replace(holds=all(_OPS[op](v, b) for _, v, b in cases))
 
 
 # ---------------------------------------------------------------------------

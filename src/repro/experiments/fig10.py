@@ -30,7 +30,10 @@ from repro.channel import PulseInterferer
 from repro.cos.energy import EnergyDetector
 from repro.cos.silence import SilencePlanner
 from repro.experiments.common import (
+    Claim,
     ExperimentConfig,
+    check,
+    check_all,
     init_phy_worker,
     phy_pair,
     print_table,
@@ -49,6 +52,7 @@ __all__ = [
     "print_result",
     "Fig10Result",
     "run",
+    "claims",
 ]
 
 CONTROL_SUBCARRIERS = tuple(range(9, 17))  # paper's subcarriers 10..17 (1-based)
@@ -127,14 +131,6 @@ class ThresholdSweepResult:
     thresholds_db: np.ndarray  # relative to the true noise floor
     false_positive: np.ndarray
     false_negative: np.ndarray
-
-    def crossover_db(self) -> float:
-        """Threshold (dB over noise floor) where FP and FN curves cross."""
-        diff = self.false_positive - self.false_negative
-        sign_change = np.nonzero(np.diff(np.sign(diff)))[0]
-        if sign_change.size == 0:
-            return float("nan")
-        return float(self.thresholds_db[sign_change[0]])
 
 
 def _threshold_trial(spec: engine.TrialSpec) -> Optional[Tuple[List[float], List[float]]]:
@@ -366,12 +362,47 @@ def print_result(result: Fig10Result) -> None:
     intf = result.interference
     print_table(
         ["measured dB", "FN (interference)", "FN (clean)"],
-        [
-            (s, fn_i, float(np.interp(s, acc.snrs_db, acc.false_negative)))
-            for s, fn_i in zip(intf.snrs_db, intf.false_negative)
-        ],
+        list(zip(intf.snrs_db, intf.false_negative, _clean_fn(result))),
         title="Fig. 10(d) — impact of strong pulse interference",
     )
+
+
+def _clean_fn(result: Fig10Result) -> List[float]:
+    """The (c) sweep's FN at each (d) SNR: Fig. 10(d)'s clean column."""
+    acc = result.accuracy
+    return [float(np.interp(s, acc.snrs_db, acc.false_negative))
+            for s in result.interference.snrs_db]
+
+
+def claims(result: Fig10Result) -> List[Claim]:
+    """Silences stand out; the fixed threshold trades FN for FP; the
+    adaptive one keeps FN low everywhere and FP low in the working
+    region; strong pulse interference breaks detection."""
+    sweep, acc = result.threshold_sweep, result.accuracy
+    working = acc.snrs_db >= 14.0
+    low = acc.snrs_db <= 5.0
+    fp_working_max = np.max(acc.false_positive[working], initial=-np.inf)
+    mean_clean = np.mean(_clean_fn(result))
+    return [
+        check("snapshot_contrast_db", result.snapshot.contrast_db(), ">", 6.0),
+        check("low_threshold_fn", sweep.false_negative[0], ">", 0.3),
+        check("high_threshold_fn", sweep.false_negative[-1], "<", 0.02),
+        check("high_threshold_fp", sweep.false_positive[-1], ">", 0.3),
+        check("low_threshold_fp", sweep.false_positive[0], "<", 0.02),
+        check_all("adaptive_fn", "<=", [
+            (f"{s:g} dB", fn, 0.02) for s, fn in zip(acc.snrs_db, acc.false_negative)
+        ]),
+        check_all("adaptive_fp_working", "<=", [
+            (f"{s:g} dB", fp, 0.05)
+            for s, fp in zip(acc.snrs_db[working], acc.false_positive[working])
+        ]),
+        check_all("adaptive_fp_low_snr", ">=", [
+            (f"{s:g} dB", fp, fp_working_max)
+            for s, fp in zip(acc.snrs_db[low], acc.false_positive[low])
+        ]),
+        check("interference_fn", np.mean(result.interference.false_negative), ">",
+              5 * max(mean_clean, 1e-3)),
+    ]
 
 
 if __name__ == "__main__":

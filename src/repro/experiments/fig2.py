@@ -20,10 +20,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro import engine
-from repro.experiments.common import ExperimentConfig, print_table
+from repro.experiments.common import Claim, ExperimentConfig, check_all, print_table
 from repro.ratectl import RateAdapter
 
-__all__ = ["SnrGapPoint", "SnrGapResult", "run", "print_result"]
+__all__ = ["SnrGapPoint", "SnrGapResult", "run", "print_result", "claims"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,18 @@ def print_result(result: SnrGapResult) -> None:
         ],
         title="Fig. 2 — SNR gap (actual vs minimum required)",
     )
+
+
+def claims(result: SnrGapResult) -> List[Claim]:
+    """Actual SNR sits above the staircase by a gap of the paper's order."""
+    def gaps(bound: float):
+        return [(f"{p.measured_snr_db:g} dB", p.gap_db, bound) for p in result.points]
+
+    return [
+        check_all("gap_always_positive", ">", gaps(0.0)),
+        check_all("min_gap", ">", gaps(0.5)),
+        check_all("max_gap", "<", gaps(15.0)),
+    ]
 
 
 if __name__ == "__main__":

@@ -22,14 +22,17 @@ import numpy as np
 from repro import engine
 from repro.analysis import bit_error_rate
 from repro.experiments.common import (
+    Claim,
     ExperimentConfig,
+    check,
+    check_all,
     init_phy_worker,
     print_table,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
 
-__all__ = ["DecoderBerPoint", "DecoderBerResult", "run", "print_result"]
+__all__ = ["DecoderBerPoint", "DecoderBerResult", "run", "print_result", "claims"]
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,21 @@ def print_result(result: DecoderBerResult) -> None:
         [(p.measured_snr_db, p.actual_ber, p.redundant_ber) for p in result.points],
         title="Fig. 3 — decoder-input BER at 24 Mbps",
     )
+
+
+def claims(result: DecoderBerResult) -> List[Claim]:
+    """Decoder-input BER falls across the band; the spare BER grows."""
+    first, last = result.points[0], result.points[-1]
+    steps = [
+        (f"{a.measured_snr_db:g}-{b.measured_snr_db:g} dB",
+         b.redundant_ber, a.redundant_ber - 1e-4)
+        for a, b in zip(result.points, result.points[1:])
+    ]
+    return [
+        check_all("redundant_ber_rises", ">=", steps),
+        check("actual_ber_falls", first.actual_ber, ">", last.actual_ber),
+        check("redundant_ber_at_band_top", last.redundant_ber, ">", 0.0),
+    ]
 
 
 if __name__ == "__main__":

@@ -19,7 +19,10 @@ import numpy as np
 from repro import engine
 from repro.cos.evm import per_subcarrier_evm
 from repro.experiments.common import (
+    Claim,
     ExperimentConfig,
+    check,
+    check_all,
     init_phy_worker,
     print_table,
     send_probe_packets,
@@ -27,7 +30,7 @@ from repro.experiments.common import (
 from repro.phy import RATE_TABLE
 from repro.phy.modulation import get_modulation
 
-__all__ = ["EvmResult", "run", "print_result", "measure_evm"]
+__all__ = ["EvmResult", "run", "print_result", "claims", "measure_evm"]
 
 
 @dataclass
@@ -125,6 +128,17 @@ def print_result(result: EvmResult) -> None:
     )
     for p in positions:
         print(f"position {p}: EVM spread {result.spread_percent(p):.1f} %")
+
+
+def claims(result: EvmResult) -> List[Claim]:
+    """Frequency selectivity at every position, severest at A."""
+    return [
+        check_all("evm_spread", ">", [
+            (f"position {p}", result.spread_percent(p), 1.0) for p in ("A", "B", "C")
+        ]),
+        check("spread_a_over_c", result.spread_percent("A"), ">",
+              result.spread_percent("C")),
+    ]
 
 
 if __name__ == "__main__":

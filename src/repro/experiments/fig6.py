@@ -16,14 +16,16 @@ buys the shared error reporting, spans, and metrics plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro import engine
 from repro.analysis import symbol_error_rate_per_subcarrier
 from repro.experiments.common import (
+    Claim,
     ExperimentConfig,
+    check,
     init_phy_worker,
     print_table,
     send_probe_packets,
@@ -32,7 +34,7 @@ from repro.phy import RATE_TABLE
 from repro.phy.modulation import get_modulation
 from repro.phy.params import N_DATA_SUBCARRIERS
 
-__all__ = ["ErrorPatternResult", "run", "print_result"]
+__all__ = ["ErrorPatternResult", "run", "print_result", "claims"]
 
 
 @dataclass
@@ -136,6 +138,17 @@ def print_result(result: ErrorPatternResult) -> None:
     )
     print(f"8 weakest subcarriers produce "
           f"{result.weak_subcarrier_error_share(8) * 100:.1f} % of all symbol errors")
+
+
+def claims(result: ErrorPatternResult) -> List[Claim]:
+    """Positional errors repeat every ~48 symbols; weak subcarriers
+    produce most of them."""
+    period = result.dominant_period()
+    return [
+        check("dominant_period_min", period, ">=", 44),
+        check("dominant_period_max", period, "<=", 52),
+        check("weak8_error_share", result.weak_subcarrier_error_share(8), ">", 8 / 48),
+    ]
 
 
 if __name__ == "__main__":

@@ -23,14 +23,16 @@ import numpy as np
 from repro import engine
 from repro.cos.evm import error_vector_magnitudes, nabla_evm
 from repro.experiments.common import (
+    Claim,
     ExperimentConfig,
+    check_all,
     init_phy_worker,
     print_table,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
 
-__all__ = ["TemporalResult", "run", "print_result"]
+__all__ = ["TemporalResult", "run", "print_result", "claims"]
 
 TAUS_MS = (10.0, 20.0, 30.0, 40.0)
 
@@ -163,6 +165,20 @@ def print_result(result: TemporalResult) -> None:
         )
     print_table(["tau ms", "median ∇EVM", "p90 ∇EVM", "samples"], rows,
                 title="(b) ∇EVM vs time gap")
+
+
+def claims(result: TemporalResult) -> List[Claim]:
+    """∇EVM stays small at every gap, and the curves nearly overlap."""
+    medians = [(tau, result.median_nabla(tau)) for tau in sorted(result.nabla_samples)]
+    return [
+        check_all("median_nabla", "<", [
+            (f"{tau:g} ms", med, 0.2) for tau, med in medians
+        ]),
+        check_all("median_nabla_step", "<", [
+            (f"{ta:g}-{tb:g} ms", abs(b - a), 0.1)
+            for (ta, a), (tb, b) in zip(medians, medians[1:])
+        ]),
+    ]
 
 
 if __name__ == "__main__":

@@ -21,10 +21,12 @@ from repro import engine
 from repro.cos.intervals import IntervalCodec
 from repro.cos.link import CosLink
 from repro.cos.rate_control import ControlAllocation, ControlRateController
-from repro.experiments.common import ExperimentConfig, print_table
+from repro.experiments.common import Claim, ExperimentConfig, check, check_all, print_table
 from repro.ratectl import RateAdapter
 
-__all__ = ["CapacityPoint", "CapacityResult", "run", "print_result", "measure_prr"]
+__all__ = [
+    "CapacityPoint", "CapacityResult", "run", "print_result", "claims", "measure_prr",
+]
 
 PRR_TARGET = 0.993
 _BANDS_MBPS = (12, 18, 24, 36, 48, 54)
@@ -230,6 +232,25 @@ def print_result(result: CapacityResult) -> None:
         ],
         title="Fig. 9 — max silence-symbol rate Rm vs measured SNR",
     )
+
+
+def claims(result: CapacityResult) -> List[Claim]:
+    """The §IV-B shape: ceilings ordered by modulation and code rate, Rm
+    alive everywhere, every point at the PRR target.  An invalid point
+    has no Rm: it reads NaN, which fails ``rm_positive``."""
+    points = sorted(result.points, key=lambda p: p.measured_snr_db)
+    return [
+        check("ceiling_12_above_54", result.ceiling(12), ">", result.ceiling(54)),
+        check("ceiling_12_vs_18", result.ceiling(12), ">=", result.ceiling(18) * 0.7),
+        check("ceiling_24_vs_36", result.ceiling(24), ">=", result.ceiling(36) * 0.7),
+        check_all("rm_positive", ">", [
+            (f"{p.measured_snr_db:g} dB", p.rm_per_sec if p.valid else float("nan"), 0.0)
+            for p in points
+        ]),
+        check_all("prr_at_target", ">=", [
+            (f"{p.measured_snr_db:g} dB", p.prr, 0.95) for p in points
+        ]),
+    ]
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro import engine
-from repro.experiments.common import print_table
+from repro.experiments.common import Claim, check_all, print_table
 from repro.mac.overhead import ControlScheme, OverheadResult, run_overhead_comparison
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "NetworkComparisonResult",
     "run",
     "print_result",
+    "claims",
 ]
 
 #: Relative slack when asserting "CoS never loses goodput": CoS may trail
@@ -222,12 +223,24 @@ def print_result(result: NetworkComparisonResult) -> None:
             f"[{result.backend} backend]"
         ),
     )
-    for n, e_mbps, c_mbps in result.goodput_violations():
-        print(
-            f"FAIL: CoS loses goodput at {n} stations "
-            f"(explicit {e_mbps:.3f} Mbps vs CoS {c_mbps:.3f} Mbps, "
-            f"rel tol {GOODPUT_REL_TOL:g})"
-        )
+
+
+def claims(result: NetworkComparisonResult) -> List[Claim]:
+    """Free control never costs goodput (no slack), and only explicit
+    control pays airtime, at every station count."""
+    rows = list(zip(result.station_counts, result.explicit, result.cos))
+    goodput = check_all("cos_never_loses_goodput", ">=", [
+        (f"{n} stations", c.goodput_mbps, e.goodput_mbps) for n, e, c in rows
+    ])
+    return [
+        goodput._replace(holds=result.cos_never_loses_goodput(rel_tol=0.0)),
+        check_all("cos_control_airtime", "==", [
+            (f"{n} stations", c.control_airtime_fraction, 0.0) for n, _, c in rows
+        ]),
+        check_all("explicit_control_airtime", ">", [
+            (f"{n} stations", e.control_airtime_fraction, 0.0) for n, e, _ in rows
+        ]),
+    ]
 
 
 if __name__ == "__main__":

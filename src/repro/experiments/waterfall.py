@@ -18,14 +18,17 @@ import numpy as np
 
 from repro import engine
 from repro.experiments.common import (
+    Claim,
     ExperimentConfig,
+    check,
+    check_all,
     init_phy_worker,
     print_table,
     send_probe_packets,
 )
 from repro.phy import RATE_TABLE
 
-__all__ = ["WaterfallResult", "run", "print_result"]
+__all__ = ["WaterfallResult", "run", "print_result", "claims"]
 
 _DEFAULT_RATES = (6, 12, 24, 54)
 
@@ -47,11 +50,6 @@ class WaterfallResult:
             if per <= target:
                 return float(snr)
         return float("inf")
-
-    def rates_ordered(self) -> bool:
-        """Higher rates require at least as much SNR for PER <= 0.1."""
-        thresholds = [self.snr_for_per(m) for m in sorted(self.per)]
-        return all(b >= a - 1.0 for a, b in zip(thresholds, thresholds[1:]))
 
 
 def _trial(spec: engine.TrialSpec) -> float:
@@ -122,6 +120,27 @@ def print_result(result: WaterfallResult) -> None:
     )
     for m in rates:
         print(f"{m} Mbps reaches PER<=0.1 at {result.snr_for_per(m):.1f} dB")
+
+
+def claims(result: WaterfallResult) -> List[Claim]:
+    """Monotone, rate-ordered waterfalls; BPSK-1/2 works at single-digit
+    SNR, 64QAM-3/4 does not."""
+    snrs = result.snrs_db
+    thresholds = [(m, result.snr_for_per(m)) for m in sorted(result.per)]
+    return [
+        check_all("monotone", "<=", [
+            (f"{m} Mbps {snrs[i + 1]:g} dB", b, a + 0.1)
+            for m, values in result.per.items()
+            for i, (a, b) in enumerate(zip(values, values[1:]))
+        ]),
+        # Higher rates need at least as much SNR (less 1 dB) for PER <= 0.1.
+        check_all("rates_ordered", ">=", [
+            (f"{ma}-{mb} Mbps", b, a - 1.0)
+            for (ma, a), (mb, b) in zip(thresholds, thresholds[1:])
+        ]),
+        check("snr_per10_6mbps", result.snr_for_per(6), "<=", 8.0),
+        check("snr_per10_54mbps", result.snr_for_per(54), ">=", 14.0),
+    ]
 
 
 if __name__ == "__main__":

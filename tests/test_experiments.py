@@ -8,8 +8,20 @@ at full scale.
 import numpy as np
 import pytest
 
-from repro.experiments import ablations, fig2, fig3, fig5, fig6, fig7, fig9, fig10
-from repro.experiments.common import ExperimentConfig, print_table
+from repro.experiments import (
+    ablations,
+    fig2,
+    fig3,
+    fig5,
+    fig6,
+    fig7,
+    fig9,
+    fig10,
+    network,
+    runner,
+    waterfall,
+)
+from repro.experiments.common import Claim, ExperimentConfig, check, check_all, print_table
 
 
 class TestCommon:
@@ -156,3 +168,98 @@ class TestAblations:
     def test_evd(self):
         result = ablations.run_evd(n_packets=10, groups_grid=[20, 60])
         assert result.evd_dominates()
+
+
+# One small result per stage, built with explicit sizes: (module, result).
+SMALL_RESULTS = {
+    "fig2": lambda: (fig2, fig2.run(snr_grid=np.array([6.0, 15.0]), realizations=1)),
+    "fig3": lambda: (fig3, fig3.run(snr_grid=np.array([12.0, 17.0]), n_packets=2,
+                                    realizations=1)),
+    "fig5": lambda: (fig5, fig5.run(n_packets=2)),
+    "fig6": lambda: (fig6, fig6.run(n_packets=4)),
+    "fig7": lambda: (fig7, fig7.run(n_trials=2)),
+    "fig9": lambda: (fig9, fig9.run(n_packets=2, points_per_band=1, bands_mbps=(54,))),
+    "fig10": lambda: (fig10, fig10.Fig10Result(
+        snapshot=fig10.run_snapshot(),
+        threshold_sweep=fig10.run_threshold_sweep(n_packets=2),
+        accuracy=fig10.run_accuracy_vs_snr(n_packets=2),
+        interference=fig10.run_interference(n_packets=2),
+    )),
+    "ablations": lambda: (ablations, ablations.AblationsResult(
+        placement=ablations.run_placement(n_packets=2, groups_grid=[20]),
+        evd=ablations.run_evd(n_packets=2, groups_grid=[20]),
+        coding=ablations.run_coding(n_packets=2),
+        decoder_fidelity=ablations.run_decoder_fidelity(n_packets=3),
+        detector=ablations.run_detector(n_sym=10),
+        k=ablations.run_k(n_packets=2),
+        flashback=ablations.run_flashback(n_packets=2),
+    )),
+    "network": lambda: (network, network.run(station_counts=[2],
+                                             packets_per_station=5)),
+    "waterfall": lambda: (waterfall, waterfall.run(snrs_db=np.array([4.0, 20.0]),
+                                                   n_packets=2)),
+}
+
+
+class TestClaims:
+    def test_every_stage_has_a_small_result(self):
+        assert set(SMALL_RESULTS) == {name for name, _title, _fn in runner.STAGES}
+
+    @pytest.mark.parametrize("stage", sorted(SMALL_RESULTS))
+    def test_claims_named_and_unique(self, stage):
+        module, result = SMALL_RESULTS[stage]()
+        claims = module.claims(result)
+        assert claims and all(isinstance(c, Claim) for c in claims)
+        names = [c.name for c in claims]
+        assert len(set(names)) == len(names)
+        assert all(isinstance(c.holds, bool) for c in claims)
+
+    def test_negative_fig2_gap_fails(self):
+        result = fig2.run(snr_grid=np.array([6.0, 15.0]), realizations=1)
+        assert {c.name: c.holds for c in fig2.claims(result)}["gap_always_positive"]
+        result.points[1] = fig2.SnrGapPoint(
+            measured_snr_db=15.0, min_required_snr_db=12.0, actual_snr_db=11.0,
+            rate_mbps=24,
+        )
+        claim = {c.name: c for c in fig2.claims(result)}["gap_always_positive"]
+        assert not claim.holds
+        assert claim.measured == "-1 at 15 dB" and claim.bound == "> 0"
+
+    def test_invalid_fig9_point_fails_rm_positive(self):
+        valid = fig9.CapacityPoint(12.3, 24, 80_000.0, 300.0, 0.9933)
+        invalid = fig9.CapacityPoint(7.4, 12, None, None, 0.84)
+        assert {c.name: c.holds for c in fig9.claims(
+            fig9.CapacityResult(points=[valid]))}["rm_positive"]
+        claims = {c.name: c for c in fig9.claims(
+            fig9.CapacityResult(points=[valid, invalid]))}
+        assert not claims["rm_positive"].holds
+        assert claims["rm_positive"].measured == "nan at 7.4 dB"
+
+    def test_check_reports_the_worst_case(self):
+        claim = check_all("c", ">=", [("a", 3.0, 1.0), ("b", 0.5, 1.0), ("c", 2.0, 1.0)])
+        assert claim == Claim("c", False, "0.5 at b", ">= 1")
+        assert check_all("c", "<", [("a", 1.0, 2.0), ("b", 1.5, 2.0)]).measured == "1.5 at b"
+        assert not check("nan", float("nan"), "<", 1.0).holds
+        assert check_all("none", ">", []).holds
+
+    def test_stub_stage_prints_one_line_per_claim(self, monkeypatch, capsys, tmp_path):
+        from repro.cli import main
+
+        stub_claims = [Claim("first", True, "1", "> 0"), Claim("second", False, "2", "< 1")]
+
+        def stub(workers, opts):
+            print("== Stub table ==")
+            return stub_claims
+
+        monkeypatch.setattr(runner, "STAGES", (("stub", "Stub table", stub),))
+        expected = ["claim stub.first: PASS  measured 1  bound > 0",
+                    "claim stub.second: FAIL  measured 2  bound < 1"]
+
+        assert main(["--quiet", "experiments", "stub"]) == 0  # a FAIL is no error
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("claim")] == expected
+
+        target = tmp_path / "report.md"
+        assert main(["--quiet", "report", str(target), "--stages", "stub"]) == 0
+        report = target.read_text()
+        assert [line for line in report.splitlines() if line.startswith("claim")] == expected

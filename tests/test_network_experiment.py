@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import network
-from repro.experiments.runner import main as runner_main
 
 
 class TestNetworkExperiment:
@@ -32,7 +32,7 @@ class TestNetworkExperiment:
         assert "Network comparison" in out
         assert "FAIL" not in out
 
-    def test_print_result_names_failing_station_count(self, capsys):
+    def test_claim_names_failing_station_count(self):
         from types import SimpleNamespace
 
         fake = lambda mbps: SimpleNamespace(
@@ -41,14 +41,31 @@ class TestNetworkExperiment:
             mean_control_latency_us=0.0,
         )
         result = network.NetworkComparisonResult(
-            station_counts=[3],
-            explicit=[fake(10.0)],
-            cos=[fake(5.0)],  # CoS clearly loses
+            station_counts=[2, 3],
+            explicit=[fake(10.0), fake(10.0)],
+            cos=[fake(10.0), fake(5.0)],  # CoS clearly loses at 3 stations
         )
         assert not result.cos_never_loses_goodput()
-        network.print_result(result)
-        out = capsys.readouterr().out
-        assert "FAIL: CoS loses goodput at 3 stations" in out
+        claim = network.claims(result)[0]
+        assert claim.name == "cos_never_loses_goodput"
+        assert not claim.holds
+        assert claim.measured == "5 at 3 stations" and claim.bound == ">= 10"
+
+    def test_goodput_claim_has_no_slack(self):
+        """The claim is ``cos_never_loses_goodput(rel_tol=0.0)``: a
+        shortfall inside GOODPUT_REL_TOL still fails it."""
+        from types import SimpleNamespace
+
+        fake = lambda mbps: SimpleNamespace(goodput_mbps=mbps,
+                                            control_airtime_fraction=0.0)
+        within = 10.0 * (1.0 - network.GOODPUT_REL_TOL / 2)
+        for cos_mbps in (within, 10.0):
+            result = network.NetworkComparisonResult(
+                station_counts=[4], explicit=[fake(10.0)], cos=[fake(cos_mbps)]
+            )
+            claim = network.claims(result)[0]
+            assert claim.holds == result.cos_never_loses_goodput(rel_tol=0.0)
+            assert claim.holds == (cos_mbps == 10.0)
 
     def test_relative_tolerance_is_named_and_relative(self):
         from types import SimpleNamespace
@@ -96,13 +113,13 @@ class TestNetworkExperiment:
 
 class TestRunner:
     def test_runner_subset(self, capsys):
-        assert runner_main(["fig2"]) == 0
+        assert main(["--quiet", "experiments", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 2" in out
         assert "Fig. 3" not in out
 
     def test_runner_network_stage(self, capsys):
-        assert runner_main(["network"]) == 0
+        assert main(["--quiet", "experiments", "network"]) == 0
         out = capsys.readouterr().out
         assert "Network comparison" in out
 
@@ -111,14 +128,12 @@ class TestRunner:
         stages named beside it; the error lists the valid names."""
         from repro.experiments.runner import select_stages
 
-        assert runner_main(["fig2", "not-a-stage"]) == 2
+        assert main(["--quiet", "experiments", "fig2", "not-a-stage"]) == 2
         assert "Fig." not in capsys.readouterr().out
         with pytest.raises(ValueError, match="valid stages: fig2, fig3"):
             select_stages(["not-a-stage"])
 
     def test_cli_unknown_stage_exits_2(self, tmp_path, capsys):
-        from repro.cli import main
-
         assert main(["--quiet", "experiments", "not-a-stage"]) == 2
         target = tmp_path / "r.md"
         assert main(["--quiet", "report", str(target),

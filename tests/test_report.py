@@ -24,7 +24,7 @@ class TestGenerateReport:
 
         # A stub stands in for every stage.
         monkeypatch.setattr(runner, "STAGES", [
-            ("stub", "Stub", lambda workers, opts: print("stub ran")),
+            ("stub", "Stub", lambda workers, opts: print("stub ran") or []),
         ])
         report = generate_report(stages=["stub"])
         assert "## Stub" in report and "stub ran" in report
