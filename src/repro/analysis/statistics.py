@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["empirical_cdf", "binomial_confidence", "wilson_interval"]
 
@@ -19,12 +18,22 @@ def empirical_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
+def _check_counts(successes: int, trials: int, level: float) -> None:
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials!r}")
+    if not 0 <= successes <= trials:
+        raise ValueError(
+            f"successes must be in 0..trials ({trials}), got {successes!r}"
+        )
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
+
+
 def binomial_confidence(successes: int, trials: int, level: float = 0.95) -> Tuple[float, float]:
     """Clopper–Pearson exact interval for a success probability."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must be in 0..trials")
+    _check_counts(successes, trials, level)
+    from scipy import stats
+
     alpha = 1.0 - level
     low = 0.0 if successes == 0 else stats.beta.ppf(alpha / 2, successes, trials - successes + 1)
     high = 1.0 if successes == trials else stats.beta.ppf(
@@ -35,8 +44,9 @@ def binomial_confidence(successes: int, trials: int, level: float = 0.95) -> Tup
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> Tuple[float, float]:
     """Wilson score interval (cheaper, good small-sample behaviour)."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    _check_counts(successes, trials, level)
+    from scipy import stats
+
     z = stats.norm.ppf(0.5 + level / 2.0)
     p = successes / trials
     denom = 1 + z * z / trials

@@ -14,10 +14,10 @@ while its statistics stay put.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0
 
 from repro.channel.awgn import complex_gaussian
 from repro.channel.multipath import TappedDelayLine
@@ -38,9 +38,18 @@ def doppler_for_speed(speed_mps: float = WALKING_SPEED_MPS,
     return speed_mps * carrier_hz / SPEED_OF_LIGHT
 
 
+@functools.lru_cache(maxsize=None)
+def _bessel_j0():
+    """scipy's Bessel J0, imported on first use: ``import repro`` and the
+    network stack never evolve a channel, so they do not pay for scipy."""
+    from scipy.special import j0
+
+    return j0
+
+
 def jakes_correlation(tau_s: float, doppler_hz: float) -> float:
     """Jakes channel autocorrelation rho(tau) = J0(2 pi f_d tau)."""
-    return float(j0(2.0 * np.pi * doppler_hz * abs(tau_s)))
+    return float(_bessel_j0()(2.0 * np.pi * doppler_hz * abs(tau_s)))
 
 
 @dataclass
@@ -63,6 +72,9 @@ class GaussMarkovEvolution:
 
     def __post_init__(self):
         self.rng = make_rng(self.rng)
+        # Resolve J0 here so a fading channel's scipy import is paid when
+        # it is built, not inside its first timed advance().
+        _bessel_j0()
         # Tap powers are pinned at their initial values so the PDP (and the
         # average SNR bookkeeping) is invariant under evolution.
         self._tap_power = np.abs(self.tdl.taps) ** 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -36,6 +37,12 @@ __all__ = [
     "TrafficSpec",
     "ScenarioSpec",
 ]
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    """Reject zero, negative, NaN and infinite values of field ``name``."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,12 @@ class ScenarioSpec:
                 )
             if flow.src == flow.dst:
                 raise ValueError(f"flow {flow.src}->{flow.dst} is a self-loop")
+            for name in ("interval_us", "start_us"):
+                value = getattr(flow, name)
+                if not (value >= 0 and math.isfinite(value)):
+                    raise ValueError(
+                        f"flow {name} must be finite and non-negative, got {value!r}"
+                    )
         for mob in self.mobility:
             if mob.node not in known:
                 raise ValueError(f"mobility for unknown node {mob.node!r}")
@@ -173,8 +186,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"{self.data_rate_mbps} Mbps is not an 802.11a rate"
             )
-        if self.duration_us <= 0:
-            raise ValueError("duration_us must be positive")
+        _require_finite_positive("duration_us", self.duration_us)
         if self.medium_mode not in MEDIUM_MODES:
             raise ValueError(f"unknown medium_mode {self.medium_mode!r}")
         aps = [b.ap for b in self.bsses]
@@ -204,10 +216,10 @@ class ScenarioSpec:
                 raise ValueError(f"traffic source {t.src!r} is not a node")
             if t.model not in TRAFFIC_MODELS:
                 raise ValueError(f"unknown traffic model {t.model!r}")
-            if t.rate_pps <= 0:
-                raise ValueError("traffic rate_pps must be positive")
-            if t.model == "onoff" and (t.burst_on_us <= 0 or t.burst_off_us <= 0):
-                raise ValueError("onoff burst durations must be positive")
+            _require_finite_positive("traffic rate_pps", t.rate_pps)
+            if t.model == "onoff":
+                _require_finite_positive("onoff burst_on_us", t.burst_on_us)
+                _require_finite_positive("onoff burst_off_us", t.burst_off_us)
             if t.dst == "@ap":
                 if not self.bsses:
                     raise ValueError(
@@ -217,8 +229,7 @@ class ScenarioSpec:
                 raise ValueError(f"traffic {t.src}->{t.dst} targets unknown node")
             if t.dst == t.src:
                 raise ValueError(f"traffic {t.src}->{t.dst} is a self-loop")
-        if self.beacon_interval_us <= 0:
-            raise ValueError("beacon_interval_us must be positive")
+        _require_finite_positive("beacon_interval_us", self.beacon_interval_us)
         if self.controller not in CONTROLLERS:
             raise ValueError(
                 f"unknown rate controller {self.controller!r}: field "

@@ -64,7 +64,10 @@ class EventScheduler:
     def at(self, time_us: float, fn: Callable[..., Any], *args: Any,
            priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` at absolute ``time_us``."""
-        if time_us < self.now_us - 1e-9:
+        # One comparison per call, false for NaN as well as the past.
+        if not time_us >= self.now_us - 1e-9:
+            if math.isnan(time_us):
+                raise ValueError(f"cannot schedule at time {time_us}")
             raise ValueError(
                 f"cannot schedule in the past: {time_us} < now {self.now_us}"
             )
@@ -76,8 +79,8 @@ class EventScheduler:
     def after(self, delay_us: float, fn: Callable[..., Any], *args: Any,
               priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` ``delay_us`` from now."""
-        if delay_us < 0:
-            raise ValueError(f"negative delay: {delay_us}")
+        if not delay_us >= 0:
+            raise ValueError(f"negative or NaN delay: {delay_us}")
         return self.at(self.now_us + delay_us, fn, *args, priority=priority)
 
     def cancel(self, event: Event) -> None:

@@ -102,3 +102,18 @@ class TestStatistics:
         assert low == 0.0
         low, high = wilson_interval(5, 5)
         assert high == 1.0
+
+    @pytest.mark.parametrize("interval", [binomial_confidence, wilson_interval])
+    @pytest.mark.parametrize("successes, trials, level, bad", [
+        (5, 3, 0.95, "successes"),
+        (-1, 10, 0.95, "successes"),
+        (3, 0, 0.95, "trials"),
+        (3, 10, 1.5, "level"),
+        (3, 10, 0.0, "level"),
+        (3, 10, 1.0, "level"),
+        (3, 10, float("nan"), "level"),
+    ])
+    def test_intervals_reject_bad_arguments(self, interval, successes, trials,
+                                            level, bad):
+        with pytest.raises(ValueError, match=bad):
+            interval(successes, trials, level=level)

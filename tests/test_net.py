@@ -14,6 +14,7 @@ from repro.net import (
     ScenarioSpec,
     SigmoidErrorModel,
     Topology,
+    TrafficSpec,
     Waypoint,
     cos_delivery_prob_for,
     sinr_db,
@@ -69,6 +70,15 @@ class TestEventScheduler:
             sched.at(5.0, lambda: None)
         with pytest.raises(ValueError):
             sched.after(-1.0, lambda: None)
+
+    def test_nan_time_raises_and_names_it(self):
+        sched = EventScheduler()
+        with pytest.raises(ValueError, match="nan"):
+            sched.at(math.nan, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sched.after(math.nan, lambda: None)
+        assert len(sched) == 0
+        assert sched.run() == 0.0
 
 
 class TestTopology:
@@ -180,6 +190,34 @@ class TestScenarioSpec:
         data["not_a_field"] = 1
         with pytest.raises(ValueError, match="unknown scenario fields"):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["duration_us", "beacon_interval_us"])
+    def test_durations_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            self._spec(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["rate_pps", "burst_on_us", "burst_off_us"])
+    def test_traffic_fields_must_be_finite_and_positive(self, field, value):
+        traffic = (TrafficSpec(src="a", dst="b", model="onoff", **{field: value}),)
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            self._spec(traffic=traffic)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["interval_us", "start_us"])
+    def test_flow_times_must_be_finite_and_non_negative(self, field, value):
+        flows = (FlowSpec(src="a", dst="b", **{field: value}),)
+        with pytest.raises(ValueError, match=f"flow {field} must be finite"):
+            self._spec(flows=flows)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_duration_in_json_rejected(self, literal):
+        text = self._spec().to_json().replace(
+            '"duration_us": 300000.0', f'"duration_us": {literal}')
+        assert literal in text
+        with pytest.raises(ValueError, match="duration_us"):
+            ScenarioSpec.from_json(text)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown nodes"):

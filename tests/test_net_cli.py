@@ -96,6 +96,17 @@ class TestNetRun:
         path.write_text(json.dumps(data))
         assert main(["net", "run", str(path)]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_duration_in_file_errors(self, small_scenario_path,
+                                                tmp_path, capsys, literal):
+        text = open(small_scenario_path).read().replace(
+            '"duration_us": 30000.0', f'"duration_us": {literal}')
+        assert literal in text
+        path = tmp_path / "non_finite.json"
+        path.write_text(text)
+        assert main(["net", "run", str(path)]) == 2
+        assert "duration_us must be finite and positive" in capsys.readouterr().err
+
     def test_removed_phy_fidelity_in_file_errors(self, small_scenario_path,
                                                  tmp_path, capsys):
         data = json.loads(open(small_scenario_path).read())
