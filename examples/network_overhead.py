@@ -3,37 +3,20 @@
 Every data packet in this WLAN generates one lightweight control message
 (think per-packet reports or block-acks).  With explicit control frames,
 those messages contend for the medium like everything else; with CoS they
-ride inside data packets for free.  This script runs both schemes on the
-DCF substrate and prints goodput, control airtime share, and control
-latency across contention levels.
+ride inside data packets for free.  This script runs the ``network``
+experiment stage on the spatial WLAN simulator (``repro.net``) and prints
+its tables: goodput, control airtime share and control latency across
+contention levels, then the rate-controller matrix on the hidden-node
+scenario.
 
 Run:  python examples/network_overhead.py
 """
 
-from repro.mac.overhead import ControlScheme, run_overhead_comparison
+from repro.experiments import network
 
 
 def main():
-    print(f"{'stations':>8} | {'scheme':>9} | {'goodput':>9} | "
-          f"{'ctrl airtime':>12} | {'ctrl latency':>12} | {'delivered':>9}")
-    print("-" * 76)
-    for n_stations in (2, 4, 8, 12):
-        for scheme in (ControlScheme.EXPLICIT, ControlScheme.COS):
-            r = run_overhead_comparison(scheme, n_stations=n_stations, seed=7)
-            print(
-                f"{n_stations:>8} | {scheme.value:>9} | "
-                f"{r.goodput_mbps:7.2f} Mb | "
-                f"{r.control_airtime_fraction * 100:10.1f} % | "
-                f"{r.mean_control_latency_us / 1e3:9.2f} ms | "
-                f"{r.control_messages_delivered:>9}"
-            )
-    print()
-    print("CoS control consumes zero airtime, so its goodput advantage appears")
-    print("once the medium saturates — the motivation the paper opens with.")
-    print("Control latency is also far lower: a piggybacked message rides the")
-    print("very next data frame instead of contending from the back of the")
-    print("DCF queue.  CoS's cost is probabilistic delivery (the PHY-measured")
-    print("message accuracy): a few messages need a second carrier.")
+    network.print_result(network.run())
 
 
 if __name__ == "__main__":

@@ -133,15 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--workers", type=int, default=None, metavar="N",
                      help="trial-engine worker processes (0 = serial; "
                           "default: REPRO_WORKERS or serial)")
-    exp.add_argument("--payload-octets", type=int, default=None, metavar="B",
-                     help="network stage: data payload per frame")
-    exp.add_argument("--data-rate-mbps", type=int, default=None, metavar="R",
-                     help="network stage: 802.11a data rate")
-    exp.add_argument("--packets-per-station", type=int, default=None, metavar="P",
-                     help="network stage: frames each station offers")
-    exp.add_argument("--network-backend", choices=["fast", "net"], default=None,
-                     help="network stage: contention model (fast = slotted "
-                          "DCF, net = spatial SINR simulator)")
 
     from repro.net import COS_FIDELITIES, ERROR_MODELS
 
@@ -405,14 +396,7 @@ def _cmd_experiments(args) -> int:
     from repro.experiments import runner
 
     _apply_store_flags(args)
-    network_opts = {
-        "payload_octets": args.payload_octets,
-        "data_rate_mbps": args.data_rate_mbps,
-        "packets_per_station": args.packets_per_station,
-        "backend": args.network_backend,
-    }
-    return runner.run(args.figures, args.workers,
-                      {key: v for key, v in network_opts.items() if v is not None})
+    return runner.run(args.figures, args.workers)
 
 
 def _cmd_net_tables(args, log) -> int:

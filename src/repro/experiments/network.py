@@ -3,149 +3,77 @@
 Not a paper figure — the paper evaluates CoS at the link level — but the
 quantitative version of its motivation (§I): control messages carried by
 explicit frames consume airtime and contention slots; CoS carries them
-for free.  The harness sweeps contention (station count) and reports
-goodput, control airtime share, and control latency for both schemes.
+for free.  The harness sweeps contention (station count) on the spatial
+event-driven simulator (:mod:`repro.net`): a :func:`repro.net.scenarios
+.contention` ring with log-distance path loss, SINR + capture reception
+and per-node DCF machines, run once under each control scheme.  It
+reports goodput (delivered payload bits ÷ the time of the last
+delivery), control airtime share and control latency.
 
-Two backends price the contention:
-
-* ``fast`` (default) — the original single-collision-domain slotted DCF
-  model (:func:`repro.mac.overhead.run_overhead_comparison`).  Every
-  station hears every other; collisions are perfectly symmetric.
-* ``net`` — the spatial event-driven simulator (:mod:`repro.net`): the
-  same contention ring rendered as a :func:`repro.net.scenarios
-  .contention` scenario, with log-distance path loss, SINR + capture
-  reception, and per-node DCF machines.  Slower, but control frames pay
-  their airtime in a physically grounded medium.
+Beside the ring it runs the rate-controller matrix on ``hidden-node``
+(:func:`repro.ratectl.compare_controllers`): CoS feedback against
+explicit feedback, and against the feedback-free samplers (Minstrel,
+SampleRate) that real 802.11 stacks run instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro import engine
 from repro.experiments.common import Claim, check_all, print_table
-from repro.mac.overhead import ControlScheme, OverheadResult, run_overhead_comparison
 
 __all__ = [
-    "GOODPUT_REL_TOL",
-    "NetSchemeResult",
     "NetworkComparisonResult",
+    "control_latency_us",
     "run",
     "print_result",
     "claims",
 ]
 
-#: Relative slack when asserting "CoS never loses goodput": CoS may trail
-#: explicit by at most this fraction before we call it a loss.  Distinct
-#: seeds make the two schemes' contention realisations non-identical, so
-#: an exact (or absolute-epsilon) comparison is the wrong tool.
-GOODPUT_REL_TOL = 1e-6
-
-
-@dataclass
-class NetSchemeResult:
-    """Adapter giving a :class:`repro.net.NetResult` the fast-backend shape.
-
-    ``NetworkComparisonResult`` only needs ``goodput_mbps``,
-    ``control_airtime_fraction`` and ``mean_control_latency_us`` from a
-    scheme outcome; this wraps the spatial simulator's result so both
-    backends duck-type identically (the full ``NetResult`` stays
-    reachable via ``.net``).
-    """
-
-    net: object  # repro.net.NetResult
-
-    @property
-    def goodput_mbps(self) -> float:
-        return self.net.aggregate_goodput_mbps
-
-    @property
-    def control_airtime_fraction(self) -> float:
-        return self.net.control_airtime_fraction
-
-    @property
-    def mean_control_latency_us(self) -> float:
-        latencies = [
-            lat
-            for stats in self.net.per_node.values()
-            for lat in stats.control_latencies_us
-        ]
-        if not latencies:
-            return 0.0
-        return sum(latencies) / len(latencies)
-
-
 @dataclass
 class NetworkComparisonResult:
-    """Per-contention-level pairs of (explicit, cos) outcomes."""
+    """Per-contention-level pairs of (explicit, cos) :class:`repro.net
+    .NetResult` outcomes, plus the hidden-node controller matrix (a
+    :func:`repro.ratectl.compare_controllers` report)."""
 
-    station_counts: List[int] = field(default_factory=list)
-    explicit: List[object] = field(default_factory=list)
-    cos: List[object] = field(default_factory=list)
-    backend: str = "fast"
-
-    def goodput_violations(
-        self, rel_tol: float = GOODPUT_REL_TOL
-    ) -> List[Tuple[int, float, float]]:
-        """Station counts where CoS goodput trails explicit beyond tolerance.
-
-        Returns ``(n_stations, explicit_mbps, cos_mbps)`` triples.
-        """
-        return [
-            (n, e.goodput_mbps, c.goodput_mbps)
-            for n, e, c in zip(self.station_counts, self.explicit, self.cos)
-            if c.goodput_mbps < e.goodput_mbps * (1.0 - rel_tol)
-        ]
-
-    def cos_never_loses_goodput(self, rel_tol: float = GOODPUT_REL_TOL) -> bool:
-        return not self.goodput_violations(rel_tol)
-
-    def explicit_control_airtime(self) -> float:
-        """Mean control airtime fraction paid by the explicit scheme."""
-        if not self.explicit:
-            return 0.0
-        return sum(r.control_airtime_fraction for r in self.explicit) / len(self.explicit)
+    station_counts: List[int]
+    explicit: List[object]
+    cos: List[object]
+    hidden_node: Dict
 
 
-def _trial(spec: engine.TrialSpec) -> OverheadResult:
-    """One slotted DCF simulation: a (scheme, contention level) pair."""
-    kwargs = dict(
-        n_stations=spec["n_stations"],
-        packets_per_station=spec["packets_per_station"],
-        payload_octets=spec["payload_octets"],
-        data_rate_mbps=spec["data_rate_mbps"],
-        seed=spec["seed"],
-    )
-    if spec["scheme"] == ControlScheme.COS:
-        return run_overhead_comparison(
-            ControlScheme.COS,
-            cos_delivery_prob=spec["cos_delivery_prob"],
-            **kwargs,
-        )
-    return run_overhead_comparison(ControlScheme.EXPLICIT, **kwargs)
+def control_latency_us(result) -> float:
+    """Mean control latency of a :class:`repro.net.NetResult`, pooled
+    over every node's delivered control messages (0 when none)."""
+    latencies = [
+        lat
+        for stats in result.per_node.values()
+        for lat in stats.control_latencies_us
+    ]
+    if not latencies:
+        return 0.0
+    return sum(latencies) / len(latencies)
 
 
-def _net_trial(spec: engine.TrialSpec) -> NetSchemeResult:
+def _contention_trial(spec: engine.TrialSpec):
     """One spatial simulation of the contention ring (module-level: picklable)."""
     from repro.net import run_scenario
     from repro.net.scenarios import contention
 
     scenario = contention(
-        control=str(spec["scheme"].value
-                    if isinstance(spec["scheme"], ControlScheme)
-                    else spec["scheme"]),
+        control=spec["scheme"],
         n_stations=spec["n_stations"],
         n_packets=spec["packets_per_station"],
         payload_octets=spec["payload_octets"],
         data_rate_mbps=spec["data_rate_mbps"],
     )
-    if spec["cos_delivery_prob"] is not None:
-        scenario = dataclasses.replace(
-            scenario, cos_delivery_prob=spec["cos_delivery_prob"]
-        )
-    return NetSchemeResult(net=run_scenario(scenario, rng=spec["seed"]))
+    scenario = dataclasses.replace(
+        scenario, cos_delivery_prob=spec["cos_delivery_prob"]
+    )
+    return run_scenario(scenario, rng=spec["seed"])
 
 
 def run(
@@ -156,17 +84,16 @@ def run(
     payload_octets: int = 1024,
     data_rate_mbps: int = 24,
     packets_per_station: int = 50,
-    backend: str = "fast",
 ) -> NetworkComparisonResult:
-    """Compare the two control schemes across contention levels.
+    """Compare the two control schemes across contention levels, then run
+    the rate-controller matrix on ``hidden-node``.
 
     One engine trial per (scheme, station count) — each simulation is
-    seeded independently, so all cells run in parallel.  ``backend``
-    selects the contention model: ``"fast"`` (slotted single-domain DCF)
-    or ``"net"`` (spatial SINR simulator, see module docstring).
+    seeded independently, so all cells run in parallel.
     """
-    if backend not in ("fast", "net"):
-        raise ValueError(f"unknown backend {backend!r}; use 'fast' or 'net'")
+    from repro.net.scenarios import builtin_scenario
+    from repro.ratectl.compare import compare_controllers
+
     station_counts = station_counts or [2, 4, 8, 12]
     params = [
         {
@@ -179,20 +106,20 @@ def run(
             "seed": seed,
         }
         for n in station_counts
-        for scheme in (ControlScheme.EXPLICIT, ControlScheme.COS)
+        for scheme in ("explicit", "cos")
     ]
-    trial = _trial if backend == "fast" else _net_trial
     outcomes = engine.run_sweep(
-        params, trial, seed=seed, workers=workers, label=f"network-{backend}"
+        params, _contention_trial, seed=seed, workers=workers, label="network"
     )
-
-    result = NetworkComparisonResult(
-        station_counts=list(station_counts), backend=backend
+    return NetworkComparisonResult(
+        station_counts=list(station_counts),
+        explicit=outcomes[0::2],
+        cos=outcomes[1::2],
+        hidden_node=compare_controllers(
+            builtin_scenario("hidden-node"), n_trials=3, seed=0,
+            workers=workers,
+        ),
     )
-    for i in range(len(station_counts)):
-        result.explicit.append(outcomes[2 * i])
-        result.cos.append(outcomes[2 * i + 1])
-    return result
 
 
 def print_result(result: NetworkComparisonResult) -> None:
@@ -201,11 +128,11 @@ def print_result(result: NetworkComparisonResult) -> None:
         rows.append(
             (
                 n,
-                e.goodput_mbps,
-                c.goodput_mbps,
+                e.aggregate_goodput_mbps,
+                c.aggregate_goodput_mbps,
                 e.control_airtime_fraction * 100,
-                e.mean_control_latency_us / 1e3,
-                c.mean_control_latency_us / 1e3,
+                control_latency_us(e) / 1e3,
+                control_latency_us(c) / 1e3,
             )
         )
     print_table(
@@ -218,28 +145,47 @@ def print_result(result: NetworkComparisonResult) -> None:
             "latency CoS (ms)",
         ],
         rows,
-        title=(
-            "Network comparison — explicit control frames vs CoS piggyback "
-            f"[{result.backend} backend]"
-        ),
+        title="Network comparison — explicit control frames vs CoS piggyback",
+    )
+    report = result.hidden_node
+    print_table(
+        ["controller", "transport", "goodput (Mbps)", "ctrl air %"],
+        [(name, row["transport"], row["goodput_mbps"],
+          row["control_airtime_fraction"] * 100)
+         for name, row in report["controllers"].items()],
+        title=(f"Rate-controller matrix on {report['scenario']} "
+               f"[{report['n_trials']} trials, seed {report['seed']}]"),
     )
 
 
 def claims(result: NetworkComparisonResult) -> List[Claim]:
     """Free control never costs goodput (no slack), and only explicit
-    control pays airtime, at every station count."""
-    rows = list(zip(result.station_counts, result.explicit, result.cos))
-    goodput = check_all("cos_never_loses_goodput", ">=", [
-        (f"{n} stations", c.goodput_mbps, e.goodput_mbps) for n, e, c in rows
-    ])
+    control pays airtime, at every station count and on ``hidden-node``;
+    there CoS feedback also beats the feedback-free samplers."""
+    rows = [
+        (f"{n} stations", e.aggregate_goodput_mbps, c.aggregate_goodput_mbps,
+         e.control_airtime_fraction, c.control_airtime_fraction)
+        for n, e, c in zip(result.station_counts, result.explicit, result.cos)
+    ]
+    per = result.hidden_node["controllers"]
+    cos, exp = per["cos-feedback"], per["explicit-feedback"]
+    rows.append(("hidden-node", exp["goodput_mbps"], cos["goodput_mbps"],
+                 exp["control_airtime_fraction"],
+                 cos["control_airtime_fraction"]))
+    free = max(per["minstrel"]["goodput_mbps"],
+               per["samplerate"]["goodput_mbps"])
     return [
-        goodput._replace(holds=result.cos_never_loses_goodput(rel_tol=0.0)),
+        check_all("cos_never_loses_goodput", ">=", [
+            (at, cos_mbps, exp_mbps) for at, exp_mbps, cos_mbps, _, _ in rows
+        ]),
         check_all("cos_control_airtime", "==", [
-            (f"{n} stations", c.control_airtime_fraction, 0.0) for n, _, c in rows
+            (at, cos_air, 0.0) for at, _, _, _, cos_air in rows
         ]),
         check_all("explicit_control_airtime", ">", [
-            (f"{n} stations", e.control_airtime_fraction, 0.0) for n, e, _ in rows
+            (at, exp_air, 0.0) for at, _, _, exp_air, _ in rows
         ]),
+        check_all("cos_beats_feedback_free", ">=",
+                  [("hidden-node", cos["goodput_mbps"], free)]),
     ]
 
 

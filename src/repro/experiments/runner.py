@@ -31,7 +31,7 @@ results are bit-for-bit identical either way (see ``docs/engine.md``).
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine import resolve_workers
 from repro.experiments import ablations, fig2, fig3, fig5, fig6, fig7, fig9, fig10, network, waterfall
@@ -40,25 +40,18 @@ from repro.obs.trace import timed_span
 
 log = logging.getLogger("repro.experiments.runner")
 
-#: A stage's run-and-print callable: ``fn(workers, network_opts)`` prints
-#: the stage's tables and returns its claims, where ``network_opts``
-#: holds ``network.run`` keywords (only the network stage reads them).
-StageFn = Callable[[Optional[int], Dict], List[Claim]]
+#: A stage's run-and-print callable: ``fn(workers)`` prints the stage's
+#: tables and returns its claims.
+StageFn = Callable[[Optional[int]], List[Claim]]
 
 
 def _figure(module) -> StageFn:
     """A stage that prints ``module.run``'s result and returns its claims."""
-    def stage(workers: Optional[int], _net: Dict) -> List[Claim]:
+    def stage(workers: Optional[int]) -> List[Claim]:
         result = module.run(workers=workers)
         module.print_result(result)
         return module.claims(result)
     return stage
-
-
-def _network(workers: Optional[int], net: Dict) -> List[Claim]:
-    result = network.run(workers=workers, **net)
-    network.print_result(result)
-    return network.claims(result)
 
 
 #: Every experiment stage in run order: (name, report title, run-and-print).
@@ -75,7 +68,7 @@ STAGES: Tuple[Tuple[str, str, StageFn], ...] = (
     ("fig10", "Fig. 10", _figure(fig10)),
     ("ablations", "Ablation — silence placement", _figure(ablations)),
     ("network", "Network comparison — explicit control frames vs CoS",
-     _network),
+     _figure(network)),
     ("waterfall", "PHY waterfall — packet error rate", _figure(waterfall)),
 )
 
@@ -97,11 +90,10 @@ def select_stages(names: Optional[Sequence[str]] = None
     return [entry for entry in STAGES if entry[0] in names]
 
 
-def run_stage(name: str, stage: StageFn, workers: Optional[int] = None,
-              network_opts: Optional[Dict] = None) -> None:
+def run_stage(name: str, stage: StageFn, workers: Optional[int] = None) -> None:
     """Run one stage: its tables, then one ``claim <name>.<claim>`` line
     per claim it returns."""
-    claims = stage(workers, network_opts or {})
+    claims = stage(workers)
     if claims:
         print()
     for c in claims:
@@ -109,8 +101,7 @@ def run_stage(name: str, stage: StageFn, workers: Optional[int] = None,
               f"measured {c.measured}  bound {c.bound}")
 
 
-def run(names: Sequence[str] = (), workers: Optional[int] = None,
-        network_opts: Optional[Dict] = None) -> int:
+def run(names: Sequence[str] = (), workers: Optional[int] = None) -> int:
     """Run and print the named stages (all when none are named).
 
     Returns 2, having run nothing, when a name is not a stage; else 0,
@@ -127,6 +118,6 @@ def run(names: Sequence[str] = (), workers: Optional[int] = None,
     for name, _title, stage in stages:
         log.info("stage %s starting", name)
         with timed_span(f"experiment.{name}") as sp:
-            run_stage(name, stage, workers, network_opts)
+            run_stage(name, stage, workers)
         log.info("stage %s done in %.1fs", name, sp.duration_s)
     return 0

@@ -1,37 +1,34 @@
-"""Slotted CSMA/CA (DCF) substrate for network-level CoS experiments.
+"""802.11 DCF timing constants and contention-window rules.
 
-The paper motivates CoS with upper-layer uses — access coordination,
-resource allocation, load balancing — whose common cost is that control
-messages *contend for airtime* like any other frame.  This package
-provides a compact slotted 802.11 DCF simulator and the comparison
-experiment: explicit control frames vs CoS piggyback at the network
-level (aggregate goodput and control-delivery latency).
+The one MAC model is the spatial simulator's per-node DCF machine
+(:class:`repro.net.mac.NodeMac`); this package holds what it, the rate
+controllers and the airtime accounting share: the slot/SIFS/DIFS/ACK
+constants, :func:`~repro.mac.dcf.frame_airtime_us` and
+:class:`~repro.mac.dcf.BackoffState`.
 """
 
 from repro.mac.dcf import (
+    ACK_US,
+    BASE_RATE_MBPS,
     CW_MAX,
     CW_MIN,
     DIFS_US,
+    MAX_RETRIES,
     SIFS_US,
     SLOT_US,
-    DcfSimulator,
-    Frame,
-    MacStats,
-    Station,
+    BackoffState,
+    frame_airtime_us,
 )
-from repro.mac.overhead import ControlScheme, OverheadResult, run_overhead_comparison
 
 __all__ = [
+    "ACK_US",
+    "BASE_RATE_MBPS",
     "CW_MAX",
     "CW_MIN",
     "DIFS_US",
+    "MAX_RETRIES",
     "SIFS_US",
     "SLOT_US",
-    "DcfSimulator",
-    "Frame",
-    "MacStats",
-    "Station",
-    "ControlScheme",
-    "OverheadResult",
-    "run_overhead_comparison",
+    "BackoffState",
+    "frame_airtime_us",
 ]

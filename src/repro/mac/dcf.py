@@ -1,24 +1,20 @@
-"""Slotted 802.11 DCF (CSMA/CA with binary exponential backoff).
+"""802.11 DCF timing and binary exponential backoff.
 
-A deliberately compact but faithful model: time advances in 9 µs slots;
-a station with a pending frame draws a backoff from [0, CW] and counts
-down during idle slots; reaching zero it transmits for the frame's
-duration (rounded up to slots) plus SIFS + ACK.  Two stations reaching
-zero in the same slot collide: both double their CW (bounded by CW_MAX)
-and redraw.  Successful delivery resets CW to CW_MIN.
-
-This is the textbook Bianchi-style DCF abstraction — sufficient to price
-the *airtime* of control traffic, which is what the CoS comparison needs.
+The constants every MAC in this package prices airtime with — slot,
+SIFS, DIFS, ACK, the contention-window bounds and the retry limit — plus
+the on-air time of a frame at a given rate, and the contention-window
+rules themselves (:class:`BackoffState`), which the event-driven
+per-node MAC (:class:`repro.net.mac.NodeMac`) runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.utils.rng import RngLike, make_rng
+from repro.phy.params import PhyRate
 
 __all__ = [
     "SLOT_US",
@@ -28,11 +24,9 @@ __all__ = [
     "CW_MAX",
     "ACK_US",
     "MAX_RETRIES",
-    "Frame",
+    "BASE_RATE_MBPS",
+    "frame_airtime_us",
     "BackoffState",
-    "Station",
-    "MacStats",
-    "DcfSimulator",
 ]
 
 SLOT_US = 9.0
@@ -42,40 +36,24 @@ ACK_US = 44.0  # preamble + SIGNAL + 14-byte ACK at 6 Mbps (rounded)
 CW_MIN = 15
 CW_MAX = 1023
 MAX_RETRIES = 7
+#: The rate control and management frames are sent at.
+BASE_RATE_MBPS = 6
+
+_PREAMBLE_SIGNAL_US = 20.0
 
 
-@dataclass
-class Frame:
-    """A MAC frame awaiting transmission.
-
-    Attributes
-    ----------
-    kind:
-        ``"data"`` or ``"control"`` (for airtime accounting).
-    duration_us:
-        On-air time of the frame itself (preamble + symbols).
-    payload_bits:
-        Goodput credited on success (0 for pure control frames).
-    created_us:
-        Enqueue time, for latency accounting.
-    """
-
-    kind: str
-    duration_us: float
-    payload_bits: int = 0
-    created_us: float = 0.0
-    retries: int = 0
+def frame_airtime_us(n_octets: int, rate: PhyRate) -> float:
+    """On-air time of an ``n_octets`` PSDU: PLCP preamble + SIGNAL + symbols."""
+    return _PREAMBLE_SIGNAL_US + rate.n_symbols_for(n_octets) * 4.0
 
 
 @dataclass
 class BackoffState:
     """Binary-exponential backoff bookkeeping (CW window + drawn slots).
 
-    The contention-window rules of 802.11 DCF, factored out so the
-    slotted single-domain :class:`DcfSimulator` and the event-driven
-    per-node MAC (:class:`repro.net.mac.NodeMac`) share one
-    implementation: draw uniform in ``[0, CW]``, double ``CW`` (bounded
-    by ``CW_MAX``) on a failed exchange, reset to ``CW_MIN`` on success.
+    The contention-window rules of 802.11 DCF: draw uniform in
+    ``[0, CW]``, double ``CW`` (bounded by ``CW_MAX``) on a failed
+    exchange, reset to ``CW_MIN`` on success.
     """
 
     cw: int = CW_MIN
@@ -92,150 +70,3 @@ class BackoffState:
     def reset(self) -> None:
         self.cw = CW_MIN
         self.slots = None
-
-
-class Station:
-    """One contender with a FIFO of frames.
-
-    ``cw`` and ``backoff`` remain plain attributes of the station (the
-    slotted simulator decrements ``backoff`` in place); both delegate to
-    the shared :class:`BackoffState`.
-    """
-
-    def __init__(self, name: str, queue: Optional[List[Frame]] = None,
-                 cw: int = CW_MIN, backoff: Optional[int] = None):
-        self.name = name
-        self.queue: List[Frame] = queue if queue is not None else []
-        self.backoff_state = BackoffState(cw=cw, slots=backoff)
-
-    @property
-    def cw(self) -> int:
-        return self.backoff_state.cw
-
-    @cw.setter
-    def cw(self, value: int) -> None:
-        self.backoff_state.cw = value
-
-    @property
-    def backoff(self) -> Optional[int]:
-        return self.backoff_state.slots
-
-    @backoff.setter
-    def backoff(self, value: Optional[int]) -> None:
-        self.backoff_state.slots = value
-
-    def has_traffic(self) -> bool:
-        return bool(self.queue)
-
-    def draw_backoff(self, rng: np.random.Generator) -> None:
-        self.backoff_state.draw(rng)
-
-    def on_collision(self, rng: np.random.Generator) -> None:
-        head = self.queue[0]
-        head.retries += 1
-        if head.retries > MAX_RETRIES:
-            self.queue.pop(0)
-            self.backoff_state.reset()
-        else:
-            self.backoff_state.on_failure()
-
-    def on_success(self) -> Frame:
-        frame = self.queue.pop(0)
-        self.backoff_state.reset()
-        return frame
-
-
-@dataclass
-class MacStats:
-    """Aggregate outcomes of a DCF run."""
-
-    elapsed_us: float = 0.0
-    delivered_bits: int = 0
-    collisions: int = 0
-    drops: int = 0
-    airtime_us: Dict[str, float] = field(
-        default_factory=lambda: {"data": 0.0, "control": 0.0, "ack": 0.0, "idle": 0.0}
-    )
-    control_latencies_us: List[float] = field(default_factory=list)
-    delivered_frames: int = 0
-
-    @property
-    def goodput_mbps(self) -> float:
-        if self.elapsed_us == 0:
-            return 0.0
-        return self.delivered_bits / self.elapsed_us  # bits/us == Mbps
-
-    @property
-    def control_airtime_fraction(self) -> float:
-        busy = sum(v for k, v in self.airtime_us.items() if k != "idle")
-        if busy == 0:
-            return 0.0
-        return self.airtime_us["control"] / busy
-
-    @property
-    def mean_control_latency_us(self) -> float:
-        if not self.control_latencies_us:
-            return 0.0
-        return float(np.mean(self.control_latencies_us))
-
-
-class DcfSimulator:
-    """Run slotted DCF contention among ``stations`` for a wall-clock span."""
-
-    def __init__(self, stations: List[Station], rng: RngLike = None):
-        if not stations:
-            raise ValueError("need at least one station")
-        names = [s.name for s in stations]
-        if len(set(names)) != len(names):
-            raise ValueError("station names must be unique")
-        self.stations = stations
-        self.rng = make_rng(rng)
-
-    def run(self, duration_us: float) -> MacStats:
-        """Simulate ``duration_us`` of channel time."""
-        stats = MacStats()
-        now = 0.0
-        while now < duration_us:
-            contenders = [s for s in self.stations if s.has_traffic()]
-            if not contenders:
-                stats.airtime_us["idle"] += duration_us - now
-                now = duration_us
-                break
-            for station in contenders:
-                if station.backoff is None:
-                    station.draw_backoff(self.rng)
-
-            # Advance to the next countdown expiry.
-            min_backoff = min(s.backoff for s in contenders)
-            idle_time = DIFS_US + min_backoff * SLOT_US
-            stats.airtime_us["idle"] += idle_time
-            now += idle_time
-            winners = [s for s in contenders if s.backoff == min_backoff]
-            for station in contenders:
-                station.backoff -= min_backoff
-
-            if len(winners) == 1:
-                station = winners[0]
-                frame = station.on_success()
-                on_air = frame.duration_us + SIFS_US + ACK_US
-                stats.airtime_us[frame.kind] += frame.duration_us
-                stats.airtime_us["ack"] += ACK_US
-                now += on_air
-                stats.delivered_bits += frame.payload_bits
-                stats.delivered_frames += 1
-                if frame.kind == "control":
-                    stats.control_latencies_us.append(now - frame.created_us)
-            else:
-                # Collision: the medium is busy for the longest frame; no ACK.
-                longest = max(w.queue[0].duration_us for w in winners)
-                stats.collisions += 1
-                for station in winners:
-                    before = len(station.queue)
-                    station.on_collision(self.rng)
-                    if len(station.queue) < before:
-                        stats.drops += 1
-                stats.airtime_us["data"] += longest
-                now += longest + DIFS_US
-
-        stats.elapsed_us = now
-        return stats

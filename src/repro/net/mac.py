@@ -1,10 +1,9 @@
 """Per-node 802.11 DCF state machine driven by scheduler events.
 
-This is the event-driven sibling of the slotted
-:class:`repro.mac.dcf.DcfSimulator`: the contention-window rules are the
-shared :class:`repro.mac.dcf.BackoffState`, but instead of one global
-slot clock each node runs its own machine against *its own* view of the
-medium (carrier sense is positional, see :mod:`repro.net.medium`):
+The contention-window rules are :class:`repro.mac.dcf.BackoffState`;
+there is no global slot clock: each node runs its own machine against
+*its own* view of the medium (carrier sense is positional, see
+:mod:`repro.net.medium`):
 
     idle -> [DIFS + backoff countdown] -> TX -> await ACK -> idle
                    ^ freezes while the local medium is busy
@@ -35,13 +34,14 @@ import numpy as np
 
 from repro.mac.dcf import (
     ACK_US,
+    BASE_RATE_MBPS,
     BackoffState,
     DIFS_US,
     MAX_RETRIES,
     SIFS_US,
     SLOT_US,
+    frame_airtime_us,
 )
-from repro.mac.overhead import BASE_RATE_MBPS, frame_airtime_us
 from repro.net.medium import Medium, Transmission
 from repro.net.scheduler import Event, EventScheduler
 from repro.phy.params import RATE_TABLE

@@ -45,6 +45,19 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_finite(name: str, value: float) -> None:
+    """Reject NaN and infinite values of field ``name``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_finite_non_negative(name: str, value: float) -> None:
+    """Reject negative, NaN and infinite values of field ``name``."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(
+            f"{name} must be finite and non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """A station (or AP — the MAC does not distinguish) at ``(x, y)`` metres."""
@@ -163,6 +176,9 @@ class ScenarioSpec:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError("node names must be unique")
+        for node in self.nodes:
+            _require_finite(f"node {node.name} x", node.x)
+            _require_finite(f"node {node.name} y", node.y)
         known = set(names)
         for flow in self.flows:
             if flow.src not in known or flow.dst not in known:
@@ -172,14 +188,26 @@ class ScenarioSpec:
             if flow.src == flow.dst:
                 raise ValueError(f"flow {flow.src}->{flow.dst} is a self-loop")
             for name in ("interval_us", "start_us"):
-                value = getattr(flow, name)
-                if not (value >= 0 and math.isfinite(value)):
-                    raise ValueError(
-                        f"flow {name} must be finite and non-negative, got {value!r}"
-                    )
+                _require_finite_non_negative(f"flow {name}",
+                                             getattr(flow, name))
         for mob in self.mobility:
             if mob.node not in known:
                 raise ValueError(f"mobility for unknown node {mob.node!r}")
+            for t_us, x, y in mob.waypoints:
+                _require_finite(f"mobility {mob.node} waypoint t_us", t_us)
+                _require_finite(f"mobility {mob.node} waypoint x", x)
+                _require_finite(f"mobility {mob.node} waypoint y", y)
+        for i in self.interferers:
+            for name in ("x", "y", "power_dbm"):
+                _require_finite(f"interferer {i.name} {name}", getattr(i, name))
+            _require_finite_positive(f"interferer {i.name} burst_us", i.burst_us)
+            _require_finite_positive(f"interferer {i.name} period_us",
+                                     i.period_us)
+            if not 0.0 <= i.probability <= 1.0:
+                raise ValueError(f"interferer {i.name} probability must be "
+                                 f"in [0, 1], got {i.probability!r}")
+            _require_finite_non_negative(f"interferer {i.name} start_us",
+                                         i.start_us)
         if self.control not in ("explicit", "cos"):
             raise ValueError(f"unknown control mode {self.control!r}")
         if self.data_rate_mbps is not None and self.data_rate_mbps not in RATE_TABLE:
@@ -217,6 +245,9 @@ class ScenarioSpec:
             if t.model not in TRAFFIC_MODELS:
                 raise ValueError(f"unknown traffic model {t.model!r}")
             _require_finite_positive("traffic rate_pps", t.rate_pps)
+            _require_finite_non_negative("traffic start_us", t.start_us)
+            if t.stop_us is not None:
+                _require_finite_non_negative("traffic stop_us", t.stop_us)
             if t.model == "onoff":
                 _require_finite_positive("onoff burst_on_us", t.burst_on_us)
                 _require_finite_positive("onoff burst_off_us", t.burst_off_us)

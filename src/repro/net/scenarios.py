@@ -17,8 +17,8 @@ exponent 3, 46.7 dB at 1 m): the near station at 12 m reaches the AP at
 
 ``contention`` is the single-collision-domain counterpart: N stations on
 a circle around an AP, everyone in everyone's carrier-sense range — the
-spatial twin of the slotted :mod:`repro.mac.overhead` model, used by the
-``net`` backend of :mod:`repro.experiments.network`.
+ring the ``network`` stage (:mod:`repro.experiments.network`) sweeps
+station counts over.
 
 ``enterprise-grid`` and ``campus-roaming`` are the multi-BSS scale-out
 scenarios: a reuse-3 grid of cells with per-station Poisson uplink (the

@@ -47,7 +47,7 @@ from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.mac.overhead import BASE_RATE_MBPS
+from repro.mac.dcf import BASE_RATE_MBPS
 from repro.phy.params import RATE_TABLE
 
 __all__ = [

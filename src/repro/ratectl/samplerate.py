@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.mac.overhead import frame_airtime_us
+from repro.mac.dcf import frame_airtime_us
 from repro.phy.params import RATE_TABLE
 from repro.ratectl.base import RateController, register
 

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.mac.overhead import BASE_RATE_MBPS
+from repro.mac.dcf import BASE_RATE_MBPS
 from repro.ratectl.base import RateController, register
 from repro.ratectl.staircase import RateAdapter
 

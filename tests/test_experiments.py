@@ -247,7 +247,7 @@ class TestClaims:
 
         stub_claims = [Claim("first", True, "1", "> 0"), Claim("second", False, "2", "< 1")]
 
-        def stub(workers, opts):
+        def stub(workers):
             print("== Stub table ==")
             return stub_claims
 

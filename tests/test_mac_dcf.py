@@ -1,123 +1,122 @@
-"""Unit tests for the slotted DCF simulator."""
+"""Unit tests for 802.11 DCF: the contention-window rules
+(:class:`BackoffState`) and the per-node MAC (:class:`repro.net.mac
+.NodeMac`) that runs them in the spatial simulator."""
 
-import numpy as np
 import pytest
 
 from repro.mac.dcf import (
     ACK_US,
     CW_MAX,
     CW_MIN,
-    DcfSimulator,
-    Frame,
-    MacStats,
-    Station,
+    MAX_RETRIES,
+    BackoffState,
+    frame_airtime_us,
 )
+from repro.net import FlowSpec, NodeSpec, ScenarioSpec, run_scenario
+from repro.net.scenarios import contention
+from repro.phy.params import RATE_TABLE
 
 
-def _data_frame(duration=500.0, bits=8192):
-    return Frame(kind="data", duration_us=duration, payload_bits=bits)
+def _pair(flows, distance_m=10.0, **overrides):
+    """Two nodes ``distance_m`` apart carrying ``flows``."""
+    return ScenarioSpec(
+        name="pair",
+        nodes=(NodeSpec("a"), NodeSpec("b", distance_m, 0.0)),
+        flows=tuple(flows),
+        **overrides,
+    )
 
 
 class TestStation:
+    """One station's DCF state: the backoff window and the retry limit."""
+
     def test_backoff_in_window(self, rng):
-        station = Station(name="a", queue=[_data_frame()])
-        station.draw_backoff(rng)
-        assert 0 <= station.backoff <= CW_MIN
+        backoff = BackoffState()
+        for _ in range(50):
+            assert 0 <= backoff.draw(rng) <= CW_MIN
+            assert backoff.slots <= CW_MIN
 
-    def test_collision_doubles_cw(self, rng):
-        station = Station(name="a", queue=[_data_frame()])
-        station.on_collision(rng)
-        assert station.cw == 2 * (CW_MIN + 1) - 1
+    def test_collision_doubles_cw(self):
+        backoff = BackoffState()
+        backoff.on_failure()
+        assert backoff.cw == 2 * (CW_MIN + 1) - 1
+        assert backoff.slots is None  # a failure forces a fresh draw
 
-    def test_cw_capped(self, rng):
-        station = Station(name="a", queue=[_data_frame()])
+    def test_cw_capped(self):
+        backoff = BackoffState()
         for _ in range(12):
-            station.queue = [_data_frame()]
-            station.on_collision(rng)
-        assert station.cw <= CW_MAX
+            backoff.on_failure()
+        assert backoff.cw == CW_MAX
 
-    def test_retry_limit_drops(self, rng):
-        frame = _data_frame()
-        station = Station(name="a", queue=[frame])
-        for _ in range(10):
-            if not station.queue:
-                break
-            station.on_collision(rng)
-        assert not station.queue
+    def test_retry_limit_drops(self):
+        """A flow to an unreachable node: each frame is tried once plus
+        ``MAX_RETRIES`` retries, then dropped."""
+        n_packets = 3
+        result = run_scenario(
+            _pair([FlowSpec("a", "b", n_packets=n_packets)], distance_m=5000.0),
+            rng=0,
+        )
+        stats = result.per_node["a"]
+        assert stats.data_delivered == 0
+        assert stats.data_dropped == n_packets
+        assert stats.data_attempts == n_packets * (MAX_RETRIES + 1)
+        assert stats.failures == stats.data_attempts
 
     def test_success_resets(self, rng):
-        station = Station(name="a", queue=[_data_frame(), _data_frame()])
-        station.cw = 255
-        station.on_success()
-        assert station.cw == CW_MIN
-        assert len(station.queue) == 1
+        backoff = BackoffState()
+        for _ in range(4):
+            backoff.on_failure()
+        backoff.draw(rng)
+        backoff.reset()
+        assert backoff.cw == CW_MIN
+        assert backoff.slots is None
 
 
 class TestSimulator:
+    """DCF behaviour of whole runs on the spatial simulator."""
+
     def test_single_station_delivers_everything(self):
-        frames = [_data_frame() for _ in range(10)]
-        sim = DcfSimulator([Station(name="a", queue=list(frames))], rng=1)
-        stats = sim.run(duration_us=1e6)
-        assert stats.delivered_frames == 10
-        assert stats.collisions == 0
-        assert stats.delivered_bits == 10 * 8192
+        result = run_scenario(
+            contention(n_stations=1, n_packets=10, data_rate_mbps=24), rng=1
+        )
+        stats = result.per_node["sta0"]
+        assert stats.data_delivered == 10
+        assert stats.failures == 0
+        assert stats.payload_bits_delivered == 10 * 1024 * 8
 
     def test_airtime_accounting_consistent(self):
-        sim = DcfSimulator([Station(name="a", queue=[_data_frame()])], rng=1)
-        stats = sim.run(duration_us=1e5)
-        total = sum(stats.airtime_us.values())
-        assert total == pytest.approx(stats.elapsed_us, rel=0.01)
-        assert stats.airtime_us["ack"] == pytest.approx(ACK_US)
-
-    def test_contention_causes_collisions(self):
-        stations = [
-            Station(name=f"s{i}", queue=[_data_frame(duration=300.0) for _ in range(40)])
-            for i in range(8)
-        ]
-        stats = DcfSimulator(stations, rng=2).run(duration_us=2e5)
-        assert stats.collisions > 0
-
-    def test_goodput_decreases_with_contenders_at_saturation(self):
-        """With the same (saturating) offered load, collisions make many
-        contenders less efficient than one."""
-
-        def goodput(n):
-            per_station = 2400 // n
-            stations = [
-                Station(name=f"s{i}", queue=[_data_frame() for _ in range(per_station)])
-                for i in range(n)
-            ]
-            return DcfSimulator(stations, rng=3).run(duration_us=3e5).goodput_mbps
-
-        assert goodput(1) >= goodput(12)
+        result = run_scenario(
+            contention(n_stations=1, n_packets=10, data_rate_mbps=24), rng=1
+        )
+        data_us = frame_airtime_us(1024, RATE_TABLE[24])
+        assert result.airtime_us["data"] == pytest.approx(10 * data_us)
+        assert result.airtime_us["ack"] == pytest.approx(10 * ACK_US)
+        assert sum(result.airtime_us.values()) <= result.elapsed_us
 
     def test_control_latency_recorded(self):
-        frames = [Frame(kind="control", duration_us=44.0, created_us=0.0)]
-        stats = DcfSimulator([Station(name="a", queue=frames)], rng=4).run(1e5)
-        assert len(stats.control_latencies_us) == 1
-        assert stats.control_latencies_us[0] > 0
+        result = run_scenario(
+            contention(control="explicit", n_stations=1, n_packets=1), rng=4
+        )
+        latencies = result.per_node["sta0"].control_latencies_us
+        assert len(latencies) == 1
+        assert latencies[0] > 0
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            DcfSimulator([Station(name="a"), Station(name="a")])
+        with pytest.raises(ValueError, match="unique"):
+            ScenarioSpec(name="dup", nodes=(NodeSpec("a"), NodeSpec("a")),
+                         flows=())
 
     def test_empty_station_list_rejected(self):
-        with pytest.raises(ValueError):
-            DcfSimulator([])
+        with pytest.raises(ValueError, match="at least one station"):
+            contention(n_stations=0)
 
     def test_idle_when_no_traffic(self):
-        stats = DcfSimulator([Station(name="a")], rng=5).run(1e4)
-        assert stats.airtime_us["idle"] == pytest.approx(1e4)
-        assert stats.delivered_frames == 0
+        result = run_scenario(_pair([]), rng=5)
+        assert result.airtime_us == {}
+        assert result.aggregate_goodput_mbps == 0.0
 
     def test_deterministic_given_seed(self):
         def run():
-            stations = [
-                Station(name=f"s{i}", queue=[_data_frame() for _ in range(20)])
-                for i in range(4)
-            ]
-            return DcfSimulator(stations, rng=7).run(2e5)
+            return run_scenario(contention(n_stations=4, n_packets=20), rng=7)
 
-        a, b = run(), run()
-        assert a.delivered_frames == b.delivered_frames
-        assert a.collisions == b.collisions
+        assert run().to_dict() == run().to_dict()

@@ -1,5 +1,6 @@
 """Unit tests for the repro.net building blocks (scheduler, topology, SINR)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from repro.net import (
     EventScheduler,
     FlowSpec,
+    InterfererSpec,
+    MobilitySpec,
     NodeSpec,
     RadioSpec,
     ReceptionModel,
@@ -210,6 +213,43 @@ class TestScenarioSpec:
         flows = (FlowSpec(src="a", dst="b", **{field: value}),)
         with pytest.raises(ValueError, match=f"flow {field} must be finite"):
             self._spec(flows=flows)
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("node b x", dict(nodes=(NodeSpec("a"), NodeSpec("b", math.nan)))),
+        ("node b y", dict(nodes=(NodeSpec("a"), NodeSpec("b", 1.0, math.inf)))),
+        ("mobility b waypoint t_us",
+         dict(mobility=(MobilitySpec("b", ((math.nan, 0.0, 0.0),)),))),
+        ("mobility b waypoint x",
+         dict(mobility=(MobilitySpec("b", ((0.0, math.nan, 0.0),)),))),
+        ("mobility b waypoint y",
+         dict(mobility=(MobilitySpec("b", ((0.0, 0.0, -math.inf),)),))),
+        ("interferer i x", dict(interferers=(InterfererSpec("i", x=math.nan),))),
+        ("interferer i y", dict(interferers=(InterfererSpec("i", y=math.nan),))),
+        ("interferer i power_dbm",
+         dict(interferers=(InterfererSpec("i", power_dbm=math.nan),))),
+        ("interferer i burst_us",
+         dict(interferers=(InterfererSpec("i", burst_us=math.nan),))),
+        ("interferer i period_us",
+         dict(interferers=(InterfererSpec("i", period_us=math.nan),))),
+        ("interferer i probability",
+         dict(interferers=(InterfererSpec("i", probability=math.nan),))),
+        ("interferer i probability",
+         dict(interferers=(InterfererSpec("i", probability=1.5),))),
+        ("interferer i start_us",
+         dict(interferers=(InterfererSpec("i", start_us=math.nan),))),
+        ("traffic start_us",
+         dict(traffic=(TrafficSpec(src="a", dst="b", start_us=math.nan),))),
+        ("traffic stop_us",
+         dict(traffic=(TrafficSpec(src="a", dst="b", stop_us=math.nan),))),
+    ])
+    def test_nan_and_infinite_fields_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            self._spec(**overrides)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RadioSpec)])
+    def test_nan_radio_fields_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            self._spec(radio=RadioSpec(**{field: math.nan}))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_duration_in_json_rejected(self, literal):

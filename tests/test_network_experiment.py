@@ -1,82 +1,95 @@
 """Tests for the network-level comparison experiment and the runner."""
 
+import copy
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main
+from repro.engine import store as store_mod
+from repro.engine.store import ResultStore
 from repro.experiments import network
 
 
-class TestNetworkExperiment:
-    def test_cos_never_loses_goodput(self):
-        result = network.run(station_counts=[2, 6])
-        assert result.cos_never_loses_goodput()
-        assert result.goodput_violations() == []
+@pytest.fixture(scope="module", autouse=True)
+def _shared_store(tmp_path_factory):
+    """One result store for the module: every ``network.run`` runs the
+    same hidden-node matrix, which the store then replays."""
+    store = ResultStore(tmp_path_factory.mktemp("store"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(store_mod, "_default_store", store)
+        mp.setattr(store_mod, "_default_explicit", True)
+        yield
 
-    def test_explicit_pays_airtime(self):
-        result = network.run(station_counts=[4])
-        assert result.explicit_control_airtime() > 0.02
-        assert result.cos[0].control_airtime_fraction == 0.0
+
+@pytest.fixture(scope="module")
+def small():
+    return network.run(station_counts=[2, 6], packets_per_station=20)
+
+
+def _fake(goodput_mbps, control_airtime_fraction=0.0):
+    """A stand-in for a :class:`repro.net.NetResult` of one ring run."""
+    return SimpleNamespace(aggregate_goodput_mbps=goodput_mbps,
+                           control_airtime_fraction=control_airtime_fraction)
+
+
+#: A hidden-node controller matrix on which every claim holds.
+PASSING_MATRIX = {"controllers": {
+    "cos-feedback": {"goodput_mbps": 20.0, "control_airtime_fraction": 0.0},
+    "explicit-feedback": {"goodput_mbps": 10.0,
+                          "control_airtime_fraction": 0.1},
+    "minstrel": {"goodput_mbps": 15.0, "control_airtime_fraction": 0.0},
+    "samplerate": {"goodput_mbps": 15.0, "control_airtime_fraction": 0.0},
+}}
+
+
+class TestNetworkExperiment:
+    def test_cos_never_loses_goodput(self, small):
+        claim = network.claims(small)[0]
+        assert claim.name == "cos_never_loses_goodput" and claim.holds
+        for e, c in zip(small.explicit, small.cos):
+            assert c.aggregate_goodput_mbps >= e.aggregate_goodput_mbps
+
+    def test_explicit_pays_airtime(self, small):
+        assert all(e.control_airtime_fraction > 0.02 for e in small.explicit)
+        assert all(c.control_airtime_fraction == 0.0 for c in small.cos)
 
     def test_lower_delivery_prob_costs_latency(self):
         good = network.run(station_counts=[4], cos_delivery_prob=0.99)
         bad = network.run(station_counts=[4], cos_delivery_prob=0.6)
         assert (
-            bad.cos[0].mean_control_latency_us
-            > good.cos[0].mean_control_latency_us
+            network.control_latency_us(bad.cos[0])
+            > network.control_latency_us(good.cos[0])
         )
 
-    def test_print_result(self, capsys):
-        result = network.run(station_counts=[2])
-        network.print_result(result)
+    def test_print_result(self, small, capsys):
+        network.print_result(small)
         out = capsys.readouterr().out
         assert "Network comparison" in out
+        assert "Rate-controller matrix on hidden-node" in out
         assert "FAIL" not in out
 
     def test_claim_names_failing_station_count(self):
-        from types import SimpleNamespace
-
-        fake = lambda mbps: SimpleNamespace(
-            goodput_mbps=mbps,
-            control_airtime_fraction=0.0,
-            mean_control_latency_us=0.0,
-        )
         result = network.NetworkComparisonResult(
             station_counts=[2, 3],
-            explicit=[fake(10.0), fake(10.0)],
-            cos=[fake(10.0), fake(5.0)],  # CoS clearly loses at 3 stations
+            explicit=[_fake(10.0), _fake(10.0)],
+            cos=[_fake(10.0), _fake(5.0)],  # CoS clearly loses at 3 stations
+            hidden_node=PASSING_MATRIX,
         )
-        assert not result.cos_never_loses_goodput()
         claim = network.claims(result)[0]
         assert claim.name == "cos_never_loses_goodput"
         assert not claim.holds
         assert claim.measured == "5 at 3 stations" and claim.bound == ">= 10"
 
     def test_goodput_claim_has_no_slack(self):
-        """The claim is ``cos_never_loses_goodput(rel_tol=0.0)``: a
-        shortfall inside GOODPUT_REL_TOL still fails it."""
-        from types import SimpleNamespace
-
-        fake = lambda mbps: SimpleNamespace(goodput_mbps=mbps,
-                                            control_airtime_fraction=0.0)
-        within = 10.0 * (1.0 - network.GOODPUT_REL_TOL / 2)
-        for cos_mbps in (within, 10.0):
+        """Any shortfall, however small, fails the claim."""
+        for cos_mbps, holds in ((10.0 * (1.0 - 1e-9), False), (10.0, True)):
             result = network.NetworkComparisonResult(
-                station_counts=[4], explicit=[fake(10.0)], cos=[fake(cos_mbps)]
+                station_counts=[4], explicit=[_fake(10.0)],
+                cos=[_fake(cos_mbps)], hidden_node=PASSING_MATRIX,
             )
-            claim = network.claims(result)[0]
-            assert claim.holds == result.cos_never_loses_goodput(rel_tol=0.0)
-            assert claim.holds == (cos_mbps == 10.0)
-
-    def test_relative_tolerance_is_named_and_relative(self):
-        from types import SimpleNamespace
-
-        fake = lambda mbps: SimpleNamespace(goodput_mbps=mbps)
-        # A shortfall inside the relative tolerance is not a violation.
-        within = 10.0 * (1.0 - network.GOODPUT_REL_TOL / 2)
-        result = network.NetworkComparisonResult(
-            station_counts=[4], explicit=[fake(10.0)], cos=[fake(within)]
-        )
-        assert result.cos_never_loses_goodput()
+            assert network.claims(result)[0].holds == holds
 
     def test_payload_and_rate_are_threaded(self):
         small = network.run(station_counts=[2], payload_octets=256,
@@ -85,7 +98,8 @@ class TestNetworkExperiment:
                             packets_per_station=20)
         # Larger payloads amortise MAC overhead: higher goodput.
         assert (
-            large.cos[0].goodput_mbps > small.cos[0].goodput_mbps
+            large.cos[0].aggregate_goodput_mbps
+            > small.cos[0].aggregate_goodput_mbps
         )
         slow = network.run(station_counts=[2], data_rate_mbps=6,
                            packets_per_station=20)
@@ -98,17 +112,27 @@ class TestNetworkExperiment:
             > slow.explicit[0].control_airtime_fraction
         )
 
-    def test_net_backend(self):
-        result = network.run(station_counts=[2], backend="net",
-                             packets_per_station=20)
-        assert result.backend == "net"
-        assert result.cos_never_loses_goodput()
-        assert result.explicit_control_airtime() > 0.02
-        assert result.cos[0].control_airtime_fraction == 0.0
+    def test_net_backend(self, small):
+        """Every ring cell is a repro.net run of the contention scenario
+        under its own control scheme."""
+        assert [r.scenario for r in small.cos] == ["contention-2", "contention-6"]
+        assert [r.control for r in small.explicit] == ["explicit", "explicit"]
+        assert [r.control for r in small.cos] == ["cos", "cos"]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            network.run(station_counts=[2], backend="warp")
+    def test_hidden_node_rows(self, small):
+        """The hidden-node controller matrix joins the goodput and airtime
+        claims as one more row, and CoS feedback beats the feedback-free
+        samplers there."""
+        claims = {c.name: c for c in network.claims(small)}
+        assert all(c.holds for c in claims.values())
+        assert claims["cos_beats_feedback_free"].measured.endswith("at hidden-node")
+        report = copy.deepcopy(small.hidden_node)
+        report["controllers"]["cos-feedback"]["goodput_mbps"] = 0.0
+        failed = {c.name: c for c in network.claims(
+            dataclasses.replace(small, hidden_node=report))}
+        for name in ("cos_never_loses_goodput", "cos_beats_feedback_free"):
+            assert not failed[name].holds
+            assert failed[name].measured == "0 at hidden-node"
 
 
 class TestRunner:

@@ -1,52 +1,42 @@
-"""Property-based tests for the DCF simulator and the control stream."""
+"""Property-based tests for the DCF MAC and the control stream."""
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cos.stream import ReliableControlReceiver, ReliableControlSender
-from repro.mac.dcf import DcfSimulator, Frame, Station
+from repro.net import run_scenario
+from repro.net.scenarios import contention
 
 
-def _stations(spec):
-    stations = []
-    for i, n_frames in enumerate(spec):
-        queue = [
-            Frame(kind="data", duration_us=200.0, payload_bits=1000)
-            for _ in range(n_frames)
-        ]
-        stations.append(Station(name=f"s{i}", queue=queue))
-    return stations
+def _ring(spec, seed):
+    """One contention ring, station ``i`` offering ``spec[i]`` frames."""
+    base = contention(n_stations=len(spec), n_packets=1)
+    flows = tuple(dataclasses.replace(flow, n_packets=n)
+                  for flow, n in zip(base.flows, spec))
+    return run_scenario(dataclasses.replace(base, flows=flows), rng=seed)
 
 
 class TestDcfProperties:
     @given(
-        st.lists(st.integers(0, 12), min_size=1, max_size=6),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_airtime_accounts_for_elapsed_time(self, spec, seed):
-        stats = DcfSimulator(_stations(spec), rng=seed).run(duration_us=5e4)
-        total = sum(stats.airtime_us.values())
-        assert total >= stats.elapsed_us * 0.95
-        assert stats.elapsed_us <= 5e4 + 1000  # bounded overshoot (one txop)
-
-    @given(
         st.lists(st.integers(1, 10), min_size=1, max_size=5),
         st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_delivered_never_exceeds_offered(self, spec, seed):
-        offered = sum(spec)
-        stats = DcfSimulator(_stations(spec), rng=seed).run(duration_us=1e6)
-        assert stats.delivered_frames + stats.drops <= offered
+        result = _ring(spec, seed)
+        for i, offered in enumerate(spec):
+            stats = result.per_node[f"sta{i}"]
+            assert stats.data_delivered + stats.data_dropped <= offered
 
     @given(st.integers(1, 30), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_single_station_never_collides(self, n_frames, seed):
-        stats = DcfSimulator(_stations([n_frames]), rng=seed).run(duration_us=1e6)
-        assert stats.collisions == 0
-        assert stats.delivered_frames == n_frames
+        stats = _ring([n_frames], seed).per_node["sta0"]
+        assert stats.failures == 0
+        assert stats.data_delivered == n_frames
 
 
 class TestStreamProperties:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.mac.overhead import BASE_RATE_MBPS
+from repro.mac.dcf import BASE_RATE_MBPS
 from repro.net import NetLens, builtin_scenario, run_scenario, run_scenario_sweep
 from repro.ratectl import (
     CONTROLLER_MATRIX,
