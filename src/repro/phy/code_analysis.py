@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.phy.convcode import PUNCTURE_PATTERNS
 from repro.phy.trellis import N_STATES, shared_trellis
@@ -105,6 +104,8 @@ def union_bound_ber(snr_per_bit_db: float, code_rate: Fraction = Fraction(1, 2))
     """
     if code_rate != Fraction(1, 2):
         raise ValueError("union bound tabulated for rate 1/2 only")
+    from scipy import special
+
     ebn0 = 10.0 ** (snr_per_bit_db / 10.0)
     p = 0.5 * special.erfc(np.sqrt(float(code_rate) * ebn0))
     p = min(max(p, 1e-300), 0.5)

@@ -1,12 +1,11 @@
 """scipy is loaded only by the code that calls it.
 
-``import repro``, the network stack, the engine and every ``repro net``
-command never call scipy, so they must not import it: importing it
-costs them more start-up time and memory than the network stack itself
-(see "Start-up and footprint" in docs/performance.md).  A fading channel
-needs ``scipy.special.j0`` and resolves it when it is built, so link
-workloads pay the import in set-up rather than in their first
-``advance()``.
+``import repro``, the network stack, the engine, the link layer and every
+``repro`` command never call scipy, so they must not import it:
+importing it costs them more start-up time and memory than the network
+stack itself (see "Start-up and footprint" in docs/performance.md).  The
+fading channel's Jakes correlation computes Bessel J0 itself, so building,
+evolving and sending over an ``IndoorChannel`` load no scipy either.
 
 Each check runs in a fresh interpreter, since this test session has
 long since imported scipy.
@@ -31,6 +30,7 @@ SCIPY_FREE_IMPORTS = (
     "repro.analysis",
     "repro.experiments",
     "repro.cli",
+    "repro.phy.code_analysis",
 )
 
 
@@ -73,10 +73,13 @@ def test_net_commands_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "compare.json").read_text())
 
 
-def test_fading_channel_resolves_j0_when_built(tmp_path):
+def test_fading_channel_and_cos_link_load_no_scipy(tmp_path):
     code = (
-        "import sys\n"
-        "from repro.channel import IndoorChannel\n"
-        "assert 'scipy.special' not in sys.modules\n"
-        "IndoorChannel.position('A', snr_db=20, seed=0)\n")
-    assert "scipy.special" in _loaded_scipy(code, tmp_path)
+        "from repro import CosLink, IndoorChannel\n"
+        "channel = IndoorChannel.position('A', snr_db=20, seed=0)\n"
+        "channel.evolve(1e-3)\n"
+        "channel.evolve(0.02)\n"
+        "link = CosLink(channel=channel)\n"
+        "for _ in range(3):\n"
+        "    link.exchange(payload=bytes(range(100)), control_bits=[0, 1, 1, 0])\n")
+    assert _loaded_scipy(code, tmp_path) == []

@@ -1,14 +1,58 @@
 """Unit tests for temporal channel evolution."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.channel import IndoorChannel
 from repro.channel.multipath import TappedDelayLine
 from repro.channel.temporal import (
     GaussMarkovEvolution,
+    _j0,
     doppler_for_speed,
     jakes_correlation,
 )
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _with_neighbours(points):
+    """Each point and the doubles one ulp either side of it."""
+    return [y for x in points
+            for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+class TestJ0MatchesScipy:
+    """The Cephes port returns scipy's double exactly, not approximately."""
+
+    @pytest.fixture(scope="class")
+    def scipy_j0(self):
+        return pytest.importorskip("scipy.special").j0
+
+    def _assert_identical(self, xs, scipy_j0):
+        mismatches = [x for x in xs if _j0(x) != float(scipy_j0(x))]
+        assert mismatches == []
+
+    def test_branch_boundaries_and_their_neighbours(self, scipy_j0):
+        xs = _with_neighbours([0.0, 1e-5, 5.0])
+        self._assert_identical(xs + [-x for x in xs], scipy_j0)
+
+    def test_asymptotic_branch_up_to_1e6(self, scipy_j0):
+        self._assert_identical(np.geomspace(5.0, 1e6, 4000).tolist(), scipy_j0)
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1e-5), (1e-5, 5.0), (5.0, 1e3)])
+    def test_seeded_sweep_of_each_branch(self, low, high, scipy_j0):
+        xs = np.random.default_rng(2017).uniform(low, high, 20_000)
+        self._assert_identical(xs.tolist() + (-xs).tolist(), scipy_j0)
+
+    @pytest.mark.parametrize("doppler_hz", [12.2, 1.0])
+    @pytest.mark.parametrize("tau_s", [1e-4, 1e-3, 0.010, 0.020, 0.030, 0.040])
+    def test_harness_lags(self, tau_s, doppler_hz, scipy_j0):
+        rho = jakes_correlation(tau_s, doppler_hz)
+        assert type(rho) is float
+        assert -0.41 < rho <= 1.0  # J0's global minimum is -0.4028
+        assert rho == float(scipy_j0(2.0 * np.pi * doppler_hz * tau_s))
 
 
 class TestJakes:
@@ -30,6 +74,11 @@ class TestJakes:
         with pytest.raises(ValueError):
             doppler_for_speed(-1.0)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_lag_rejected(self, bad):
+        with pytest.raises(ValueError, match="tau_s"):
+            jakes_correlation(bad, 12.0)
+
 
 class TestGaussMarkov:
     def test_zero_tau_no_change(self, rng):
@@ -42,6 +91,32 @@ class TestGaussMarkov:
         evo = GaussMarkovEvolution(tdl=TappedDelayLine.identity(), rng=rng)
         with pytest.raises(ValueError):
             evo.advance(-1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_tau_rejected(self, rng, bad):
+        tdl = TappedDelayLine.from_profile(4, 1.0, rng)
+        taps = tdl.taps.copy()
+        evo = GaussMarkovEvolution(tdl=tdl, rng=rng)
+        with pytest.raises(ValueError, match="tau_s"):
+            evo.advance(bad)
+        assert np.array_equal(tdl.taps, taps)
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [-1.0])
+    def test_bad_doppler_rejected(self, rng, bad):
+        with pytest.raises(ValueError, match="doppler_hz"):
+            GaussMarkovEvolution(tdl=TappedDelayLine.identity(), doppler_hz=bad, rng=rng)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_channel_evolve_rejects_non_finite_tau(self, bad):
+        channel = IndoorChannel.position("A", snr_db=15.0, seed=3)
+        with pytest.raises(ValueError, match="tau_s"):
+            channel.evolve(bad)
+        assert math.isfinite(channel.measured_snr_db)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_channel_rejects_non_finite_doppler(self, bad):
+        with pytest.raises(ValueError, match="doppler_hz"):
+            IndoorChannel.position("A", snr_db=15.0, seed=3, doppler_hz=bad)
 
     def test_small_tau_small_change(self, rng):
         tdl = TappedDelayLine.from_profile(4, 1.0, rng)
