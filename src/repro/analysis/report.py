@@ -26,7 +26,7 @@ def _capture(fn: Callable[[], None]) -> str:
 
 
 def generate_report(stages: Optional[List[str]] = None,
-                    workers: Optional[int] = None) -> str:
+                    workers: int = 0) -> str:
     """Run the requested experiment stages and return a markdown report.
 
     ``stages`` names entries of :data:`repro.experiments.runner.STAGES`
@@ -56,7 +56,7 @@ def generate_report(stages: Optional[List[str]] = None,
 
 
 def write_report(path: Union[str, Path], stages: Optional[List[str]] = None,
-                 workers: Optional[int] = None) -> Path:
+                 workers: int = 0) -> Path:
     """Generate and write the report; returns the path written."""
     path = Path(path)
     path.write_text(generate_report(stages, workers=workers))

@@ -10,6 +10,7 @@ channel realisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,8 +59,10 @@ class IndoorChannel:
     cfo_hz: float = 0.0  # residual carrier frequency offset between the radios
 
     def __post_init__(self):
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be non-negative")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValueError(
+                f"noise_var must be finite and non-negative, got {self.noise_var}"
+            )
         self.rng = make_rng(self.rng)
         self._evolution = GaussMarkovEvolution(
             tdl=self.tdl, doppler_hz=self.doppler_hz, rng=self.rng
@@ -104,6 +107,8 @@ class IndoorChannel:
 
     @staticmethod
     def _solve_noise_var(tdl: TappedDelayLine, snr_db: float, reference: str) -> float:
+        if not math.isfinite(snr_db):
+            raise ValueError(f"snr_db must be finite, got {snr_db}")
         gains = np.abs(tdl.frequency_response()[DATA_BINS]) ** 2
         gains = np.maximum(gains, _TINY)
         if reference == "measured":

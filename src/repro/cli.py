@@ -12,8 +12,8 @@ Commands
     change the exit status); an unknown stage name exits 2 and lists
     the valid ones (as does ``report --stages``).
     ``--workers N`` executes trials on an N-process pool via
-    :mod:`repro.engine` (default: the ``REPRO_WORKERS`` environment
-    flag, else serial); results are bit-for-bit identical either way.
+    :mod:`repro.engine` (default 0: serial); results are bit-for-bit
+    identical either way.
 ``link --snr DB --position P --packets N``
     Run a closed-loop CoS session and print its statistics.  With
     ``--trace-out trace.jsonl`` every stage span and one ``cos.exchange``
@@ -39,11 +39,9 @@ Commands
     are bit-for-bit identical.
     ``--fidelity table|surrogate`` overrides how CoS message delivery
     is decided (analytic operating points or the measured-PHY surrogate
-    table).  ``--controller NAME``
-    swaps the rate controller (:mod:`repro.ratectl`, default
-    ``snr-threshold``;
-    ``REPRO_CONTROLLER`` is the env fallback, ``net list`` prints the
-    set) and ``--error-model sigmoid|surrogate`` switches data-frame
+    table).  ``--controller NAME`` swaps the rate controller
+    (:mod:`repro.ratectl`, default: the scenario's; ``net list`` prints
+    the set) and ``--error-model sigmoid|surrogate`` switches data-frame
     fates between the analytic sigmoid and the measured-PHY PRR
     curves.
 ``net compare [--scenario S ...] [--controllers a,b] [--trials N]``
@@ -52,11 +50,10 @@ Commands
     print one comparison table per scenario; ``--json`` exports the
     report(s).
 ``net tables build|inspect``
-    Build (``--quick`` for a smoke-test grid, ``--out`` to redirect,
-    ``--profile A|B|C`` for the paper's measurement positions) or
+    Build (``--quick`` for a smoke-test grid, ``--out`` to redirect) or
     summarise the measured-PHY surrogate table that
-    ``cos_fidelity="surrogate"`` replays; the active default honours
-    the ``REPRO_SURROGATE_TABLE`` environment override.
+    ``cos_fidelity="surrogate"`` replays (the committed position-A
+    table).
 ``obs summarize trace.jsonl``
     Analyse a recorded trace offline: per-stage latency percentiles
     (for a net run, per scheduler callback), exchange span coverage,
@@ -76,11 +73,10 @@ Every output-path flag (``--json``, ``--trace-out``, ``--ledger-out``)
 takes ``-`` for stdout; ``--trace-out -`` streams the JSONL records
 there as they are emitted.
 
-Sweep-running commands (``experiments``, ``report``, ``net run``) accept
-``--store [DIR]`` to cache trial results in a content-addressed store
-(re-runs replay completed trials bit-for-bit) and ``--no-store`` to
-force caching off; the ``REPRO_STORE=<dir>`` environment flag is the
-flagless equivalent of ``--store DIR``.  Default: off.
+Sweep-running commands (``experiments``, ``report``, ``net run``,
+``net compare``) accept ``--store [DIR]`` to cache trial results in a
+content-addressed store (re-runs replay completed trials bit-for-bit).
+Default: off.  A negative ``--workers`` exits 2.
 """
 
 from __future__ import annotations
@@ -113,26 +109,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="print rate tables and channel profiles")
 
-    def add_store_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
+    def add_store_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
             "--store", nargs="?", const=".repro-store", default=None,
             metavar="DIR",
             help="cache trial results in a content-addressed store at DIR "
                  "(default: .repro-store); re-runs replay completed trials "
-                 "bit-for-bit.  REPRO_STORE=<dir> is the env equivalent",
-        )
-        group.add_argument(
-            "--no-store", action="store_true",
-            help="disable the trial result store (overrides REPRO_STORE)",
+                 "bit-for-bit",
         )
 
+    def add_workers_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="trial-engine worker processes (default: 0, "
+                            "serial)")
+
     exp = sub.add_parser("experiments", help="run figure harnesses")
-    add_store_flags(exp)
+    add_store_flag(exp)
     exp.add_argument("figures", nargs="*", help="subset, e.g. fig2 fig9 ablations")
-    exp.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="trial-engine worker processes (0 = serial; "
-                          "default: REPRO_WORKERS or serial)")
+    add_workers_flag(exp)
 
     from repro.net import COS_FIDELITIES, ERROR_MODELS
 
@@ -159,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_run.add_argument("--trials", type=int, default=1, metavar="N",
                          help="independent trials (engine sweep)")
     net_run.add_argument("--seed", type=int, default=0)
-    net_run.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="trial-engine worker processes (0 = serial; "
-                              "default: REPRO_WORKERS or serial)")
+    add_workers_flag(net_run)
     net_run.add_argument("--json", default=None, metavar="PATH",
                          help="write the mean-over-trials summary as JSON "
                               "('-' for stdout)")
@@ -181,13 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     net_run.add_argument("--controller", default=None, metavar="NAME",
                          help="rate controller (repro.ratectl), e.g. "
                               "minstrel, samplerate, snr-threshold; default: "
-                              "REPRO_CONTROLLER or the scenario's "
-                              "controller")
+                              "the scenario's controller")
     net_run.add_argument("--error-model", choices=ERROR_MODELS,
                          default=None, dest="error_model",
                          help="override how data-frame fates are drawn "
                               "(surrogate = measured-PHY PRR curves)")
-    add_store_flags(net_run)
+    add_store_flag(net_run)
 
     net_cmp = net_sub.add_parser(
         "compare", help="run the rate-controller matrix over a scenario"
@@ -203,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_cmp.add_argument("--trials", type=int, default=3, metavar="N",
                          help="independent trials per cell (default: 3)")
     net_cmp.add_argument("--seed", type=int, default=0)
-    net_cmp.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="trial-engine worker processes (0 = serial; "
-                              "default: REPRO_WORKERS or serial)")
+    add_workers_flag(net_cmp)
     net_cmp.add_argument("--error-model", choices=ERROR_MODELS,
                          default="surrogate", dest="error_model",
                          help="frame-fate error model for every cell "
@@ -213,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_cmp.add_argument("--json", default=None, metavar="PATH",
                          help="write the comparison report as JSON "
                               "('-' for stdout)")
-    add_store_flags(net_cmp)
+    add_store_flag(net_cmp)
 
     net_tables = net_sub.add_parser(
         "tables", help="build/inspect measured-PHY surrogate tables"
@@ -228,19 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     t_build.add_argument("--quick", action="store_true",
                          help="coarse grid, few packets — a smoke-test "
                               "build, not a committable table")
-    t_build.add_argument("--profile", choices=["A", "B", "C"], default=None,
-                         help="channel severity profile to sweep (default: "
-                              "A — the committed default table; B/C write "
-                              "profile-suffixed tables next to it)")
-    t_build.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="trial-engine worker processes (0 = serial; "
-                              "default: REPRO_WORKERS or serial)")
+    add_workers_flag(t_build)
     t_inspect = tables_sub.add_parser(
         "inspect", help="summarise a surrogate table"
     )
     t_inspect.add_argument("path", nargs="?", default=None,
-                           help="table JSON (default: the active default "
-                                "table, honouring REPRO_SURROGATE_TABLE)")
+                           help="table JSON (default: the committed "
+                                "default table)")
 
     link = sub.add_parser("link", help="run a closed-loop CoS session")
     link.add_argument("--snr", type=float, default=15.0, help="measured SNR in dB")
@@ -274,10 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("path", nargs="?", default="RESULTS.md")
     report.add_argument("--stages", nargs="+", default=None,
                         help="subset, e.g. fig2 waterfall (default: all)")
-    report.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="trial-engine worker processes (0 = serial; "
-                             "default: REPRO_WORKERS or serial)")
-    add_store_flags(report)
+    add_workers_flag(report)
+    add_store_flag(report)
     return parser
 
 
@@ -374,8 +355,8 @@ def _cmd_info() -> int:
     return 0
 
 
-def _apply_store_flags(args) -> None:
-    """Install the process-wide default result store per --store/--no-store.
+def _apply_store_flag(args) -> None:
+    """Install the process-wide default result store per --store.
 
     Harnesses call the engine with ``store=None`` (defer to the default),
     so setting the default here threads the store through every sweep the
@@ -383,19 +364,37 @@ def _apply_store_flags(args) -> None:
     """
     from repro.engine.store import ResultStore, set_default_store
 
-    log = logging.getLogger("repro.cli")
-    if getattr(args, "no_store", False):
-        set_default_store(None)
-    elif getattr(args, "store", None):
+    if args.store:
         store = ResultStore(args.store)
         set_default_store(store)
-        log.info("trial result store: %s", store.root)
+        logging.getLogger("repro.cli").info("trial result store: %s",
+                                            store.root)
+
+
+def _load_scenario(name: str, log):
+    """The scenario ``name`` names: a ScenarioSpec JSON file if that path
+    exists, else a built-in.  None (with the error logged) if neither."""
+    from repro.net import BUILTIN_SCENARIOS, ScenarioSpec, builtin_scenario
+
+    if os.path.exists(name):
+        try:
+            return ScenarioSpec.load(name)
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            log.error("invalid scenario file %s: %s", name, exc)
+            return None
+    if name in BUILTIN_SCENARIOS:
+        return builtin_scenario(name)
+    log.error(
+        "%r is neither a scenario file nor a built-in (see 'repro net list')",
+        name,
+    )
+    return None
 
 
 def _cmd_experiments(args) -> int:
     from repro.experiments import runner
 
-    _apply_store_flags(args)
+    _apply_store_flag(args)
     return runner.run(args.figures, args.workers)
 
 
@@ -408,8 +407,7 @@ def _cmd_net_tables(args, log) -> int:
     from repro.phy import surrogate
 
     if args.tables_command == "build":
-        profile = args.profile or "A"
-        spec = surrogate.profile_spec(profile)
+        spec = surrogate.SurrogateSpec()
         if args.quick:
             # A sanity-check build: tiny probes on a coarse grid.  The
             # spec hash keeps it from masquerading as the default table.
@@ -417,7 +415,7 @@ def _cmd_net_tables(args, log) -> int:
                 spec, channel_seeds=(0,), n_packets=8, sinr_step_db=8.0,
                 cos_n_packets=4,
             )
-        out = args.out or surrogate.profile_table_path(profile)
+        out = args.out or surrogate.default_table_path()
         table = surrogate.build_surrogate_table(spec, workers=args.workers)
         table.save(out)
         log.info(
@@ -475,10 +473,8 @@ def _cmd_net_compare(args, log) -> int:
     import json
 
     from repro.experiments.common import print_table
-    from repro.net import BUILTIN_SCENARIOS, ScenarioSpec, builtin_scenario
     from repro.ratectl import CONTROLLER_MATRIX, compare_controllers, \
         comparison_rows
-    from repro.utils.env import env_int
 
     if args.trials < 1:
         log.error("--trials must be at least 1 (got %d)", args.trials)
@@ -490,34 +486,18 @@ def _cmd_net_compare(args, log) -> int:
         )
     specs = []
     for name in (args.scenario or ["hidden-node"]):
-        if os.path.exists(name):
-            try:
-                specs.append(ScenarioSpec.load(name))
-            except (ValueError, TypeError, KeyError,
-                    json.JSONDecodeError) as exc:
-                log.error("invalid scenario file %s: %s", name, exc)
-                return 2
-        elif name in BUILTIN_SCENARIOS:
-            specs.append(builtin_scenario(name))
-        else:
-            log.error(
-                "%r is neither a scenario file nor a built-in "
-                "(see 'repro net list')", name,
-            )
+        spec = _load_scenario(name, log)
+        if spec is None:
             return 2
-    _apply_store_flags(args)
-    workers = args.workers
-    if workers is None:
-        workers = env_int("REPRO_WORKERS", 0)
-        if workers:
-            log.info("using REPRO_WORKERS=%d worker processes", workers)
+        specs.append(spec)
+    _apply_store_flag(args)
 
     reports = []
     for spec in specs:
         try:
             report = compare_controllers(
                 spec, controllers=controllers, n_trials=args.trials,
-                seed=args.seed, workers=workers,
+                seed=args.seed, workers=args.workers,
                 error_model=args.error_model,
             )
         except ValueError as exc:
@@ -545,15 +525,9 @@ def _cmd_net(args) -> int:
     import json
 
     from repro.experiments.common import print_table
-    from repro.net import (
-        BUILTIN_SCENARIOS,
-        ScenarioSpec,
-        builtin_scenario,
-        run_scenario_sweep,
-        summarize_results,
-    )
+    from repro.net import BUILTIN_SCENARIOS, run_scenario_sweep, \
+        summarize_results
     from repro.net.traffic import mean_rate_pps
-    from repro.utils.env import env_int, env_str
 
     log = logging.getLogger("repro.cli")
 
@@ -581,7 +555,7 @@ def _cmd_net(args) -> int:
             rows,
             title="Built-in repro.net scenarios",
         )
-        print("rate controllers (--controller / REPRO_CONTROLLER): "
+        print("rate controllers (--controller): "
               + ", ".join(available_controllers()))
         return 0
 
@@ -594,63 +568,37 @@ def _cmd_net(args) -> int:
     if args.trials < 1:
         log.error("--trials must be at least 1 (got %d)", args.trials)
         return 2
-    if os.path.exists(args.scenario):
-        try:
-            spec = ScenarioSpec.load(args.scenario)
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-            log.error("invalid scenario file %s: %s", args.scenario, exc)
-            return 2
-    elif args.scenario in BUILTIN_SCENARIOS:
-        spec = builtin_scenario(args.scenario)
-    else:
-        log.error(
-            "%r is neither a scenario file nor a built-in (see 'repro net list')",
-            args.scenario,
-        )
+    spec = _load_scenario(args.scenario, log)
+    if spec is None:
         return 2
-    _apply_store_flags(args)
+    _apply_store_flag(args)
     if args.control is not None:
         spec = spec.with_control(args.control)
     if args.medium is not None:
         spec = spec.with_medium(args.medium)
     if args.fidelity is not None:
         spec = spec.with_fidelity(args.fidelity)
-    # --controller falls back to the REPRO_CONTROLLER environment flag;
-    # reject unknown names here so the error names the available set
-    # before any sweep starts.
-    controller = args.controller
-    if controller is None:
-        controller = env_str("REPRO_CONTROLLER")
-        if controller:
-            log.info("using REPRO_CONTROLLER=%s", controller)
-    if controller:
+    # Reject an unknown --controller here so the error names the
+    # available set before any sweep starts.
+    if args.controller:
         from repro.ratectl import available_controllers
 
-        if controller not in available_controllers():
+        if args.controller not in available_controllers():
             log.error(
                 "unknown rate controller %r; available: %s",
-                controller, ", ".join(available_controllers()),
+                args.controller, ", ".join(available_controllers()),
             )
             return 2
-        spec = spec.with_controller(controller)
+        spec = spec.with_controller(args.controller)
     if args.error_model is not None:
         spec = spec.with_error_model(args.error_model)
-
-    # --workers falls back to the REPRO_WORKERS environment flag (the
-    # same resolution the engine applies; made explicit here so the CLI
-    # log line reflects the effective value).
-    workers = args.workers
-    if workers is None:
-        workers = env_int("REPRO_WORKERS", 0)
-        if workers:
-            log.info("using REPRO_WORKERS=%d worker processes", workers)
 
     # Either observability export needs a NetLens riding every trial.
     lens = bool(args.ledger_out or args.trace_out)
     session = _open_trace(args.trace_out)
     try:
         results = run_scenario_sweep(
-            spec, n_trials=args.trials, seed=args.seed, workers=workers,
+            spec, n_trials=args.trials, seed=args.seed, workers=args.workers,
             lens=lens,
         )
     finally:
@@ -759,6 +707,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "workers", 0):
+        from repro.engine import make_executor
+
+        try:
+            make_executor(args.workers)  # the engine's check of the count
+        except ValueError as exc:
+            logging.getLogger("repro.cli").error("%s", exc)
+            return 2
     if args.command == "info":
         return _cmd_info()
     if args.command == "experiments":
@@ -778,7 +734,7 @@ def _dispatch(args) -> int:
         except ValueError as exc:
             logging.getLogger("repro.cli").error("%s", exc)
             return 2
-        _apply_store_flags(args)
+        _apply_store_flag(args)
         path = write_report(args.path, stages=args.stages, workers=args.workers)
         print(f"wrote {path}")
         return 0

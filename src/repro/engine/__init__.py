@@ -4,7 +4,7 @@ Every experiment harness is a Monte-Carlo sweep; this package is the one
 trial loop they all share.  Define a sweep as a list of param dicts,
 turn it into seeded :class:`TrialSpec`\\ s, hand a module-level trial
 function to :func:`run_trials`, and pick an executor with ``workers``
-(``0`` = serial, ``N`` = process pool, ``None`` = ``REPRO_WORKERS``)::
+(``0`` = serial, the default; ``N`` = a pool of N processes)::
 
     from repro import engine
 
@@ -14,7 +14,7 @@ function to :func:`run_trials`, and pick an executor with ``workers``
 
     results = engine.run_sweep(
         [{"snr": s} for s in snr_grid], _trial,
-        seed=7, workers=None, label="fig2",
+        seed=7, workers=2, label="fig2",
     )
 
 Guarantees (see ``docs/engine.md`` for the full contract):
@@ -28,7 +28,7 @@ Guarantees (see ``docs/engine.md`` for the full contract):
 * **Reuse** — per-worker ``init`` hook plus :func:`worker_state` for
   expensive objects (one PHY per process, not one per call);
 * **Resumability** — the content-addressed :class:`ResultStore`
-  (``store=`` argument, ``REPRO_STORE`` environment flag, or the CLI's
+  (``store=`` argument, :func:`set_default_store`, or the CLI's
   ``--store``) replays completed trials from disk bit-for-bit so re-runs
   only execute the delta.
 """
@@ -37,9 +37,7 @@ from repro.engine.core import run_sweep, run_trials
 from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
-    default_workers,
     make_executor,
-    resolve_workers,
 )
 from repro.engine.spec import TrialError, TrialSpec, make_specs
 from repro.engine.store import (
@@ -59,8 +57,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "make_executor",
-    "default_workers",
-    "resolve_workers",
     "worker_state",
     "ResultStore",
     "get_default_store",

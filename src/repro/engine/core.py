@@ -2,8 +2,7 @@
 
 The engine owns everything the hand-rolled loops used to duplicate:
 
-* executor selection (serial / process pool, ``--workers`` /
-  ``REPRO_WORKERS``);
+* executor selection (serial / process pool, ``--workers``);
 * deterministic per-trial seeding (:func:`~repro.engine.spec.make_specs`);
 * result ordering — chunks complete in any order, results come back in
   spec order;
@@ -28,7 +27,7 @@ import logging
 import time
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.executors import make_executor, resolve_workers
+from repro.engine.executors import make_executor
 from repro.engine.spec import TrialError, TrialSpec, make_specs
 from repro.engine.store import ResultStore, resolve_store
 from repro.obs.metrics import get_registry
@@ -49,12 +48,12 @@ def run_trials(
     fn: Callable[[TrialSpec], Any],
     executor=None,
     *,
-    workers: Optional[int] = None,
+    workers: int = 0,
     init: Optional[Callable[..., Any]] = None,
     init_args: Tuple = (),
     chunk_size: Optional[int] = None,
     label: str = "trials",
-    store: "ResultStore | bool | None" = None,
+    store: Optional[ResultStore] = None,
 ) -> List[Any]:
     """Execute ``fn`` over ``specs``; return results in spec order.
 
@@ -63,17 +62,18 @@ def run_trials(
     Under that contract the output is bit-for-bit identical for every
     executor.
 
-    Pass either a prebuilt ``executor`` or ``workers`` (``None`` defers
-    to ``REPRO_WORKERS``; ``0`` is serial).  ``init`` runs once per
-    worker process (and once in-process for serial) to populate
+    Pass either a prebuilt ``executor`` or ``workers`` (``0``, the
+    default, is serial; ``N`` is a pool of N processes).  ``init`` runs
+    once per worker process (and once in-process for serial) to populate
     :func:`~repro.engine.worker.worker_state` with reusable objects.
 
     ``store`` selects the content-addressed result cache
     (:mod:`repro.engine.store`): ``None`` defers to the default store
-    (off unless ``REPRO_STORE``/the CLI enabled one), ``False`` forces
-    caching off, or pass a :class:`ResultStore`.  Cached trials replay
-    bit-for-bit without executing; only the delta runs.  Trials whose
-    params cannot be hashed deterministically simply always execute.
+    (off unless :func:`~repro.engine.store.set_default_store` or the
+    CLI's ``--store`` installed one), or pass a :class:`ResultStore`.
+    Cached trials replay bit-for-bit without executing; only the delta
+    runs.  Trials whose params cannot be hashed deterministically simply
+    always execute.
 
     Raises :class:`~repro.engine.spec.TrialError` on the first failing
     trial, carrying its index, params, seed entropy, and traceback.
@@ -148,12 +148,12 @@ def run_sweep(
     fn: Callable[[TrialSpec], Any],
     *,
     seed: Union[int, None] = 0,
-    workers: Optional[int] = None,
+    workers: int = 0,
     init: Optional[Callable[..., Any]] = None,
     init_args: Tuple = (),
     chunk_size: Optional[int] = None,
     label: str = "sweep",
-    store: "ResultStore | bool | None" = None,
+    store: Optional[ResultStore] = None,
 ) -> List[Any]:
     """``make_specs`` + :func:`run_trials` in one call (the common case)."""
     return run_trials(
@@ -184,8 +184,3 @@ def _log_progress(
         elapsed, eta, workers,
     )
     return now
-
-
-# Re-exported convenience: resolve_workers is part of the public surface
-# (the CLI and benchmarks use it to echo the effective worker count).
-resolve_workers = resolve_workers

@@ -9,9 +9,11 @@ backends while trial *results* cannot; the core reassembles by index.
 
 ``workers`` semantics, everywhere in the engine:
 
-* ``None`` — read ``REPRO_WORKERS`` (default 0);
-* ``0`` — serial, in the calling process (the reference executor);
+* ``0`` (the default) — serial, in the calling process (the reference
+  executor);
 * ``N >= 1`` — a pool of N worker processes.
+
+A negative count is an error (:class:`ValueError` naming the value).
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ from repro.engine.worker import (
     run_chunk,
     worker_initializer,
 )
-from repro.utils.env import env_int
 
 __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
-    "default_workers",
-    "resolve_workers",
     "make_executor",
 ]
 
@@ -41,30 +40,20 @@ __all__ = [
 _CHUNKS_PER_WORKER = 4
 
 
-def default_workers() -> int:
-    """Worker count requested via the ``REPRO_WORKERS`` environment flag."""
-    return max(env_int("REPRO_WORKERS", 0), 0)
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    """Explicit argument wins; ``None`` defers to ``REPRO_WORKERS``."""
-    if workers is None:
-        return default_workers()
-    return max(int(workers), 0)
-
-
 def make_executor(
-    workers: Optional[int] = None,
+    workers: int = 0,
     *,
     init: Optional[Callable[..., Any]] = None,
     init_args: Tuple = (),
     chunk_size: Optional[int] = None,
 ):
     """Build the executor implied by ``workers`` (see module docstring)."""
-    n = resolve_workers(workers)
-    if n == 0:
+    if workers < 0:
+        raise ValueError(f"workers must be 0 (serial) or more, got {workers}")
+    if workers == 0:
         return SerialExecutor(init=init, init_args=init_args, chunk_size=chunk_size)
-    return ProcessExecutor(n, init=init, init_args=init_args, chunk_size=chunk_size)
+    return ProcessExecutor(workers, init=init, init_args=init_args,
+                           chunk_size=chunk_size)
 
 
 def _chunk(specs: Sequence[TrialSpec], size: int) -> List[List[TrialSpec]]:

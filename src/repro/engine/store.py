@@ -77,11 +77,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.utils.env import env_str
-
 __all__ = [
     "STORE_SCHEMA",
-    "STORE_ENV",
     "UncacheableSpec",
     "canonical",
     "canonical_json",
@@ -101,9 +98,6 @@ log = logging.getLogger("repro.engine.store")
 #: whose zero-silence baseline fails carries no Rm instead of Rm = 0 at
 #: PRR 1.
 STORE_SCHEMA = 3
-
-#: Environment flag: a directory path enables the default store.
-STORE_ENV = "REPRO_STORE"
 
 
 class UncacheableSpec(ValueError):
@@ -508,65 +502,27 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Default-store resolution (CLI / env plumbing)
+# Default store (the CLI's --store)
 # ---------------------------------------------------------------------------
 
 _default_store: Optional[ResultStore] = None
-_default_explicit = False
-_env_store: Optional[ResultStore] = None
-_env_path: Optional[str] = None
 
 
 def set_default_store(store: Optional[ResultStore]) -> Optional[ResultStore]:
-    """Install the process-wide default store (None disables caching).
-
-    An explicit setting — including ``None`` — overrides the
-    ``REPRO_STORE`` environment flag until the next call.
-    """
-    global _default_store, _default_explicit
-    previous = get_default_store()
+    """Install the process-wide default store (None disables caching);
+    return the one it replaces."""
+    global _default_store
+    previous = _default_store
     _default_store = store
-    _default_explicit = True
     return previous
 
 
 def get_default_store() -> Optional[ResultStore]:
-    """The default store: whatever :func:`set_default_store` installed,
-    else a store at ``$REPRO_STORE`` when that flag names a directory.
-
-    The environment flag is re-read on every call (tests and subprocess
-    workers change it); the resulting store instance is cached per path
-    so hit/miss counters accumulate across sweeps.
-    """
-    global _env_store, _env_path
-    if _default_explicit:
-        return _default_store
-    path = env_str(STORE_ENV)
-    if not path:
-        return None
-    if _env_store is None or _env_path != path:
-        _env_store = ResultStore(path)
-        _env_path = path
-    return _env_store
+    """The store :func:`set_default_store` installed (None: caching off)."""
+    return _default_store
 
 
-def resolve_store(store: Union[ResultStore, bool, None]) -> Optional[ResultStore]:
-    """Engine-side resolution of a ``store=`` argument.
-
-    ``None`` defers to the default store (off unless ``REPRO_STORE`` or
-    the CLI enabled it); ``False`` forces caching off; ``True`` requires
-    a configured default; a :class:`ResultStore` is used as-is.
-    """
-    if store is None:
-        return get_default_store()
-    if store is False:
-        return None
-    if store is True:
-        configured = get_default_store()
-        if configured is None:
-            raise ValueError(
-                "store=True but no default store is configured; "
-                f"set {STORE_ENV}=<dir> or pass a ResultStore"
-            )
-        return configured
-    return store
+def resolve_store(store: Optional[ResultStore]) -> Optional[ResultStore]:
+    """Engine-side resolution of a ``store=`` argument: a
+    :class:`ResultStore` is used as-is, ``None`` defers to the default."""
+    return get_default_store() if store is None else store

@@ -147,7 +147,7 @@ def run_placement(
     rate_mbps: int = 18,
     n_packets: int = 120,
     groups_grid: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> PlacementResult:
     config = config or ExperimentConfig()
     if groups_grid is None:
@@ -196,7 +196,7 @@ def run_evd(
     rate_mbps: int = 18,
     n_packets: int = 120,
     groups_grid: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> EvdResult:
     config = config or ExperimentConfig()
     if groups_grid is None:
@@ -523,7 +523,7 @@ class AblationsResult:
     flashback: List[tuple]
 
 
-def run(workers: Optional[int] = None) -> AblationsResult:
+def run(workers: int = 0) -> AblationsResult:
     """Run every study at its paper-scale budget (``workers`` drives the
     placement and EVD sweeps; the other studies are serial loops)."""
     return AblationsResult(

@@ -1,6 +1,6 @@
 """Shared infrastructure for the per-figure experiment harnesses.
 
-Every experiment module exposes a ``run(config, ..., workers=None)``
+Every experiment module exposes a ``run(config, ..., workers=0)``
 returning a dataclass of plain arrays, a ``print_result`` that renders
 the same rows/series the paper's figure reports, and a ``claims`` that
 judges the figure's shape claims on that same result (one
@@ -10,8 +10,8 @@ need a small run (tests) pass the size explicitly.
 
 Trial execution goes through :mod:`repro.engine`: each module declares a
 module-level trial function plus a reduction, and ``workers``
-(``--workers`` / ``REPRO_WORKERS``) selects serial or process-pool
-execution with bit-identical results.  :func:`init_phy_worker` is the
+(``--workers``) selects serial or process-pool execution with
+bit-identical results.  :func:`init_phy_worker` is the
 engine ``init`` hook that pre-builds one ``Transmitter``/``Receiver``
 pair per worker process; :func:`send_probe_packets`, the one packet
 probe of every open-loop harness, reuses that pair.

@@ -165,7 +165,7 @@ def run_threshold_sweep(
     snr_db: float = 9.2,
     n_packets: int = 100,
     thresholds_db: Optional[np.ndarray] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> ThresholdSweepResult:
     """Fig. 10(b): FP/FN vs the (fixed, global) detection threshold."""
     config = config or ExperimentConfig()
@@ -254,7 +254,7 @@ def _accuracy_vs_snr(
     snrs_db: np.ndarray,
     n_packets: int,
     interferer_power: Optional[float],
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> AccuracyResult:
     params = [
         {
@@ -290,7 +290,7 @@ def run_accuracy_vs_snr(
     config: Optional[ExperimentConfig] = None,
     snrs_db: Optional[np.ndarray] = None,
     n_packets: int = 100,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> AccuracyResult:
     """Fig. 10(c): FP/FN vs SNR with the adaptive threshold."""
     config = config or ExperimentConfig()
@@ -305,7 +305,7 @@ def run_interference(
     snrs_db: Optional[np.ndarray] = None,
     n_packets: int = 100,
     pulse_power: float = 20.0,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> AccuracyResult:
     """Fig. 10(d): FN vs SNR under strong pulse interference."""
     config = config or ExperimentConfig()
@@ -329,7 +329,7 @@ class Fig10Result:
 
 
 def run(config: Optional[ExperimentConfig] = None,
-        workers: Optional[int] = None) -> Fig10Result:
+        workers: int = 0) -> Fig10Result:
     config = config or ExperimentConfig()
     return Fig10Result(
         snapshot=run_snapshot(config),

@@ -67,7 +67,7 @@ def run(
     config: Optional[ExperimentConfig] = None,
     snr_grid: Optional[np.ndarray] = None,
     realizations: int = 3,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> SnrGapResult:
     """Sweep measured SNR 5–25 dB and record the three curves of Fig. 2.
 

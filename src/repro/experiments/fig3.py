@@ -72,7 +72,7 @@ def run(
     snr_grid: Optional[np.ndarray] = None,
     n_packets: int = 40,
     realizations: int = 2,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> DecoderBerResult:
     """Reproduce Fig. 3 over the 24 Mbps band (measured SNR 12–17.3 dB)."""
     config = config or ExperimentConfig()

@@ -88,7 +88,7 @@ def run(
     snr_db: float = 15.0,
     n_packets: int = 50,
     positions: Optional[List[str]] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> EvmResult:
     """Measure Fig. 5's per-subcarrier EVM at positions A, B and C."""
     config = config or ExperimentConfig(seed=REPRESENTATIVE_SEED)

@@ -109,7 +109,7 @@ def run(
     rate_mbps: int = 24,
     n_packets: int = 300,
     max_positions: int = 1000,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> ErrorPatternResult:
     """Send a fixed known packet repeatedly, recording symbol errors."""
     config = config or ExperimentConfig()

@@ -128,7 +128,7 @@ def run(
     snr_db: float = 18.0,
     n_trials: int = 40,
     rate_mbps: int = 24,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> TemporalResult:
     """Measure ∇EVM for each τ over ``n_trials`` independent instants."""
     config = config or ExperimentConfig(payload=bytes(1368))

@@ -186,7 +186,7 @@ def run(
     n_packets: int = 150,
     points_per_band: int = 2,
     bands_mbps=None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> CapacityResult:
     """Measure Rm at ``points_per_band`` SNRs inside each rate band.
 

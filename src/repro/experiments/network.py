@@ -80,7 +80,7 @@ def run(
     station_counts: Optional[List[int]] = None,
     cos_delivery_prob: float = 0.97,
     seed: int = 7,
-    workers: Optional[int] = None,
+    workers: int = 0,
     payload_octets: int = 1024,
     data_rate_mbps: int = 24,
     packets_per_station: int = 50,

@@ -6,7 +6,6 @@ Usage::
     repro experiments                    # serial
     repro experiments --workers 4        # process pool
     repro experiments fig2 fig9          # subset
-    REPRO_WORKERS=4 repro experiments    # pool via env
 
 After its tables each stage prints one line per claim of its module's
 ``claims(result)``::
@@ -23,9 +22,9 @@ through the ``repro.experiments.runner`` logger — ``repro
 --log-level``/``--quiet`` control them; the result tables and claim
 lines always print to stdout.
 
-``workers`` (default: the ``REPRO_WORKERS`` environment flag, else
-serial) is forwarded to every stage's ``run(workers=...)``; trial
-results are bit-for-bit identical either way (see ``docs/engine.md``).
+``workers`` (default 0: serial) is forwarded to every stage's
+``run(workers=...)``; trial results are bit-for-bit identical either way
+(see ``docs/engine.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import logging
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.engine import resolve_workers
 from repro.experiments import ablations, fig2, fig3, fig5, fig6, fig7, fig9, fig10, network, waterfall
 from repro.experiments.common import Claim
 from repro.obs.trace import timed_span
@@ -42,12 +40,12 @@ log = logging.getLogger("repro.experiments.runner")
 
 #: A stage's run-and-print callable: ``fn(workers)`` prints the stage's
 #: tables and returns its claims.
-StageFn = Callable[[Optional[int]], List[Claim]]
+StageFn = Callable[[int], List[Claim]]
 
 
 def _figure(module) -> StageFn:
     """A stage that prints ``module.run``'s result and returns its claims."""
-    def stage(workers: Optional[int]) -> List[Claim]:
+    def stage(workers: int) -> List[Claim]:
         result = module.run(workers=workers)
         module.print_result(result)
         return module.claims(result)
@@ -90,7 +88,7 @@ def select_stages(names: Optional[Sequence[str]] = None
     return [entry for entry in STAGES if entry[0] in names]
 
 
-def run_stage(name: str, stage: StageFn, workers: Optional[int] = None) -> None:
+def run_stage(name: str, stage: StageFn, workers: int = 0) -> None:
     """Run one stage: its tables, then one ``claim <name>.<claim>`` line
     per claim it returns."""
     claims = stage(workers)
@@ -101,7 +99,7 @@ def run_stage(name: str, stage: StageFn, workers: Optional[int] = None) -> None:
               f"measured {c.measured}  bound {c.bound}")
 
 
-def run(names: Sequence[str] = (), workers: Optional[int] = None) -> int:
+def run(names: Sequence[str] = (), workers: int = 0) -> int:
     """Run and print the named stages (all when none are named).
 
     Returns 2, having run nothing, when a name is not a stage; else 0,
@@ -113,8 +111,7 @@ def run(names: Sequence[str] = (), workers: Optional[int] = None) -> int:
         log.error("%s", exc)
         return 2
     log.info("trial engine: %s",
-             "serial" if resolve_workers(workers) == 0
-             else f"{resolve_workers(workers)} workers")
+             "serial" if workers == 0 else f"{workers} workers")
     for name, _title, stage in stages:
         log.info("stage %s starting", name)
         with timed_span(f"experiment.{name}") as sp:

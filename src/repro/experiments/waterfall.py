@@ -72,7 +72,7 @@ def run(
     n_packets: int = 100,
     rates_mbps=_DEFAULT_RATES,
     payload_octets: int = 256,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> WaterfallResult:
     """Measure PER waterfalls on the mild position-C channel.
 

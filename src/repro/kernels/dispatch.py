@@ -7,7 +7,7 @@ vectorized NumPy shared by both backends).  Resolution order:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` override;
 2. the ``REPRO_KERNEL_BACKEND`` environment flag
-   (``auto`` | ``numpy`` | ``cext``);
+   (``auto`` | ``numpy`` | ``cext``; unset or empty means ``auto``);
 3. ``auto``: the on-demand-compiled C kernel (:mod:`repro.kernels.cext`)
    when a system C compiler exists, else the blocked NumPy backend.
 
@@ -30,6 +30,7 @@ and CRC-verified golden packets pin the behaviour end to end.
 from __future__ import annotations
 
 import contextlib
+import os
 import logging
 import threading
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ from repro.kernels.viterbi_numpy import (
     decode_blocked,
     decode_blocked_batch,
 )
-from repro.utils.env import env_str
 
 __all__ = [
     "KernelBackend",
@@ -147,7 +147,7 @@ def available_backends() -> List[str]:
 
 def _resolve(name: Optional[str]) -> KernelBackend:
     global _warned_no_compiler
-    requested = (name or env_str(ENV_FLAG, "auto") or "auto").strip().lower()
+    requested = (name or os.environ.get(ENV_FLAG) or "auto").strip().lower()
     if requested == "auto":
         return next(_REGISTRY[n] for n in _AUTO_ORDER if n in _REGISTRY)
     if requested == "cext" and "cext" not in _REGISTRY:

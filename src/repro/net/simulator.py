@@ -533,7 +533,7 @@ def run_scenario_sweep(
     spec: ScenarioSpec,
     n_trials: int = 1,
     seed: int = 0,
-    workers: Optional[int] = None,
+    workers: int = 0,
     lens: bool = False,
 ) -> List[NetResult]:
     """N independent trials through the deterministic trial engine.

@@ -112,10 +112,9 @@ class SinrModel:
       :func:`repro.phy.surrogate.measure_cos_point` measured, clamped
       outside the grid (``cos_fidelity="surrogate"``).
 
-    Construct via :meth:`default` (the committed table, or the
-    ``REPRO_SURROGATE_TABLE`` override) or :meth:`from_path`; the
-    default-table load is cached process-wide, so per-frame lookups
-    never touch the filesystem.
+    Construct via :meth:`default` (the committed table) or
+    :meth:`from_path`; the default-table load is cached process-wide,
+    so per-frame lookups never touch the filesystem.
     """
 
     _default: "SinrModel" = None  # class-level cache

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -48,14 +47,9 @@ __all__ = [
     "build_surrogate_table",
     "default_table_path",
     "load_default_table",
-    "profile_spec",
-    "profile_table_path",
 ]
 
 TABLE_VERSION = 1
-
-#: Environment override for the default table location.
-_TABLE_ENV = "REPRO_SURROGATE_TABLE"
 
 #: The committed default table (built by ``repro net tables build``).
 _DEFAULT_TABLE = Path(__file__).resolve().parent / "tables" / "surrogate_default.json"
@@ -361,7 +355,7 @@ class SurrogateTable:
 def build_surrogate_table(
     spec: Optional[SurrogateSpec] = None,
     *,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> SurrogateTable:
     """Sweep the real PHY over the spec's grid and fit the surrogate.
 
@@ -434,11 +428,7 @@ def build_surrogate_table(
 
 
 def default_table_path() -> Path:
-    """The table ``cos_fidelity="surrogate"`` loads: env override or the
-    committed default."""
-    override = os.environ.get(_TABLE_ENV)
-    if override:
-        return Path(override)
+    """The committed table ``cos_fidelity="surrogate"`` loads."""
     return _DEFAULT_TABLE
 
 
@@ -447,38 +437,7 @@ def load_default_table() -> SurrogateTable:
     if not path.exists():
         raise FileNotFoundError(
             f"no surrogate table at {path}; build one with "
-            f"'repro net tables build' (or point {_TABLE_ENV} at one)"
+            "'repro net tables build'"
         )
     return SurrogateTable.load(path)
 
-
-def profile_spec(profile: str) -> SurrogateSpec:
-    """The default-shaped measurement spec for a channel severity profile.
-
-    Profile ``"A"`` *is* the default spec; ``"B"``/``"C"`` sweep the
-    denser multipath profiles (both the data-PRR and the CoS-accuracy
-    probes move to that position, so the whole table describes one
-    environment).  Grids, seeds, and packet counts stay identical, so
-    profile tables differ only in what was measured — never in shape.
-    """
-    if profile not in ("A", "B", "C"):
-        raise ValueError(f"unknown channel profile {profile!r}; known: A, B, C")
-    return SurrogateSpec(position=profile, cos_position=profile)
-
-
-def profile_table_path(profile: str) -> Path:
-    """Where a profile's table lives.
-
-    ``"A"`` resolves through :func:`default_table_path` (committed
-    default or the ``REPRO_SURROGATE_TABLE`` override); ``"B"``/``"C"``
-    sit next to it as ``surrogate_profile_<P>.json``.  Activating a
-    profile table is pointing ``REPRO_SURROGATE_TABLE`` at it — which
-    also flows its content hash into the result-store salt
-    (:func:`repro.engine.store.store_salt`), so cached trials can never
-    replay across profiles.
-    """
-    if profile not in ("A", "B", "C"):
-        raise ValueError(f"unknown channel profile {profile!r}; known: A, B, C")
-    if profile == "A":
-        return default_table_path()
-    return _DEFAULT_TABLE.parent / f"surrogate_profile_{profile}.json"

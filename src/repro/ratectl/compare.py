@@ -20,7 +20,7 @@ not import ``repro.net``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ratectl.base import CONTROLLERS, available_controllers
 
@@ -56,7 +56,7 @@ def compare_controllers(
     controllers: Sequence[str] = CONTROLLER_MATRIX,
     n_trials: int = 3,
     seed: int = 0,
-    workers: Optional[int] = None,
+    workers: int = 0,
     error_model: str = "surrogate",
 ) -> Dict:
     """Run ``spec`` once per controller; return the comparison report.

@@ -1,8 +1,7 @@
 """Low-level utilities shared by the PHY, channel, and CoS layers.
 
 The helpers here deliberately avoid any domain knowledge: they deal with
-bits, bytes, checksums, environment flags, and reproducible randomness
-only.
+bits, bytes, checksums, and reproducible randomness only.
 """
 
 from repro.utils.bitops import (
@@ -14,12 +13,9 @@ from repro.utils.bitops import (
     random_bits,
 )
 from repro.utils.crc import crc32, append_fcs, check_fcs
-from repro.utils.env import env_int, env_str
 from repro.utils.rng import make_rng, spawn_rngs
 
 __all__ = [
-    "env_int",
-    "env_str",
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",

@@ -31,6 +31,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IndoorChannel(tdl=TappedDelayLine.identity(), noise_var=-1.0)
 
+    @pytest.mark.parametrize("noise_var", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise_var):
+        from repro.channel.multipath import TappedDelayLine
+
+        with pytest.raises(ValueError, match="noise_var"):
+            IndoorChannel(tdl=TappedDelayLine.identity(), noise_var=noise_var)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            IndoorChannel.position("A", snr_db=snr_db, seed=0)
+        with pytest.raises(ValueError, match="snr_db"):
+            IndoorChannel.flat(snr_db=snr_db, seed=0)
+
 
 class TestPropagation:
     def test_transmit_adds_noise(self, rng):

@@ -37,6 +37,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "data PRR" in out
 
+    @pytest.mark.parametrize("command", [
+        ["experiments", "fig2"],
+        ["report", "--stages", "fig2"],
+        ["net", "run", "hidden-node"],
+        ["net", "compare"],
+        ["net", "tables", "build", "--quick", "--out", "table.json"],
+    ], ids=lambda c: " ".join(c[:3]))
+    def test_negative_workers_exits_2(self, command, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, even here
+        assert main(command + ["--workers", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert "workers must be 0 (serial) or more, got -2" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_experiments_subset(self, capsys):
         assert main(["experiments", "fig2"]) == 0
         out = capsys.readouterr().out

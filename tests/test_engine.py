@@ -228,26 +228,20 @@ class TestWorkerState:
 
 
 # ---------------------------------------------------------------------------
-# Executor selection / workers resolution
+# Executor selection
 # ---------------------------------------------------------------------------
 
 class TestExecutorSelection:
-    def test_resolve_workers_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert engine.resolve_workers(0) == 0
-        assert engine.resolve_workers(2) == 2
-
-    def test_resolve_workers_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert engine.resolve_workers(None) == 3
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert engine.resolve_workers(None) == 0
-
-    def test_make_executor_kinds(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_make_executor_kinds(self):
         assert isinstance(engine.make_executor(0), engine.SerialExecutor)
         assert isinstance(engine.make_executor(2), engine.ProcessExecutor)
-        assert isinstance(engine.make_executor(None), engine.SerialExecutor)
+        assert isinstance(engine.make_executor(), engine.SerialExecutor)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="got -2"):
+            engine.make_executor(-2)
+        with pytest.raises(ValueError, match="got -1"):
+            engine.run_sweep([{}], _square_trial, seed=0, workers=-1)
 
     def test_process_executor_requires_workers(self):
         with pytest.raises(ValueError):

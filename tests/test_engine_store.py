@@ -41,16 +41,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_store(monkeypatch):
-    """Neither REPRO_STORE nor a prior set_default_store may leak in."""
-    monkeypatch.delenv(store_mod.STORE_ENV, raising=False)
-    previous_explicit = store_mod._default_explicit
-    previous_store = store_mod._default_store
-    store_mod._default_explicit = False
-    store_mod._default_store = None
+def _no_ambient_store():
+    """A prior set_default_store may not leak in, nor this test's out."""
+    previous = set_default_store(None)
     yield
-    store_mod._default_explicit = previous_explicit
-    store_mod._default_store = previous_store
+    set_default_store(previous)
 
 
 def _store_counts():
@@ -291,26 +286,18 @@ class TestResultStore:
 
 
 class TestResolveStore:
-    def test_false_disables_none_defers_instance_passes(self, tmp_path):
-        assert resolve_store(False) is None
+    def test_none_defers_instance_passes(self, tmp_path):
         assert resolve_store(None) is None  # no default configured
         store = ResultStore(tmp_path)
         assert resolve_store(store) is store
 
-    def test_true_requires_a_configured_default(self, tmp_path):
-        with pytest.raises(ValueError, match="REPRO_STORE"):
-            resolve_store(True)
-        store = ResultStore(tmp_path)
-        set_default_store(store)
-        assert resolve_store(True) is store
-
-    def test_env_flag_enables_the_default_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(store_mod.STORE_ENV, str(tmp_path / "cache"))
-        store = resolve_store(None)
-        assert store is not None
-        assert store.root == tmp_path / "cache"
-        # Explicit None (the CLI's --no-store) beats the env flag.
-        set_default_store(None)
+    def test_set_default_store_enables_the_default_store(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        assert set_default_store(store) is None
+        assert resolve_store(None) is store
+        other = ResultStore(tmp_path / "other")
+        assert resolve_store(other) is other  # an explicit store wins
+        assert set_default_store(None) is store
         assert resolve_store(None) is None
 
 
@@ -401,20 +388,23 @@ class TestSweepReplay:
         assert b.hits == 0
         assert b.writes == 3
 
-    def test_profile_tables_rotate_the_salt(self, monkeypatch):
-        """Pointing REPRO_SURROGATE_TABLE at a profile table changes the
-        store salt, so cached trials can never replay across channel
-        profiles — no store-side special case needed."""
+    def test_surrogate_table_rotates_the_salt(self, tmp_path, monkeypatch):
+        """A rebuilt surrogate table changes the store salt, so cached
+        trials never replay across tables — no store-side special case
+        needed."""
         from repro.engine.store import store_salt
-        from repro.phy.surrogate import profile_table_path
+        from repro.phy import surrogate
 
-        fingerprints = set()
-        for profile in ("A", "B", "C"):
-            path = profile_table_path(profile)
-            assert path.exists(), f"profile {profile} table not committed"
-            monkeypatch.setenv("REPRO_SURROGATE_TABLE", str(path))
+        committed = surrogate.default_table_path().read_bytes()
+        fingerprints = {store_salt()["surrogate_table"]}
+        for i, text in enumerate((committed + b"\n", b"{}")):
+            path = tmp_path / f"table{i}.json"
+            path.write_bytes(text)
+            monkeypatch.setattr(surrogate, "_DEFAULT_TABLE", path)
             fingerprints.add(store_salt()["surrogate_table"])
         assert len(fingerprints) == 3
+        monkeypatch.setattr(surrogate, "_DEFAULT_TABLE", tmp_path / "absent")
+        assert store_salt()["surrogate_table"] is None
 
 
 def _subprocess_env():
@@ -424,7 +414,6 @@ def _subprocess_env():
         [str(REPO / "src"), str(REPO)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    env.pop("REPRO_STORE", None)
     return env
 
 

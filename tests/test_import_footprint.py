@@ -40,7 +40,6 @@ def _loaded_scipy(code: str, cwd: Path) -> list:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env.pop("REPRO_STORE", None)
     probe = code + (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"

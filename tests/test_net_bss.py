@@ -480,11 +480,3 @@ class TestCli:
         path = os.path.join(SCENARIO_DIR, "campus_roaming.json")
         assert main(["--quiet", "net", "run", path]) == 0
         assert "campus-roaming" in capsys.readouterr().out
-
-    def test_net_run_reads_repro_workers(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        rc = main(["net", "run", "hidden-node", "--trials", "2",
-                   "--json", "-"])
-        assert rc == 0

@@ -57,6 +57,17 @@ class TestNetRun:
     def test_unknown_scenario_errors(self):
         assert main(["net", "run", "no-such-scenario"]) == 2
 
+    @pytest.mark.parametrize("command", [["net", "run"],
+                                         ["net", "compare", "--scenario"]])
+    def test_run_and_compare_resolve_scenarios_alike(self, command, tmp_path,
+                                                     capsys):
+        assert main(command + ["no-such-scenario"]) == 2
+        assert ("'no-such-scenario' is neither a scenario file nor a "
+                "built-in (see 'repro net list')") in capsys.readouterr().err
+        # A path that exists but is no file fails with the same clean line.
+        assert main(command + [str(tmp_path)]) == 2
+        assert f"invalid scenario file {tmp_path}:" in capsys.readouterr().err
+
     def test_json_and_trace_files(self, small_scenario_path, tmp_path):
         summary_path = tmp_path / "summary.json"
         trace_path = tmp_path / "trace.jsonl"
@@ -118,19 +129,6 @@ class TestNetRun:
         assert main(["net", "run", str(path)]) == 2
         assert "table, surrogate" in capsys.readouterr().err
 
-    def test_controller_env_fallback(self, small_scenario_path, capsys,
-                                     monkeypatch):
-        monkeypatch.setenv("REPRO_CONTROLLER", "samplerate")
-        assert main(["net", "run", small_scenario_path]) == 0
-        assert "samplerate controller" in capsys.readouterr().out
-
-    def test_controller_flag_beats_env(self, small_scenario_path, capsys,
-                                       monkeypatch):
-        monkeypatch.setenv("REPRO_CONTROLLER", "samplerate")
-        assert main(["net", "run", small_scenario_path,
-                     "--controller", "minstrel"]) == 0
-        assert "minstrel controller" in capsys.readouterr().out
-
     def test_parallel_summary_matches_serial(self, small_scenario_path,
                                              tmp_path):
         serial = tmp_path / "serial.json"
@@ -181,36 +179,6 @@ class TestNetTables:
         assert main(["net", "run", small_scenario_path,
                      "--fidelity", "surrogate"]) == 0
         assert "hidden-node" in capsys.readouterr().out
-
-    def test_build_profile_quick(self, tmp_path, capsys):
-        path = tmp_path / "profile_b.json"
-        assert main(["--quiet", "net", "tables", "build", "--quick",
-                     "--profile", "B", "--out", str(path)]) == 0
-        capsys.readouterr()
-        from repro.phy.surrogate import SurrogateTable
-
-        table = SurrogateTable.load(str(path))
-        assert table.spec.position == "B"
-        assert table.spec.cos_position == "B"
-
-    def test_committed_profile_tables_load(self):
-        from repro.phy.surrogate import (
-            SurrogateTable,
-            profile_spec,
-            profile_table_path,
-        )
-
-        for profile in ("B", "C"):
-            table = SurrogateTable.load(str(profile_table_path(profile)))
-            # Full-fidelity builds of the default-shaped spec, per profile.
-            assert table.spec_hash == profile_spec(profile).spec_hash()
-
-    def test_unknown_profile_rejected(self):
-        from repro.phy.surrogate import profile_spec, profile_table_path
-
-        for fn in (profile_spec, profile_table_path):
-            with pytest.raises(ValueError):
-                fn("D")
 
 
 class TestNetCompare:

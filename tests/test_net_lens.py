@@ -410,7 +410,7 @@ class TestLensCli:
         records = {}
         for workers in ("0", "2"):
             trace = tmp_path / f"net-{workers}.jsonl"
-            assert main(["--quiet", "net", "run", "hidden-node", "--no-store",
+            assert main(["--quiet", "net", "run", "hidden-node",
                          "--trials", "2", "--workers", workers,
                          "--trace-out", str(trace)]) == 0
             records[workers] = _net_records(read_jsonl(trace))
@@ -423,7 +423,7 @@ class TestLensCli:
         texts = {}
         for workers in ("0", "2"):
             out = tmp_path / f"summary-{workers}.json"
-            assert main(["--quiet", "net", "run", "hidden-node", "--no-store",
+            assert main(["--quiet", "net", "run", "hidden-node",
                          "--trials", "2", "--workers", workers,
                          "--ledger-out", str(tmp_path / "ledger.json"),
                          "--json", str(out)]) == 0

@@ -19,7 +19,6 @@ def _shared_store(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("store"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(store_mod, "_default_store", store)
-        mp.setattr(store_mod, "_default_explicit", True)
         yield
 
 

@@ -476,10 +476,10 @@ def test_sinr_model_wraps_table(tiny_table, tmp_path, monkeypatch):
     model = SinrModel.from_path(path)
     assert model.prr(10.0, 24) == tiny_table.prr(10.0, 24)
     assert model.cos_delivery_prob(12.0) == tiny_table.cos_delivery_prob(12.0)
-    # default() honours the REPRO_SURROGATE_TABLE override (and caches).
-    monkeypatch.setenv("REPRO_SURROGATE_TABLE", str(path))
+    # default() loads the committed table (and caches).
     monkeypatch.setattr(SinrModel, "_default", None)
-    assert SinrModel.default().table.spec_hash == tiny_table.spec_hash
+    assert SinrModel.default().table.spec_hash == \
+        load_default_table().spec_hash
     assert SinrModel.default() is SinrModel.default()
     monkeypatch.setattr(SinrModel, "_default", None)
 

@@ -74,7 +74,6 @@ def golden():
 @pytest.fixture(autouse=True)
 def _uncached(monkeypatch):
     """No ambient result store to replay from."""
-    monkeypatch.setattr(store_mod, "_default_explicit", True)
     monkeypatch.setattr(store_mod, "_default_store", None)
 
 
