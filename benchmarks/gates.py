@@ -12,8 +12,8 @@ bound in :data:`BOUNDS`:
 * ``kernels`` — the ``cext`` Viterbi under every CoS exchange, against
   the always-available ``numpy`` backend in the same process;
 * ``phy-batch`` — the batched receive that measures the surrogate
-  table, the surrogate table's cost at 256 nodes, and its fitted PRR
-  against freshly re-measured PHY PRR;
+  table, and the table's fitted PRR against freshly re-measured PHY
+  PRR;
 * ``net-scaling`` — scheduler throughput of the culled medium over
   ``enterprise-grid`` at N = 16…1024 and on an 8-station ``contention``
   cell, and its speedup over the all-pairs ``dense-exact`` medium;
@@ -79,8 +79,6 @@ BOUNDS: Dict[Tuple[str, str], Bound] = {
     ("kernels", "viterbi_4096"): Bound("cext/numpy speedup", ">=", 1.5),
     ("phy-batch", "receive_batch64"): Bound(
         "looped receive / receive_many time at batch 64, numpy backend", ">=", 3.0),
-    ("phy-batch", "net_256_surrogate"): Bound(
-        "surrogate/table wall time, 256-node net run", "<=", 1.2),
     ("phy-batch", "surrogate_prr_match"): Bound(
         "max |table - measured| PRR on the check nodes", "<=", 0.02),
     # Culled per-event cost is nearly flat in N and every point clears
@@ -217,14 +215,11 @@ PRR_CHECK_NODES = ((6, 4.0), (24, 14.0), (54, 22.0))
 
 
 def phy_batch() -> Iterator[Reading]:
-    """Batched receive, surrogate cost at 256 nodes, surrogate PRR fidelity."""
+    """Batched receive and surrogate PRR fidelity."""
     import numpy as np
 
     from repro.channel import IndoorChannel
     from repro.kernels import use_backend
-    from repro.net import run_scenario_sweep
-    from repro.net.scenarios import enterprise_grid
-    from repro.net.sinr import SinrModel
     from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
     from repro.phy.surrogate import load_default_table, measure_prr_point
 
@@ -249,20 +244,6 @@ def phy_batch() -> Iterator[Reading]:
         {"batch": BATCH, "looped_ms": 1e3 * looped_s, "batched_ms": 1e3 * batched_s},
         {"batched_ok_equals_looped": [r.ok for r in looped] == [r.ok for r in batched]},
     )
-
-    spec = enterprise_grid(n_aps=16, stations_per_ap=15, duration_us=100_000.0)
-    if len(spec.nodes) != 256:
-        raise GateError(f"enterprise_grid(16 x 15) built {len(spec.nodes)} nodes, not 256")
-    SinrModel.default()  # load the table outside the timed region
-    ms = {}
-    for fidelity in ("table", "surrogate"):
-        variant = spec.with_fidelity(fidelity)
-        ms[fidelity] = 1e3 * best_of(
-            lambda: run_scenario_sweep(variant, n_trials=1, seed=1),
-            repeats=3, warmup=1)[0]
-    yield Reading("net_256_surrogate", ms["surrogate"] / ms["table"],
-                  {"nodes": 256, "table_ms": ms["table"],
-                   "surrogate_ms": ms["surrogate"]})
 
     table = load_default_table()
     ts = table.spec

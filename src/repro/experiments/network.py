@@ -13,12 +13,17 @@ delivery), control airtime share and control latency.
 Beside the ring it runs the rate-controller matrix on ``hidden-node``
 (:func:`repro.ratectl.compare_controllers`): CoS feedback against
 explicit feedback, and against the feedback-free samplers (Minstrel,
-SampleRate) that real 802.11 stacks run instead.
+SampleRate) that real 802.11 stacks run instead.  Last, it counts the
+control messages that cross between the two mutually hidden cells of
+``cross-cell``: the ones the APs consume, since every AP-side message
+is the feedback of an AP-to-AP flow whose data frames never decode.
+
+Frame fates and CoS delivery come from the measured-PHY surrogate
+table, as in every ``repro.net`` run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -33,16 +38,23 @@ __all__ = [
     "claims",
 ]
 
+#: The APs of :func:`repro.net.scenarios.cross_cell`.
+CROSS_CELL_APS = ("ap_west", "ap_east")
+
+
 @dataclass
 class NetworkComparisonResult:
     """Per-contention-level pairs of (explicit, cos) :class:`repro.net
-    .NetResult` outcomes, plus the hidden-node controller matrix (a
-    :func:`repro.ratectl.compare_controllers` report)."""
+    .NetResult` outcomes, the hidden-node controller matrix (a
+    :func:`repro.ratectl.compare_controllers` report), and the cross-cell
+    AP-side control deliveries per feedback controller (mean over
+    trials)."""
 
     station_counts: List[int]
     explicit: List[object]
     cos: List[object]
     hidden_node: Dict
+    cross_cell: Dict[str, float]
 
 
 def control_latency_us(result) -> float:
@@ -70,15 +82,11 @@ def _contention_trial(spec: engine.TrialSpec):
         payload_octets=spec["payload_octets"],
         data_rate_mbps=spec["data_rate_mbps"],
     )
-    scenario = dataclasses.replace(
-        scenario, cos_delivery_prob=spec["cos_delivery_prob"]
-    )
     return run_scenario(scenario, rng=spec["seed"])
 
 
 def run(
     station_counts: Optional[List[int]] = None,
-    cos_delivery_prob: float = 0.97,
     seed: int = 7,
     workers: int = 0,
     payload_octets: int = 1024,
@@ -86,20 +94,20 @@ def run(
     packets_per_station: int = 50,
 ) -> NetworkComparisonResult:
     """Compare the two control schemes across contention levels, then run
-    the rate-controller matrix on ``hidden-node``.
+    the rate-controller matrix on ``hidden-node`` and the two feedback
+    controllers on ``cross-cell``.
 
     One engine trial per (scheme, station count) — each simulation is
     seeded independently, so all cells run in parallel.
     """
     from repro.net.scenarios import builtin_scenario
-    from repro.ratectl.compare import compare_controllers
+    from repro.ratectl.compare import compare_controllers, controller_summaries
 
     station_counts = station_counts or [2, 4, 8, 12]
     params = [
         {
             "scheme": scheme,
             "n_stations": n,
-            "cos_delivery_prob": cos_delivery_prob,
             "payload_octets": payload_octets,
             "data_rate_mbps": data_rate_mbps,
             "packets_per_station": packets_per_station,
@@ -111,6 +119,10 @@ def run(
     outcomes = engine.run_sweep(
         params, _contention_trial, seed=seed, workers=workers, label="network"
     )
+    cross = controller_summaries(
+        builtin_scenario("cross-cell"), ("cos-feedback", "explicit-feedback"),
+        n_trials=3, seed=0, workers=workers,
+    )
     return NetworkComparisonResult(
         station_counts=list(station_counts),
         explicit=outcomes[0::2],
@@ -119,10 +131,17 @@ def run(
             builtin_scenario("hidden-node"), n_trials=3, seed=0,
             workers=workers,
         ),
+        cross_cell={
+            name: sum(summary["per_node"][ap]["control_delivered"]
+                      for ap in CROSS_CELL_APS)
+            for name, summary in cross.items()
+        },
     )
 
 
 def print_result(result: NetworkComparisonResult) -> None:
+    from repro.ratectl.compare import COMPARISON_HEADERS, comparison_rows
+
     rows = []
     for n, e, c in zip(result.station_counts, result.explicit, result.cos):
         rows.append(
@@ -149,19 +168,25 @@ def print_result(result: NetworkComparisonResult) -> None:
     )
     report = result.hidden_node
     print_table(
-        ["controller", "transport", "goodput (Mbps)", "ctrl air %"],
-        [(name, row["transport"], row["goodput_mbps"],
-          row["control_airtime_fraction"] * 100)
-         for name, row in report["controllers"].items()],
+        list(COMPARISON_HEADERS),
+        comparison_rows(report),
         title=(f"Rate-controller matrix on {report['scenario']} "
                f"[{report['n_trials']} trials, seed {report['seed']}]"),
+    )
+    print_table(
+        ["controller", "AP-side ctrl delivered"],
+        list(result.cross_cell.items()),
+        title=("Cross-BSS control on cross-cell (messages the APs consume, "
+               "mean of 3 trials, seed 0)"),
     )
 
 
 def claims(result: NetworkComparisonResult) -> List[Claim]:
     """Free control never costs goodput (no slack), and only explicit
     control pays airtime, at every station count and on ``hidden-node``;
-    there CoS feedback also beats the feedback-free samplers."""
+    there CoS feedback also beats the feedback-free samplers.  On
+    ``cross-cell``, control crosses between the hidden cells over CoS
+    and never over explicit frames."""
     rows = [
         (f"{n} stations", e.aggregate_goodput_mbps, c.aggregate_goodput_mbps,
          e.control_airtime_fraction, c.control_airtime_fraction)
@@ -174,6 +199,8 @@ def claims(result: NetworkComparisonResult) -> List[Claim]:
                  cos["control_airtime_fraction"]))
     free = max(per["minstrel"]["goodput_mbps"],
                per["samplerate"]["goodput_mbps"])
+    cos_ap = result.cross_cell["cos-feedback"]
+    exp_ap = result.cross_cell["explicit-feedback"]
     return [
         check_all("cos_never_loses_goodput", ">=", [
             (at, cos_mbps, exp_mbps) for at, exp_mbps, cos_mbps, _, _ in rows
@@ -186,6 +213,10 @@ def claims(result: NetworkComparisonResult) -> List[Claim]:
         ]),
         check_all("cos_beats_feedback_free", ">=",
                   [("hidden-node", cos["goodput_mbps"], free)]),
+        Claim("cross_cell_control_crosses",
+              cos_ap > 0.0 and exp_ap == 0.0,
+              f"CoS {cos_ap:.4g}, explicit {exp_ap:.4g} AP-side messages",
+              "CoS > 0, explicit == 0"),
     ]
 
 

@@ -16,19 +16,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.net.control import COS_FIDELITIES
 from repro.net.medium import MEDIUM_MODES
 from repro.net.topology import RadioSpec, Topology, Waypoint
 from repro.net.traffic import TRAFFIC_MODELS
 from repro.phy.params import RATE_TABLE
 from repro.ratectl import CONTROLLERS, available_controllers
 
-#: Frame-fate error models: analytic sigmoid vs measured-PHY surrogate
-#: tables (:class:`repro.net.sinr.SinrModel` over the committed table).
-ERROR_MODELS = ("sigmoid", "surrogate")
-
 __all__ = [
-    "ERROR_MODELS",
     "NodeSpec",
     "FlowSpec",
     "MobilitySpec",
@@ -160,8 +154,6 @@ class ScenarioSpec:
     interferers: Tuple[InterfererSpec, ...] = ()
     control_octets: int = 14
     data_rate_mbps: Optional[int] = None  # None = SINR-adaptive
-    cos_delivery_prob: Optional[float] = None  # None = operating-point table
-    cos_fidelity: str = "table"  # one of net.control.COS_FIDELITIES
     max_embed_per_frame: int = 4
     bsses: Tuple[BssSpec, ...] = ()
     traffic: Tuple[TrafficSpec, ...] = ()
@@ -169,7 +161,6 @@ class ScenarioSpec:
     beacon_interval_us: float = 102_400.0
     roam_hysteresis_db: float = 6.0
     controller: str = "snr-threshold"  # a repro.ratectl controller name
-    error_model: str = "sigmoid"  # "sigmoid" | "surrogate"
     cos_overhear: bool = False  # Tag-Spotting: decode CoS below data SINR
 
     def __post_init__(self):
@@ -267,11 +258,13 @@ class ScenarioSpec:
                 f'"controller" must name one (default "snr-threshold"); '
                 f"available: {', '.join(available_controllers())}"
             )
-        for name, known in (("error_model", ERROR_MODELS),
-                            ("cos_fidelity", COS_FIDELITIES)):
-            if getattr(self, name) not in known:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
-                                 f"available: {', '.join(known)}")
+        for name in ("control_octets", "max_embed_per_frame"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)!r}"
+                )
+        _require_finite_non_negative("roam_hysteresis_db",
+                                     self.roam_hysteresis_db)
 
     # ------------------------------------------------------------------
     # Derived objects
@@ -299,17 +292,9 @@ class ScenarioSpec:
         """The same scenario under the other medium mode."""
         return dataclasses.replace(self, medium_mode=medium_mode)
 
-    def with_fidelity(self, cos_fidelity: str) -> "ScenarioSpec":
-        """The same scenario under another CoS fidelity mode."""
-        return dataclasses.replace(self, cos_fidelity=cos_fidelity)
-
     def with_controller(self, controller: str) -> "ScenarioSpec":
         """The same scenario under another rate controller."""
         return dataclasses.replace(self, controller=controller)
-
-    def with_error_model(self, error_model: str) -> "ScenarioSpec":
-        """The same scenario under another frame-fate error model."""
-        return dataclasses.replace(self, error_model=error_model)
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -31,12 +31,14 @@ scenario: two cells 120 m apart, whose APs exchange coordination
 traffic.  At that distance the cross-link arrives ~2 dB above noise —
 below the 4 dB capture gate, so **no cross-cell data frame ever
 decodes**, and below the -82 dBm carrier-sense threshold, so the cells
-cannot even hear each other (mutually hidden).  CoS silences embedded
-in those same frames, however, survive at ~2 dB (the 0.85 operating
-band), and ``cos_overhear=True`` lets a receiver scan the silence
-pattern of an *undecodable* frame — so under ``control="cos"`` the
-inter-AP control plane works while explicit control frames (ordinary
-data-rate frames at ~2 dB SINR) die with the data.
+cannot even hear each other (mutually hidden).  ``cos_overhear=True``
+lets a receiver scan the silence pattern of an *undecodable* frame, so
+the APs generate cross-cell feedback and embed it; whether it arrives
+is the measured CoS curve's call, and at ~2 dB that curve reads 0 —
+no cross-cell control message arrives under ``control="cos"`` either
+(the ``network`` stage's ``cross_cell_control_crosses`` claim).
+Explicit control frames (ordinary data-rate frames at ~2 dB SINR) die
+with the data.
 """
 
 from __future__ import annotations

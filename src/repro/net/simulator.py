@@ -39,7 +39,7 @@ from repro.net.scenario import (
     TrafficSpec,
 )
 from repro.net.scheduler import EventScheduler
-from repro.net.sinr import ReceptionModel, SigmoidErrorModel, SinrModel
+from repro.net.sinr import ReceptionModel
 from repro.net.traffic import arrival_times
 from repro.obs.trace import current_tracer, span
 from repro.ratectl import CONTROLLERS, make_controller
@@ -328,15 +328,9 @@ class NetSimulator:
         self.lens = lens
         self.scheduler = EventScheduler()
         self.topology = spec.topology()
-        # Frame fates: analytic waterfall, or measured-PHY surrogate
-        # curves (SinrModel.prr is drop-in for SigmoidErrorModel.prr).
-        if spec.error_model == "surrogate":
-            error_model = SinrModel.default()
-        else:
-            error_model = SigmoidErrorModel()
+        # Frame fates: the measured-PHY PRR curves of the committed table.
         reception = ReceptionModel(
             capture_threshold_db=spec.radio.capture_threshold_db,
-            error_model=error_model,
         )
         # A controller class may pin its feedback transport ("cos" /
         # "explicit"); None inherits the scenario's control mode.
@@ -362,8 +356,6 @@ class NetSimulator:
                 controller=make_controller(spec.controller, rng=self.rng),
                 control_octets=spec.control_octets,
                 fixed_rate_mbps=spec.data_rate_mbps,
-                cos_delivery_prob=spec.cos_delivery_prob,
-                cos_fidelity=spec.cos_fidelity,
                 max_embed_per_frame=spec.max_embed_per_frame,
                 lens=lens,
                 overhear=spec.cos_overhear,

@@ -46,6 +46,7 @@ from repro.ratectl.snr import (
 from repro.ratectl.minstrel import MinstrelController
 from repro.ratectl.samplerate import SampleRateController
 from repro.ratectl.compare import (
+    COMPARISON_HEADERS,
     CONTROLLER_MATRIX,
     SCENARIO_LIBRARY,
     compare_controllers,
@@ -53,6 +54,7 @@ from repro.ratectl.compare import (
 )
 
 __all__ = [
+    "COMPARISON_HEADERS",
     "CONTROLLERS",
     "CONTROLLER_MATRIX",
     "SCENARIO_LIBRARY",

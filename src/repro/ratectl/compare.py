@@ -6,11 +6,9 @@ One scenario, the whole controller matrix: each registered controller
 engine, and the per-controller summaries collapse into one comparison
 row set — goodput, retries, drops, control traffic, control airtime.
 
-Frame fates default to the measured-PHY surrogate curves
-(``error_model="surrogate"``): the loss-driven samplers are only
-meaningful when loss *means* something measured, not an analytic
-sigmoid.  Pass ``error_model="sigmoid"`` to compare on the analytic
-model instead.
+Frame fates and CoS delivery come from the measured-PHY surrogate
+table, as in every ``repro.net`` run: the loss-driven samplers are only
+meaningful when loss *means* something measured.
 
 Net imports stay function-local: ``repro.net.scenario`` imports this
 package for controller-name validation, so the module level here must
@@ -25,10 +23,12 @@ from typing import Dict, List, Sequence, Tuple
 from repro.ratectl.base import CONTROLLERS, available_controllers
 
 __all__ = [
+    "COMPARISON_HEADERS",
     "CONTROLLER_MATRIX",
     "SCENARIO_LIBRARY",
     "compare_controllers",
     "comparison_rows",
+    "controller_summaries",
 ]
 
 #: The canonical five-way matrix ``repro net compare`` runs by default.
@@ -51,20 +51,18 @@ SCENARIO_LIBRARY: Tuple[str, ...] = (
 )
 
 
-def compare_controllers(
+def controller_summaries(
     spec,
     controllers: Sequence[str] = CONTROLLER_MATRIX,
     n_trials: int = 3,
     seed: int = 0,
     workers: int = 0,
-    error_model: str = "surrogate",
-) -> Dict:
-    """Run ``spec`` once per controller; return the comparison report.
+) -> Dict[str, Dict]:
+    """``summarize_results`` of ``spec``'s trials under each controller.
 
     Every controller sees the identical scenario, trial count and seed —
     only the ``controller`` (and with it, possibly the control transport)
-    differs, so differences in the report are differences in rate
-    control, nothing else.
+    differs.
     """
     from repro.net.simulator import run_scenario_sweep, summarize_results
 
@@ -74,15 +72,31 @@ def compare_controllers(
             f"unknown rate controller(s) {unknown}; available: "
             f"{', '.join(available_controllers())}"
         )
+    return {
+        name: summarize_results(run_scenario_sweep(
+            dataclasses.replace(spec, controller=name),
+            n_trials=n_trials, seed=seed, workers=workers,
+        ))
+        for name in controllers
+    }
+
+
+def compare_controllers(
+    spec,
+    controllers: Sequence[str] = CONTROLLER_MATRIX,
+    n_trials: int = 3,
+    seed: int = 0,
+    workers: int = 0,
+) -> Dict:
+    """Run ``spec`` once per controller; return the comparison report.
+
+    The rows collapse :func:`controller_summaries`, so differences in
+    the report are differences in rate control, nothing else.
+    """
     per: Dict[str, Dict] = {}
-    for name in controllers:
-        variant = dataclasses.replace(
-            spec, controller=name, error_model=error_model
-        )
-        results = run_scenario_sweep(
-            variant, n_trials=n_trials, seed=seed, workers=workers
-        )
-        summary = summarize_results(results)
+    summaries = controller_summaries(spec, controllers, n_trials=n_trials,
+                                     seed=seed, workers=workers)
+    for name, summary in summaries.items():
         nodes = summary["per_node"].values()
         per[name] = {
             "transport": summary["control"],
@@ -99,9 +113,15 @@ def compare_controllers(
         "scenario": spec.name,
         "n_trials": n_trials,
         "seed": seed,
-        "error_model": error_model,
         "controllers": per,
     }
+
+
+#: Column headers of :func:`comparison_rows`.
+COMPARISON_HEADERS: Tuple[str, ...] = (
+    "controller", "transport", "goodput (Mbps)", "fairness", "retries",
+    "drops", "ctrl gen", "ctrl del", "ctrl air %",
+)
 
 
 def comparison_rows(report: Dict) -> List[Tuple]:

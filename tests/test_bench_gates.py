@@ -103,7 +103,6 @@ def test_bounds_table_is_unchanged():
     assert {key: (b.op, b.value) for key, b in gates.BOUNDS.items()} == {
         ("kernels", "viterbi_4096"): (">=", 1.5),
         ("phy-batch", "receive_batch64"): (">=", 3.0),
-        ("phy-batch", "net_256_surrogate"): ("<=", 1.2),
         ("phy-batch", "surrogate_prr_match"): ("<=", 0.02),
         ("net-scaling", "culled_n16"): (">=", 2000.0),
         ("net-scaling", "culled_n64"): (">=", 2000.0),
