@@ -1,22 +1,11 @@
-"""Measurement and statistics helpers shared by tests and experiments."""
+"""Measurement helpers shared by tests and experiments."""
 
-from repro.analysis.metrics import (
-    bit_error_rate,
-    packet_reception_rate,
-    symbol_error_positions,
-    symbol_error_rate_per_subcarrier,
-)
+from repro.analysis.metrics import bit_error_rate, symbol_error_rate_per_subcarrier
 from repro.analysis.report import generate_report, write_report
-from repro.analysis.statistics import binomial_confidence, empirical_cdf, wilson_interval
 
 __all__ = [
     "bit_error_rate",
-    "packet_reception_rate",
-    "symbol_error_positions",
     "symbol_error_rate_per_subcarrier",
     "generate_report",
     "write_report",
-    "binomial_confidence",
-    "empirical_cdf",
-    "wilson_interval",
 ]

@@ -1,17 +1,12 @@
-"""Error-rate and reception metrics used across the experiments."""
+"""Error-rate metrics used across the experiments."""
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "bit_error_rate",
-    "symbol_error_positions",
-    "symbol_error_rate_per_subcarrier",
-    "packet_reception_rate",
-]
+__all__ = ["bit_error_rate", "symbol_error_rate_per_subcarrier"]
 
 
 def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
@@ -25,36 +20,9 @@ def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
     return float(np.mean(sent != received))
 
 
-def symbol_error_positions(
-    sent_symbols: np.ndarray,
-    received_hard_symbols: np.ndarray,
-    exclude_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean ``(n_symbols, 48)`` grid of symbol errors.
-
-    ``exclude_mask`` cells (silence symbols) are never counted as errors.
-    """
-    sent = np.asarray(sent_symbols)
-    got = np.asarray(received_hard_symbols)
-    if sent.shape != got.shape:
-        raise ValueError("symbol grids differ in shape")
-    errors = ~np.isclose(sent, got, atol=1e-9)
-    if exclude_mask is not None:
-        errors = errors & ~np.asarray(exclude_mask, dtype=bool)
-    return errors
-
-
 def symbol_error_rate_per_subcarrier(error_grids: Sequence[np.ndarray]) -> np.ndarray:
     """Average SER per data subcarrier over many packets (Fig. 6(b))."""
     if not error_grids:
         raise ValueError("need at least one error grid")
     stacked = np.concatenate([np.asarray(g, dtype=bool) for g in error_grids], axis=0)
     return stacked.mean(axis=0)
-
-
-def packet_reception_rate(outcomes: Sequence[bool]) -> float:
-    """PRR over a sequence of per-packet success flags."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        return 0.0
-    return float(np.mean(outcomes))

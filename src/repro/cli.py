@@ -42,8 +42,9 @@ Commands
     always drawn from the measured-PHY surrogate table.
 ``net compare [--scenario S ...] [--controllers a,b] [--trials N]``
     Run the rate-controller matrix over one or more scenarios (default:
-    all registered controllers on ``hidden-node``) and print one
-    comparison table per scenario; ``--json`` exports the report(s).
+    the four controllers of ``repro.ratectl.CONTROLLER_MATRIX`` on
+    ``hidden-node``) and print one comparison table per scenario;
+    ``--json`` exports the report(s).
 ``net tables build|inspect``
     Build or summarise the measured-PHY surrogate table every
     ``repro.net`` run replays (the committed position-A table).
@@ -174,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net_cmp.add_argument("--controllers", default=None, metavar="CSV",
                          help="comma-separated controller names (default: "
-                              "the full matrix)")
+                              "cos-feedback, explicit-feedback, minstrel, "
+                              "samplerate)")
     net_cmp.add_argument("--trials", type=int, default=3, metavar="N",
                          help="independent trials per cell (default: 3)")
     net_cmp.add_argument("--seed", type=int, default=0)

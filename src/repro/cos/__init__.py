@@ -46,7 +46,6 @@ from repro.cos.rate_control import (
     ControlRateTable,
 )
 from repro.cos.selection import FeedbackCodec, SelectionResult, SubcarrierSelector
-from repro.cos.stream import ReliableControlReceiver, ReliableControlSender
 from repro.cos.silence import DEFAULT_CONTROL_SUBCARRIERS, SilencePlan, SilencePlanner
 from repro.cos.visualize import render_silence_grid
 
@@ -88,7 +87,5 @@ __all__ = [
     "DEFAULT_CONTROL_SUBCARRIERS",
     "SilencePlan",
     "SilencePlanner",
-    "ReliableControlReceiver",
-    "ReliableControlSender",
     "render_silence_grid",
 ]

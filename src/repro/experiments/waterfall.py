@@ -2,11 +2,11 @@
 
 Not a paper figure — a conformance check on the substrate.  For each
 802.11a rate the packet error rate is swept against SNR on a mild
-channel; the curves must fall monotonically and order by rate (higher
-rates need more SNR), and the rate-1/2 hard-decision union bound from
-:mod:`repro.phy.code_analysis` must upper-bound the soft decoder's BER
-region.  Experiments built on a PHY that fails these checks measure
-nothing.
+channel.  :func:`claims` checks that each curve falls monotonically
+(within 0.1 PER per step), that the first SNR with PER <= 0.1 falls by
+no more than 1 dB from one rate to the next higher one, and that
+6 Mbps gets there by 8 dB while 54 Mbps needs at least 14 dB.
+Experiments built on a PHY that fails these checks measure nothing.
 """
 
 from __future__ import annotations

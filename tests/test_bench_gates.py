@@ -120,3 +120,11 @@ def test_bounds_table_is_unchanged():
     }
     # The lens-share gate's sanity check on its own hook count.
     assert gates.MIN_LENS_CHECKS == 1000
+
+
+def test_committed_record_names_only_current_gates():
+    """``BENCH_gates.json`` holds no reading of a gate that was deleted."""
+    record = json.loads((BENCH_DIR.parent / "BENCH_gates.json").read_text())
+    stale = [(g["group"], g["name"]) for g in record["gates"]
+             if (g["group"], g["name"]) not in gates.BOUNDS]
+    assert stale == []

@@ -1,18 +1,20 @@
-"""scipy is loaded only by the code that calls it.
+"""The package needs numpy only: no module under ``src/repro`` imports scipy.
 
-``import repro``, the network stack, the engine, the link layer and every
-``repro`` command never call scipy, so they must not import it:
-importing it costs them more start-up time and memory than the network
-stack itself (see "Start-up and footprint" in docs/performance.md).  The
-fading channel's Jakes correlation computes Bessel J0 itself, so building,
-evolving and sending over an ``IndoorChannel`` load no scipy either.
+Importing scipy would cost ``import repro``, the network stack, the
+engine, the link layer and every ``repro`` command more start-up time
+and memory than the network stack itself (see "Start-up and footprint"
+in docs/performance.md).  The fading channel's Jakes correlation
+computes Bessel J0 itself; scipy is only the test oracle for that port
+(``tests/test_temporal.py``).
 
-Each check runs in a fresh interpreter, since this test session has
-long since imported scipy.
+The static check walks every module's syntax tree.  The runtime checks
+run in a fresh interpreter, since this test session has long since
+imported scipy.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -30,8 +32,28 @@ SCIPY_FREE_IMPORTS = (
     "repro.analysis",
     "repro.experiments",
     "repro.cli",
-    "repro.phy.code_analysis",
 )
+
+
+def _imports_scipy(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            return True
+    return False
+
+
+def test_no_module_imports_scipy():
+    offenders = sorted(
+        str(path.relative_to(REPO))
+        for path in (REPO / "src" / "repro").rglob("*.py")
+        if _imports_scipy(ast.parse(path.read_text(), filename=str(path))))
+    assert offenders == []
 
 
 def _loaded_scipy(code: str, cwd: Path) -> list:

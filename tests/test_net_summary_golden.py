@@ -2,7 +2,7 @@
 
 ``tests/data/net_summary_golden.json`` records, in emitted key order:
 
-* ``compare_controllers`` over the full controller matrix at quick scale
+* ``compare_controllers`` over the default controller matrix at quick scale
   (``hidden-node`` with 200 packets and ``cross-cell`` with 80 + 24
   packets, both 60 ms), ``n_trials=3``, seed 0;
 * ``summarize_results`` of three 200 ms ``campus-roaming`` trials (seed

@@ -1,12 +1,10 @@
-"""Property-based tests for the DCF MAC and the control stream."""
+"""Property-based tests for the DCF MAC of ``repro.net``."""
 
 import dataclasses
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cos.stream import ReliableControlReceiver, ReliableControlSender
 from repro.net import run_scenario
 from repro.net.scenarios import contention
 
@@ -38,39 +36,3 @@ class TestDcfProperties:
         assert stats.failures == 0
         assert stats.data_delivered == n_frames
 
-
-class TestStreamProperties:
-    @given(st.binary(min_size=1, max_size=64), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_transfer_over_random_loss(self, data, seed):
-        """Any payload survives any i.i.d. loss pattern below 60 %."""
-        rng = np.random.default_rng(seed)
-        sender = ReliableControlSender(data)
-        receiver = ReliableControlReceiver()
-        for _ in range(3000):
-            if sender.done:
-                break
-            payload = sender.next_payload()
-            if rng.random() < 0.6:
-                continue
-            sender.on_ack(receiver.on_payload(payload))
-        assert sender.done
-        assert receiver.data(len(data)) == data
-
-    @given(st.binary(min_size=1, max_size=32), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_corruption_never_corrupts_output(self, data, seed):
-        """Bit-flipped frames are rejected by the checksum, so the
-        assembled prefix always matches the source."""
-        rng = np.random.default_rng(seed)
-        sender = ReliableControlSender(data)
-        receiver = ReliableControlReceiver()
-        for _ in range(2000):
-            if sender.done:
-                break
-            payload = sender.next_payload().copy()
-            if rng.random() < 0.3:
-                payload[rng.integers(0, payload.size)] ^= 1
-            sender.on_ack(receiver.on_payload(payload))
-        got = receiver.data(len(data))
-        assert data.startswith(got) or got == data

@@ -185,7 +185,7 @@ class TestSampleRate:
 
 
 class TestScenarioIntegration:
-    @pytest.mark.parametrize("controller", CONTROLLER_MATRIX)
+    @pytest.mark.parametrize("controller", available_controllers())
     def test_serial_and_pool_bit_identical(self, controller):
         spec = small_spec(controller=controller)
         serial = run_scenario_sweep(spec, n_trials=2, seed=11, workers=0)
@@ -312,6 +312,15 @@ class TestCompareHarness:
         assert cos["goodput_mbps"] > explicit["goodput_mbps"]
         assert explicit["control_airtime_fraction"] > 0
         assert cos["control_airtime_fraction"] == 0
+
+    def test_matrix_rows_pairwise_distinct(self):
+        """No row of the default matrix repeats another one."""
+        rows = list(compare_controllers(small_spec(), n_trials=1,
+                                        seed=0)["controllers"].items())
+        assert [name for name, _ in rows] == list(CONTROLLER_MATRIX)
+        for i, (name_a, row_a) in enumerate(rows):
+            for name_b, row_b in rows[i + 1:]:
+                assert row_a != row_b, f"{name_a} repeats {name_b}"
 
     def test_unknown_controller_raises(self):
         with pytest.raises(ValueError, match="available"):
