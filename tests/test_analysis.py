@@ -34,4 +34,3 @@ class TestSymbolErrors:
     def test_ser_requires_grids(self):
         with pytest.raises(ValueError):
             symbol_error_rate_per_subcarrier([])
-

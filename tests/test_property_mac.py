@@ -35,4 +35,3 @@ class TestDcfProperties:
         stats = _ring([n_frames], seed).per_node["sta0"]
         assert stats.failures == 0
         assert stats.data_delivered == n_frames
-
