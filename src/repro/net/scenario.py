@@ -152,14 +152,12 @@ class ScenarioSpec:
     radio: RadioSpec = field(default_factory=RadioSpec)
     mobility: Tuple[MobilitySpec, ...] = ()
     interferers: Tuple[InterfererSpec, ...] = ()
-    control_octets: int = 14
     data_rate_mbps: Optional[int] = None  # None = SINR-adaptive
     max_embed_per_frame: int = 4
     bsses: Tuple[BssSpec, ...] = ()
     traffic: Tuple[TrafficSpec, ...] = ()
     medium_mode: str = "culled"  # "culled" | "dense-exact"
     beacon_interval_us: float = 102_400.0
-    roam_hysteresis_db: float = 6.0
     controller: str = "snr-threshold"  # a repro.ratectl controller name
     cos_overhear: bool = False  # Tag-Spotting: decode CoS below data SINR
 
@@ -258,13 +256,9 @@ class ScenarioSpec:
                 f'"controller" must name one (default "snr-threshold"); '
                 f"available: {', '.join(available_controllers())}"
             )
-        for name in ("control_octets", "max_embed_per_frame"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(
-                    f"{name} must be at least 1, got {getattr(self, name)!r}"
-                )
-        _require_finite_non_negative("roam_hysteresis_db",
-                                     self.roam_hysteresis_db)
+        if not self.max_embed_per_frame >= 1:
+            raise ValueError(f"max_embed_per_frame must be at least 1, "
+                             f"got {self.max_embed_per_frame!r}")
 
     # ------------------------------------------------------------------
     # Derived objects

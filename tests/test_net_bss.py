@@ -33,6 +33,7 @@ from repro.net import (
     builtin_scenario,
     run_scenario,
 )
+from repro.net import bss
 from repro.net.scenario import NodeSpec
 from repro.net.traffic import arrival_times, mean_rate_pps
 from repro.net.topology import Topology, Waypoint
@@ -277,11 +278,10 @@ class TestRoaming:
         assert d["per_node"]["walker0"]["roams"] == \
             result.per_node["walker0"].roams
 
-    def test_hysteresis_suppresses_pingpong(self):
+    def test_hysteresis_suppresses_pingpong(self, monkeypatch):
         # With an enormous hysteresis no one ever roams.
-        spec = dataclasses.replace(builtin_scenario("campus-roaming"),
-                                   roam_hysteresis_db=200.0)
-        result = run_scenario(spec, rng=1)
+        monkeypatch.setattr(bss, "ROAM_HYSTERESIS_DB", 200.0)
+        result = run_scenario(builtin_scenario("campus-roaming"), rng=1)
         assert result.n_roams == 0
 
     def test_static_grid_never_roams(self):
