@@ -17,6 +17,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.utils.rng import named_rng
+
 __all__ = ["TrialSpec", "TrialError", "make_specs"]
 
 SeedLike = Union[int, np.random.SeedSequence, None]
@@ -54,12 +56,7 @@ class TrialSpec:
         not mutate the :class:`~numpy.random.SeedSequence`, so a trial
         may request children in any order, any number of times.
         """
-        seq = self._seq()
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (int(child),)
-            )
-        )
+        return named_rng(self._seq(), child)
 
     @property
     def seed_entropy(self) -> Any:

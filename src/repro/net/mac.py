@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class NodeMac:
         name: str,
         medium: Medium,
         scheduler: EventScheduler,
-        rng: np.random.Generator,
+        backoff_rngs: Mapping[str, np.random.Generator],
         control_plane,
         collector,
         max_retries: int = MAX_RETRIES,
@@ -92,7 +92,8 @@ class NodeMac:
         self.name = name
         self.medium = medium
         self.scheduler = scheduler
-        self.rng = rng
+        #: Backoff stream per MAC name; this MAC draws from its own.
+        self.backoff_rngs = backoff_rngs
         self.control_plane = control_plane
         self.collector = collector
         self.max_retries = max_retries
@@ -134,7 +135,7 @@ class NodeMac:
                 or self._countdown_event is not None:
             return
         if self.backoff.slots is None:
-            self.backoff.draw(self.rng)
+            self.backoff.draw(self.backoff_rngs[self.name])
         if not self.medium.contend(self.name):
             self._start_countdown()
 

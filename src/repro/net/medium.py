@@ -22,8 +22,7 @@ Interferer bursts are ordinary :class:`Transmission` records with
 ``dst=None`` — they deposit sensed power and interference but are never
 received.  Beacons are ``dst=None`` too, but additionally fan out to
 every listener that receives them above the carrier-sense threshold
-(deterministic energy-gate decode — no RNG draw, so legacy scenarios'
-random streams are untouched).
+(a deterministic energy-gate decode).
 
 Two operating modes (``mode=``):
 
@@ -101,8 +100,9 @@ which keeps single-BSS scenarios exactly on the legacy numbers.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from collections import OrderedDict, defaultdict
+from typing import (Callable, Dict, List, Mapping, Optional, Protocol, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -220,7 +220,7 @@ class Medium:
         topology: Topology,
         scheduler: EventScheduler,
         reception: ReceptionModel,
-        rng: np.random.Generator,
+        fates: Union[Mapping[str, np.random.Generator], np.random.Generator],
         on_outcome: Optional[Callable[[Transmission, bool, float, str], None]] = None,
         lens=None,
         mode: str = "culled",
@@ -231,7 +231,10 @@ class Medium:
         self.topology = topology
         self.scheduler = scheduler
         self.reception = reception
-        self.rng = rng
+        #: Each receiver's frame-fate stream; a lone Generator (a medium
+        #: driven on its own) serves every receiver.
+        self.fates = (defaultdict(lambda: fates)
+                      if isinstance(fates, np.random.Generator) else fates)
         self.on_outcome = on_outcome
         self.lens = lens  # optional repro.net.lens.NetLens (None = free)
         self.mode = mode
@@ -683,7 +686,8 @@ class Medium:
             if tx.rx_busy:
                 ok, reason = False, "rx_busy"
             else:
-                ok, reason = self.reception.decide(sinr, tx.rate_mbps, self.rng)
+                ok, reason = self.reception.decide(sinr, tx.rate_mbps,
+                                                   self.fates[tx.dst])
 
         if self.lens is not None:
             self.lens.on_tx_end(tx, self.scheduler.now_us, ok, sinr, reason)
@@ -721,10 +725,9 @@ class Medium:
         itself mid-transmission.  Raw power (no adjacent-channel
         rejection) models the station-side scan: a station parked on
         one channel still learns the beacon levels of neighbouring
-        cells, which is what makes cross-channel roaming decidable.  No
-        RNG draw, so beacon traffic never perturbs the reception random
-        stream of the data plane.  Both medium modes fan out over the
-        same set: every MAC within the carrier-sense range.
+        cells, which is what makes cross-channel roaming decidable.
+        Both medium modes fan out over the same set: every MAC within
+        the carrier-sense range.
         """
         topo = self.topology
         cs = topo.radio.cs_threshold_dbm

@@ -80,9 +80,9 @@ class ReceptionModel:
                rng: np.random.Generator) -> Tuple[bool, str]:
         """Decide one frame's fate.  Reasons: ``ok`` | ``collision`` | ``channel_error``.
 
-        The RNG is always consumed exactly once so that reception
-        outcomes stay on a deterministic stream regardless of the
-        capture decision.
+        Draws exactly once from ``rng`` (the receiver's fate stream),
+        whatever the capture verdict, so the k-th reception at a
+        receiver always takes the k-th draw of its stream.
         """
         draw = float(rng.random())
         if sinr_db < self.capture_threshold_db:

@@ -2,12 +2,7 @@
 
 A :class:`~repro.net.scenario.TrafficSpec` describes one source's
 arrival process; :func:`arrival_times` synthesises the whole arrival
-sequence up front from the simulator's RNG.  Pre-drawing matters for
-determinism: every arrival time for every traffic source is drawn at
-simulator construction, in spec order, before the first event fires —
-so the reception/interferer draws that happen *during* the run see the
-same RNG stream regardless of how the arrivals interleave, and culled
-vs dense-exact medium modes consume identical randomness.
+sequence up front from that source's own stream.
 
 Models (cf. Nessi's ``trafficgen.py``):
 
@@ -44,8 +39,7 @@ def arrival_times(spec, duration_us: float,
     """All arrival instants of ``spec`` within ``[start_us, stop]``.
 
     ``stop`` is the earlier of ``spec.stop_us`` and ``duration_us``.
-    Consumes RNG draws for the stochastic models (none for ``cbr``);
-    call in a fixed order for determinism.
+    Draws from ``rng`` for the stochastic models (none for ``cbr``).
     """
     stop = duration_us if spec.stop_us is None else min(spec.stop_us,
                                                         duration_us)

@@ -25,10 +25,10 @@ plane around a controller:
   which is the honest baseline the paper's "free control" claim must
   beat on adaptation quality, not on airtime.
 
-Controllers must follow the net determinism contract: any randomness
-comes from the simulator's single ``rng`` stream passed at construction
-(never module-level RNGs or wall clock), so serial and process-pool
-sweeps stay bit-for-bit identical.
+Any randomness a controller needs comes from the ``rng`` passed at
+construction — in :mod:`repro.net`, the controller instance's own
+sampling stream — never from module-level RNGs or the wall clock, so
+serial and process-pool sweeps stay bit-for-bit identical.
 
 New controllers register by name::
 

@@ -9,10 +9,9 @@ throughput → second-best throughput → highest success probability →
 base rate, so a frame stuck behind a bad estimate degrades gracefully
 instead of burning its whole retry budget at one rate.
 
-Sampling draws come from the simulator's single RNG stream (one
-``random()`` draw per non-retry selection, one ``integers()`` draw when
-it samples), which keeps serial and process-pool sweeps bit-for-bit
-identical and makes the sampling schedule reproducible per trial seed.
+Sampling draws come from the controller's ``rng`` (one ``random()``
+draw per non-retry selection, one ``integers()`` draw when it samples),
+so the sampling schedule is reproducible per trial seed.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ Bicket's rule for not wasting airtime on dead rates.
 
 Like Minstrel this is loss-driven: no feedback messages, no control
 airtime; the frame fates reported by the MAC are the whole signal.  The
-round-robin sampling schedule consumes no RNG at all, so the controller
-is trivially bit-for-bit reproducible.
+round-robin sampling schedule draws nothing.
 """
 
 from __future__ import annotations

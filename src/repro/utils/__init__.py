@@ -13,7 +13,7 @@ from repro.utils.bitops import (
     random_bits,
 )
 from repro.utils.crc import crc32, append_fcs, check_fcs
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng, named_rng
 
 __all__ = [
     "bits_to_bytes",
@@ -26,5 +26,5 @@ __all__ = [
     "append_fcs",
     "check_fcs",
     "make_rng",
-    "spawn_rngs",
+    "named_rng",
 ]
