@@ -196,7 +196,7 @@ def campus_roaming(
     stations_per_ap: int = 3,
     n_walkers: int = 2,
     rate_pps: float = 40.0,
-    walker_rate_pps: float = 80.0,
+    walker_rate_pps: float = 300.0,
     payload_octets: int = 512,
     duration_us: float = 400_000.0,
     beacon_interval_us: float = 20_000.0,
@@ -212,6 +212,9 @@ def campus_roaming(
     hysteresis) moves them cell to cell, and ``NetResult.n_roams`` /
     per-station ``roams`` count the hand-offs.  Beacons tick every
     20 ms so a 400 ms walk sees enough of them to roam promptly.
+    Walkers stream (300 pps of 512 octets), so a hand-off usually
+    finds frames on the air: the case where a retune must leave the
+    in-flight frames' interference maps alone.
     """
     if n_aps < 2:
         raise ValueError("roaming needs at least two APs")
