@@ -27,7 +27,9 @@ plane around a controller:
 
 Any randomness a controller needs comes from the ``rng`` passed at
 construction — in :mod:`repro.net`, the controller instance's own
-sampling stream — never from module-level RNGs or the wall clock, so
+sampling stream, which has a Generator's ``random()`` and
+``integers()`` and nothing else (:class:`repro.utils.rng.OwnerStream`)
+— never from module-level RNGs or the wall clock, so
 serial and process-pool sweeps stay bit-for-bit identical.
 
 New controllers register by name::

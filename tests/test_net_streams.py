@@ -30,14 +30,15 @@ import pytest
 
 from repro.net import (
     InterfererSpec,
+    enterprise_grid,
     NetLens,
     NetSimulator,
     NodeSpec,
     ScenarioSpec,
     TrafficSpec,
 )
-from repro.net.simulator import ARRIVALS, BACKOFF, FATES
-from repro.utils.rng import named_rng
+from repro.net.simulator import ARRIVALS, BACKOFF, FATES, SAMPLING
+from repro.utils.rng import SubStreams
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -128,15 +129,21 @@ def test_one_interferers_probability_leaves_the_other_sources(baseline):
 
 
 def test_named_rng_is_pure_whatever_the_request_order():
+    # Owner streams are named, not spawned: a purpose's SubStreams built
+    # twice, asked in opposite orders, hand out the same streams.
     root = np.random.SeedSequence(11).spawn(3)[2]
     keys = [(purpose, owner) for purpose in (BACKOFF, FATES, ARRIVALS)
             for owner in (0, 1, 7, 2**63)]
-    forward = {k: named_rng(root, k[0], owner=k[1]).random(3).tolist()
-               for k in keys}
-    backward = {k: named_rng(root, k[0], owner=k[1]).random(3).tolist()
-                for k in reversed(keys)}
-    assert forward == backward
+
+    def draws(order):
+        subs = {p: SubStreams(root, p) for p in (BACKOFF, FATES, ARRIVALS)}
+        return {k: [subs[k[0]][k[1]].random() for _ in range(3)]
+                for k in order}
+
+    forward = draws(keys)
+    assert forward == draws(list(reversed(keys)))
     assert len({tuple(v) for v in forward.values()}) == len(keys)
+    assert root.n_children_spawned == 0
 
 
 def test_simulator_streams_are_pure_whatever_the_request_order():
@@ -173,3 +180,66 @@ def test_owner_keys_do_not_depend_on_the_process_hash_seed():
             [sys.executable, "-c", code], env=env, check=True,
             capture_output=True, text=True).stdout)
     assert len(outputs) == 1
+
+
+@pytest.fixture(scope="module")
+def grid_1024_trial():
+    """A short 1024-node, 64-cell ``snr-threshold`` trial, counting every
+    numpy PCG64 and Generator it builds."""
+    spec = enterprise_grid(n_aps=64, stations_per_ap=15, duration_us=20_000.0)
+    assert len(spec.nodes) == 1024 and spec.controller == "snr-threshold"
+    built = []
+
+    class PCG64(np.random.PCG64):  # a state dict names its class
+        def __init__(self, *args, **kwargs):
+            built.append("PCG64")
+            super().__init__(*args, **kwargs)
+
+    class CountingGenerator(np.random.Generator):
+        def __init__(self, *args, **kwargs):
+            built.append("Generator")
+            super().__init__(*args, **kwargs)
+
+    def counting_default_rng(*args, **kwargs):
+        built.append("default_rng")
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "PCG64", PCG64)
+        patch.setattr(np.random, "Generator", CountingGenerator)
+        patch.setattr(np.random, "default_rng", counting_default_rng)
+        sim = NetSimulator(spec, rng=7)
+        result = sim.run()
+    return sim, result, built
+
+
+def test_a_1024_node_trial_builds_no_numpy_generator_per_owner(
+        grid_1024_trial):
+    sim, result, built = grid_1024_trial
+    assert result.n_events > 1000
+    owners = sum(len(streams) for streams in sim.streams.values())
+    assert owners > 500  # backoff, fates and CoS owners did draw
+    # One PCG64 and one Generator per trial, both for ARRIVALS.
+    assert sorted(built) == ["Generator", "PCG64"]
+
+
+def test_a_snr_threshold_trial_builds_no_sampling_state(grid_1024_trial):
+    sim, _, _ = grid_1024_trial
+    sampling = sim.streams[SAMPLING]
+    assert len(sim.control_plane.planes) == 64
+    assert len(sampling) == 0 and sampling.base is None
+
+
+def test_a_sampling_stream_is_built_on_its_first_draw():
+    # minstrel samples: its plane's stream exists once drawn from, and the
+    # controller then draws from it directly.
+    sim = NetSimulator(_spec(controller="minstrel", duration_us=20_000.0),
+                       rng=5)
+    assert len(sim.streams[SAMPLING]) == 0
+    sim.run()
+    stream = sim.streams[SAMPLING][0]
+    assert list(sim.streams[SAMPLING]) == [0]
+    assert stream.state != SubStreams(np.random.SeedSequence(5),
+                                      SAMPLING).state(0)
+    assert sim.control_plane.controller.rng.random.__self__ is stream
