@@ -25,8 +25,11 @@ import pytest
 
 from repro.net import (
     BssSpec,
+    FlowSpec,
     GridIndex,
+    MobilitySpec,
     NetLens,
+    NetSimulator,
     RadioSpec,
     ScenarioSpec,
     TrafficSpec,
@@ -193,6 +196,57 @@ def _with_floor(spec, floor_dbm):
                                         interference_floor_dbm=floor_dbm))
 
 
+def _two_cells() -> ScenarioSpec:
+    """Two cells on adjacent channels: backlogged uplinks in both, a
+    downlink in the first, and a walker that sends a little."""
+    return ScenarioSpec(
+        name="two-cells",
+        nodes=(NodeSpec("ap0", 0.0, 0.0), NodeSpec("sta_a", 6.0, 2.0),
+               NodeSpec("sta_b", 3.0, -5.0), NodeSpec("walker", 2.0, 4.0),
+               NodeSpec("ap1", 25.0, 0.0), NodeSpec("sta_c", 20.0, 3.0)),
+        flows=(FlowSpec("sta_a", "ap0", n_packets=30),
+               FlowSpec("sta_c", "ap1", n_packets=30),
+               FlowSpec("ap0", "sta_b", n_packets=20),
+               FlowSpec("walker", "ap0", n_packets=8, interval_us=4_000.0)),
+        bsses=(BssSpec(ap="ap0", channel=0,
+                       stations=("sta_a", "sta_b", "walker")),
+               BssSpec(ap="ap1", channel=1, stations=("sta_c",))),
+        mobility=(MobilitySpec("walker", ((0.0, 2.0, 4.0),
+                                          (40_000.0, 12.0, 4.0))),),
+        duration_us=40_000.0,
+    )
+
+
+def _run_retuning(spec, seed, retunes):
+    """Run ``spec``, retuning ``(node, channel)`` in turn, each halfway
+    through a data frame another node began, and never while the node
+    has a frame of its own on the air.  Returns the result and the nodes
+    retuned, in order."""
+    sim = NetSimulator(spec, rng=seed)
+    medium, pending, done, armed = sim.medium, list(retunes), [], []
+    begin = medium.begin
+
+    def retune(name, ch):
+        armed.clear()
+        assert medium._active  # halfway through a frame
+        if any(tx.src == name for tx in medium._active):
+            pending.insert(0, (name, ch))  # wait for a frame of another's
+            return
+        done.append(name)
+        medium.set_channel(name, ch)
+
+    def begin_then_retune(tx):
+        begin(tx)
+        if pending and not armed and tx.kind == "data" and \
+                tx.src != pending[0][0]:
+            armed.append(tx)
+            sim.scheduler.at(sim.scheduler.now_us + tx.duration_us / 2,
+                             retune, *pending.pop(0))
+
+    medium.begin = begin_then_retune
+    return sim.run(), done
+
+
 class TestMediumEquivalence:
     @pytest.mark.parametrize("scenario", ["hidden-node", "contention"])
     def test_culled_at_inf_floor_is_bit_identical(self, scenario):
@@ -225,6 +279,23 @@ class TestMediumEquivalence:
         assert culled.n_events > 100
         assert json.dumps(culled.to_dict(), sort_keys=True) == \
             json.dumps(dense.to_dict(), sort_keys=True)
+
+    def test_retunes_with_a_frame_on_the_air_are_bit_identical(self):
+        # Each retune lands halfway through another node's data frame, so
+        # the premise holds whatever the seed draws: static senders and
+        # receivers (on copies of the shared source maps) and a walker
+        # change channel while frames are on the air.
+        spec = _with_floor(_two_cells(), float("-inf"))
+        retunes = [("sta_b", 1), ("sta_a", 1), ("walker", 1), ("ap1", 0),
+                   ("sta_b", 0), ("sta_a", 0), ("walker", 0), ("ap1", 1)]
+        culled, culled_done = _run_retuning(spec, 3, retunes)
+        dense, dense_done = _run_retuning(
+            spec.with_medium("dense-exact"), 3, retunes)
+        assert culled_done == dense_done == [name for name, _ in retunes]
+        assert json.dumps(culled.to_dict(), sort_keys=True) == \
+            json.dumps(dense.to_dict(), sort_keys=True)
+        # The retunes moved the run: they were not all in vain.
+        assert culled.to_dict() != run_scenario(spec, rng=3).to_dict()
 
     @pytest.mark.parametrize("scenario", ["hidden-node", "contention"])
     def test_default_floor_goodput_within_one_percent(self, scenario):
