@@ -13,7 +13,7 @@ from repro.utils.bitops import (
     random_bits,
 )
 from repro.utils.crc import crc32, append_fcs, check_fcs
-from repro.utils.rng import OwnerStream, SubStreams, make_rng, named_rng
+from repro.utils.rng import make_rng, named_rng
 
 __all__ = [
     "bits_to_bytes",
@@ -27,6 +27,4 @@ __all__ = [
     "check_fcs",
     "make_rng",
     "named_rng",
-    "OwnerStream",
-    "SubStreams",
 ]

@@ -30,12 +30,12 @@ import pytest
 
 from repro.net import (
     InterfererSpec,
-    enterprise_grid,
     NetLens,
     NetSimulator,
     NodeSpec,
     ScenarioSpec,
     TrafficSpec,
+    enterprise_grid,
 )
 from repro.net.simulator import ARRIVALS, BACKOFF, FATES, SAMPLING
 from repro.utils.rng import SubStreams

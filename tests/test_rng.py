@@ -69,8 +69,8 @@ def _reference(root, key, owner):
 
 
 OWNERS = [0, 1, 2**63, 2**64 - 1]
-#: One value (no draw), rejection-heavy, powers of two, and a range past
-#: 2**31 whose draws reject about half the time.
+#: One value (no draw), odd and power-of-two spans, and a span past
+#: 2**31 whose draws are rejected about half the time.
 SPANS = [1, 3, 16, 1024, 2**31 + 1]
 
 
